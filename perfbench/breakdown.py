@@ -20,11 +20,11 @@ from statistics import median
 import numpy as np
 
 from spans import Tracer, self_times, totals_by_name
+from workloads import BATCH
 
 MODULES = ("cli", "config", "curriculum", "model", "nnkernel", "dataprep",
            "transfer", "taxonomy")
 
-TRAIN_BATCH = 32
 TAIL_LADDER = (999, 995, 990, 980, 950, 900, 750, 500)   # per mille
 
 
@@ -254,7 +254,7 @@ def network_layer_metrics(spans, kids) -> dict[str, tuple[float, str]]:
     for i, span in enumerate(spans):
         note = span.note
         if (span.name not in ("model.forward", "model.backward") or not note
-                or note["batch"] != TRAIN_BATCH
+                or note["batch"] != BATCH
                 or note.get("mode", "train") != "train"):
             continue
         direction = "fwd" if span.name == "model.forward" else "bwd"

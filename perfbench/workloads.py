@@ -48,18 +48,19 @@ class Inputs:
 # ---------------------------------------------------------------------------
 # training configs
 
-def _sgd(iterations: int) -> dict:
+def _sgd(iterations: int, base_lr: float = 0.01,
+         lr_step: int | None = None) -> dict:
     # Spelled out: SgdConfig's own defaults are batch 256 and no lr step.
-    return {"base_lr": 0.01, "momentum": 0.9, "weight_decay": 0.0005,
-            "lr_gamma": 0.1, "lr_step": max(1, iterations // 2),
+    return {"base_lr": base_lr, "momentum": 0.9, "weight_decay": 0.0005,
+            "lr_gamma": 0.1, "lr_step": lr_step or max(1, iterations // 2),
             "batch_size": BATCH}
 
 
 def _phase(iterations: int, seed: int, checkpoint_every: int | None = None,
-           eval_every: int = 100, **extra) -> dict:
+           eval_every: int = 100, sgd: dict | None = None, **extra) -> dict:
     return {"iterations": iterations, "seed": seed, "eval_every": eval_every,
             "checkpoint_every": checkpoint_every or iterations,
-            "sgd": _sgd(iterations), **extra}
+            "sgd": sgd or _sgd(iterations), **extra}
 
 
 def _synthetic(seed: int, image_size, subordinate_scale: float,
@@ -93,9 +94,11 @@ DESK_ITERATIONS = 48
 
 
 def desk_config(seed: int) -> dict:
-    """Reference regime on the desk spec. The subordinate prototypes sit
-    further apart and the noise is lower than in the 16x16 set, so that a
-    short run learns measurably: the oracle needs val top-1 above 2x chance."""
+    """Reference regime on the desk spec, set up so that a short run learns
+    on every seed (the oracle needs val top-1 above 2x chance). The
+    subordinate prototypes sit further apart and the noise is lower than in
+    the 16x16 set. The learning rate is half the benchmark's and does not
+    step down: at 0.01 some seeds stalled at chance-level loss."""
     return {
         "data": {"synthetic": _synthetic(seed, (3, 32, 32), 0.2, 0.1),
                  "split": {"n_train_per_class": 40, "max_test_per_class": 10,
@@ -103,7 +106,9 @@ def desk_config(seed: int) -> dict:
         "model": {"name": "desk", "init": "scaled"},
         "regime": {"kind": "Reference",
                    "phase_b": _phase(DESK_ITERATIONS, seed * 10 + 3,
-                                     eval_every=DESK_ITERATIONS)},
+                                     eval_every=DESK_ITERATIONS,
+                                     sgd=_sgd(DESK_ITERATIONS, base_lr=0.005,
+                                              lr_step=DESK_ITERATIONS))},
     }
 
 
