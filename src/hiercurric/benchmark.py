@@ -51,7 +51,7 @@ def model_spec(n_outputs: int) -> md.ModelSpec:
 def sgd_config(iters: int, batch_size: int = 32) -> nk.SgdConfig:
     return nk.SgdConfig(base_lr=0.01, momentum=0.9, weight_decay=0.0005,
                         lr_gamma=0.1, lr_step=max(1, iters // 2),
-                        batch_size=batch_size, dropout_rate=0.5)
+                        batch_size=batch_size)
 
 
 def train_config(iters: int, seed: int, level: str,
@@ -78,42 +78,42 @@ def make_bundle(seed: int) -> tuple[dp.SyntheticData, cu.DataBundle]:
     return data, bundle
 
 
-def facilitated_regime(seed: int,
-                       kind: str = "FacilitatedReplicatedHead") -> cu.Regime:
+def regime(kind: str, seed: int, pretrain_categories=()) -> cu.Regime:
+    """The benchmark's instance of one recipe: phase A at seed*10+1 and
+    phase B at seed*10+2 (seed*10+3 without a phase A), lowering the conv
+    prefix where the recipe lowers it."""
+    recipe = cu.RECIPES[kind]
+    if recipe.phase_a is None:
+        return cu.Regime(kind=kind, phase_b=train_config(
+            PHASE_B_ITERATIONS, seed * 10 + 3, "sub"))
+    lowered = ({"lowered_prefix": LOWERED_PREFIX, "lowered_mult": LOWERED_MULT}
+               if recipe.lowers else {})
     return cu.Regime(
         kind=kind,
-        phase_a=train_config(PHASE_A_ITERATIONS, seed * 10 + 1, "basic"),
+        phase_a=train_config(PHASE_A_ITERATIONS, seed * 10 + 1,
+                             recipe.phase_a_level),
         phase_b=train_config(PHASE_B_ITERATIONS, seed * 10 + 2, "sub",
-                             lowered_prefix=LOWERED_PREFIX,
-                             lowered_mult=LOWERED_MULT))
+                             **lowered),
+        pretrain_categories=tuple(pretrain_categories))
+
+
+def facilitated_regime(seed: int,
+                       kind: str = "FacilitatedReplicatedHead") -> cu.Regime:
+    return regime(kind, seed)
 
 
 def reference_regime(seed: int) -> cu.Regime:
-    return cu.Regime(kind="Reference",
-                     phase_b=train_config(PHASE_B_ITERATIONS,
-                                          seed * 10 + 3, "sub"))
+    return regime("Reference", seed)
 
 
 def all_regimes(seed: int, pretrain_categories=()) -> dict[str, cu.Regime]:
-    """One instance of every control recipe, keyed by kind."""
-    out = {
-        "Reference": reference_regime(seed),
-        "ReferenceExtended": cu.Regime(
-            kind="ReferenceExtended",
-            phase_a=train_config(PHASE_A_ITERATIONS, seed * 10 + 1, "sub"),
-            phase_b=train_config(PHASE_B_ITERATIONS, seed * 10 + 2, "sub")),
-        "FacilitatedRandomHead": facilitated_regime(
-            seed, kind="FacilitatedRandomHead"),
-        "FacilitatedReplicatedHead": facilitated_regime(seed),
-    }
+    """One instance of every control recipe, keyed by kind; the subset
+    recipe only when pretrain categories are given."""
+    out = {kind: regime(kind, seed) for kind, recipe in cu.RECIPES.items()
+           if recipe.phase_a != "subset"}
     if pretrain_categories:
-        out["RandomSubsetPretrain"] = cu.Regime(
-            kind="RandomSubsetPretrain",
-            phase_a=train_config(PHASE_A_ITERATIONS, seed * 10 + 1, "basic"),
-            phase_b=train_config(PHASE_B_ITERATIONS, seed * 10 + 2, "sub",
-                                 lowered_prefix=LOWERED_PREFIX,
-                                 lowered_mult=LOWERED_MULT),
-            pretrain_categories=tuple(pretrain_categories))
+        out["RandomSubsetPretrain"] = regime("RandomSubsetPretrain", seed,
+                                             pretrain_categories)
     return out
 
 

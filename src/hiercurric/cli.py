@@ -160,8 +160,7 @@ def _load_train_inputs(config):
 
 def _print_shape_chain(spec: md.ModelSpec) -> None:
     for layer, shape_in, shape_out in spec.shape_chain():
-        kind = type(layer).__name__.lower()
-        print(f"{layer.name:10s} {kind:8s} {shape_in} -> {shape_out}")
+        print(f"{layer.name:10s} {layer.kind:8s} {shape_in} -> {shape_out}")
     print(f"parameters: {md.parameter_count(spec)}")
 
 
@@ -200,11 +199,6 @@ def cmd_train(args) -> int:
         {"config_hash": digest, "code_version": __version__, "config": config},
         indent=2, sort_keys=True) + "\n")
 
-    if not args.unchecked:
-        nk.set_checked(True)
-    else:
-        nk.set_checked(False)
-
     single = "regime" in config
 
     def run_one(item):
@@ -216,36 +210,34 @@ def cmd_train(args) -> int:
         cu.save_run_report(report, run_dir)
         return name, ckpt, report
 
-    if args.jobs > 1 and len(regimes) > 1:
-        # regimes are independent (own seeds, own output dirs); parallelism
-        # never reaches inside a training run
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run_one, regimes.items()))
-    else:
-        outcomes = [run_one(item) for item in regimes.items()]
+    prev_checked = nk.set_checked(not args.unchecked)
+    try:
+        if args.jobs > 1 and len(regimes) > 1:
+            # regimes are independent (own seeds, own output dirs); parallelism
+            # never reaches inside a training run
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                outcomes = list(pool.map(run_one, regimes.items()))
+        else:
+            outcomes = [run_one(item) for item in regimes.items()]
 
-    final_ckpts = {}
-    for name, ckpt, report in outcomes:
-        final_ckpts[name] = ckpt
-        print(f"{name}: " + " ".join(
-            f"{k}={v:.4f}" for k, v in sorted(report.final.items())))
+        final_ckpts = {}
+        for name, ckpt, report in outcomes:
+            final_ckpts[name] = ckpt
+            print(f"{name}: " + " ".join(
+                f"{k}={v:.4f}" for k, v in sorted(report.final.items())))
 
-    if "transfer" in config:
-        probe = transfer.ProbeSpec(
-            n_train_per_class=config["transfer"]["n_train_per_class"],
-            max_test_per_class=config["transfer"].get("max_test_per_class", 50),
-            n_splits=config["transfer"].get("n_splits", 3),
-            seed=config["transfer"]["seed"],
-            iters=config["transfer"].get("iters", 1000),
-            layer=config["transfer"].get("layer"))
-        for name, ckpt in final_ckpts.items():
-            result = transfer.evaluate_probe(ckpt, manifest, store, probe,
-                                             labelmap)
-            transfer.save_probe_result(
-                result, (out if single else out / name) / "transfer")
-            print(f"{name}: probe mean_class_recall="
-                  f"{result.aggregate['mean']:.4f}")
+        if "transfer" in config:
+            probe = transfer.ProbeSpec(**config["transfer"])
+            for name, ckpt in final_ckpts.items():
+                result = transfer.evaluate_probe(ckpt, manifest, store, probe,
+                                                 labelmap)
+                transfer.save_probe_result(
+                    result, (out if single else out / name) / "transfer")
+                print(f"{name}: probe mean_class_recall="
+                      f"{result.aggregate['mean']:.4f}")
+    finally:
+        nk.set_checked(prev_checked)
     return EXIT_OK
 
 
@@ -254,26 +246,28 @@ def _missing_out():
                           "output.directory in the config")
 
 
-def _probe_spec_from_args(args, n_train: int) -> transfer.ProbeSpec:
-    return transfer.ProbeSpec(
+def _probe_inputs(args):
+    """Manifest, image store, label map (None if not given) and one probe
+    spec per ``--n-train`` value, shared by probe and sweep."""
+    labelmap = (taxonomy.labelmap_from_csv(args.labelmap)
+                if args.labelmap else None)
+    specs = [transfer.ProbeSpec(
         n_train_per_class=n_train, max_test_per_class=args.max_test,
         n_splits=args.splits, seed=args.seed, iters=args.iters,
-        layer=args.layer)
+        layer=args.layer) for n_train in args.n_train]
+    return (dp.load_manifest(args.manifest), dp.RawFileStore(args.images),
+            labelmap, specs)
 
 
 def cmd_probe(args) -> int:
     ckpt = md.load_checkpoint(args.checkpoint)
-    manifest = dp.load_manifest(args.manifest)
-    store = dp.RawFileStore(args.images)
-    labelmap = (taxonomy.labelmap_from_csv(args.labelmap)
-                if args.labelmap else None)
+    manifest, store, labelmap, specs = _probe_inputs(args)
     out = resolve_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for n_train in args.n_train:
-        result = transfer.evaluate_probe(
-            ckpt, manifest, store, _probe_spec_from_args(args, n_train),
-            labelmap)
+    for spec in specs:
+        n_train = spec.n_train_per_class
+        result = transfer.evaluate_probe(ckpt, manifest, store, spec, labelmap)
         transfer.save_probe_result(result, out / f"n{n_train}")
         rows.append((n_train, repr(result.aggregate["mean"]),
                      repr(result.aggregate["std"])))
@@ -285,15 +279,12 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if len(args.n_train) > 1:
+        raise ValidationError("sweep takes one --n-train")
     loaded = [md.load_checkpoint(p) for p in args.checkpoints]
     loaded.sort(key=lambda c: c.iteration)
-    manifest = dp.load_manifest(args.manifest)
-    store = dp.RawFileStore(args.images)
-    labelmap = (taxonomy.labelmap_from_csv(args.labelmap)
-                if args.labelmap else None)
-    report = cu.checkpoint_sweep(
-        loaded, manifest, store, _probe_spec_from_args(args, args.n_train[0]),
-        labelmap)
+    manifest, store, labelmap, (spec,) = _probe_inputs(args)
+    report = cu.checkpoint_sweep(loaded, manifest, store, spec, labelmap)
     out = resolve_out(args.out)
     cu.save_run_report(report, out)
     print(f"swept {len(loaded)} checkpoints -> {out / 'curves.csv'}")
@@ -364,33 +355,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel regimes in a matrix run (never within one)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("probe", help="frozen-feature probe on a checkpoint")
+    # probe and sweep read the same data and probe settings
+    probing = argparse.ArgumentParser(add_help=False)
+    probing.add_argument("--manifest", required=True)
+    probing.add_argument("--images", required=True)
+    probing.add_argument("--labelmap", default=None)
+    probing.add_argument("--max-test", type=int, default=50)
+    probing.add_argument("--splits", type=int, default=3)
+    probing.add_argument("--seed", type=int, required=True)
+    probing.add_argument("--iters", type=int, default=1000)
+    probing.add_argument("--layer", default=None)
+    probing.add_argument("--out", required=True)
+
+    p = sub.add_parser("probe", parents=[probing],
+                       help="frozen-feature probe on a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--labelmap", default=None)
     p.add_argument("--n-train", type=int, action="append", required=True,
                    help="repeatable: one probe per value")
-    p.add_argument("--max-test", type=int, default=50)
-    p.add_argument("--splits", type=int, default=3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--layer", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("sweep", help="probe a series of checkpoints")
+    p = sub.add_parser("sweep", parents=[probing],
+                       help="probe a series of checkpoints")
     p.add_argument("--checkpoints", nargs="+", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--labelmap", default=None)
-    p.add_argument("--n-train", type=int, action="append", required=True)
-    p.add_argument("--max-test", type=int, default=50)
-    p.add_argument("--splits", type=int, default=3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--layer", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--n-train", type=int, action="append", required=True,
+                   help="one value; given twice is an error")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -31,7 +32,6 @@ _SGD_SCHEMA = {
         "lr_gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "lr_step": {"type": "integer", "minimum": 1},
         "batch_size": {"type": "integer", "minimum": 1},
-        "dropout_rate": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
     },
 }
 
@@ -213,49 +213,35 @@ def config_hash(config: dict) -> str:
 # builders
 
 def build_synth_spec(section: dict) -> dp.SynthSpec:
+    """The benchmark's synthetic set with the section's values in its place."""
     kw = dict(section)
     if "image_size" in kw:
         kw["image_size"] = tuple(kw["image_size"])
-    return dp.SynthSpec(**{
-        "n_basic": kw.get("n_basic", 4),
-        "subs_per_basic": kw.get("subs_per_basic", 3),
-        "image_size": kw.get("image_size", (3, 16, 16)),
-        "prototype_scale": kw.get("prototype_scale", 0.25),
-        "subordinate_scale": kw.get("subordinate_scale", 0.1),
-        "noise_scale": kw.get("noise_scale", 0.2),
-        "samples_per_sub": kw.get("samples_per_sub", 50),
-        "seed": kw["seed"],
-    })
+    return replace(bm.synth_spec(section["seed"]), **kw)
+
+
+_NAMED_SPECS = {"desk": md.desk_spec, "alexnet": md.alexnet_spec,
+                "benchmark": bm.model_spec}
 
 
 def build_model_spec(section: dict, n_outputs: int) -> md.ModelSpec:
+    """A named spec or inline ``layers``; ``input_shape`` replaces the
+    named spec's own and is required with inline layers."""
     if "layers" in section:
-        shape = section.get("input_shape")
-        if shape is None:
+        if "input_shape" not in section:
             raise ValidationError("inline model layers need input_shape")
-        spec = md.ModelSpec.from_dict(
-            {"input_shape": shape, "layers": section["layers"]})
-        return spec.with_outputs(n_outputs)
-    name = section["name"]
-    if name == "desk":
-        return md.desk_spec(n_outputs,
-                            tuple(section.get("input_shape", (3, 32, 32))))
-    if name == "alexnet":
-        return md.alexnet_spec(n_outputs)
-    spec = bm.model_spec(n_outputs)
+        spec = md.ModelSpec.from_dict(section).with_outputs(n_outputs)
+    else:
+        spec = _NAMED_SPECS[section["name"]](n_outputs)
     if "input_shape" in section:
-        spec = md.ModelSpec(tuple(section["input_shape"]), spec.layers)
+        spec = replace(spec, input_shape=tuple(section["input_shape"]))
     return spec
-
-
-def build_sgd(section: dict | None) -> nk.SgdConfig:
-    return nk.SgdConfig(**(section or {}))
 
 
 def build_phase(section: dict, task_level: str) -> cu.TrainConfig:
     iters = section["iterations"]
     return cu.TrainConfig(
-        sgd=build_sgd(section.get("sgd")),
+        sgd=nk.SgdConfig(**section.get("sgd", {})),
         max_iterations=iters,
         eval_every=section.get("eval_every", max(1, iters // 10)),
         checkpoint_every=section.get("checkpoint_every", iters),
@@ -268,27 +254,26 @@ def build_phase(section: dict, task_level: str) -> cu.TrainConfig:
 
 def build_regime(section: dict, graph, labelmap) -> cu.Regime:
     kind = section["kind"]
+    recipe = cu.RECIPES[kind]
+    given = [k for k in ("pretrain_categories", "pretrain_sample") if k in section]
+    if len(given) > 1:
+        raise ValidationError(
+            "give pretrain_categories or pretrain_sample, not both")
+    if given and recipe.phase_a != "subset":
+        raise ValidationError(f"{kind} takes no {given[0]}")
     phase_a = None
     if "phase_a" in section:
-        level = "sub" if kind == "ReferenceExtended" else "basic"
-        phase_a = build_phase(section["phase_a"], level)
-    categories: tuple[str, ...] = ()
-    if kind == "RandomSubsetPretrain":
-        if "pretrain_categories" in section:
-            categories = tuple(section["pretrain_categories"])
-        elif "pretrain_sample" in section:
-            sample = section["pretrain_sample"]
-            pool = sorted(set(graph.leaf_set) - set(graph.basic_marks))
-            if sample["count"] > len(pool):
-                raise ValidationError(
-                    f"cannot sample {sample['count']} pretrain categories "
-                    f"from {len(pool)} unmarked leaves")
-            rng = np.random.default_rng(sample["seed"])
-            chosen = rng.choice(len(pool), size=sample["count"], replace=False)
-            categories = tuple(pool[i] for i in sorted(chosen))
-        else:
+        phase_a = build_phase(section["phase_a"], recipe.phase_a_level)
+    categories: tuple[str, ...] = tuple(section.get("pretrain_categories", ()))
+    if "pretrain_sample" in section:
+        sample = section["pretrain_sample"]
+        pool = sorted(set(graph.leaf_set) - set(graph.basic_marks))
+        if sample["count"] > len(pool):
             raise ValidationError(
-                "RandomSubsetPretrain needs pretrain_categories or "
-                "pretrain_sample")
+                f"cannot sample {sample['count']} pretrain categories "
+                f"from {len(pool)} unmarked leaves")
+        rng = np.random.default_rng(sample["seed"])
+        chosen = rng.choice(len(pool), size=sample["count"], replace=False)
+        categories = tuple(pool[i] for i in sorted(chosen))
     return cu.Regime(kind=kind, phase_b=build_phase(section["phase_b"], "sub"),
                      phase_a=phase_a, pretrain_categories=categories)

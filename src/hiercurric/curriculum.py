@@ -25,8 +25,28 @@ from .taxonomy import LabelMap, SynsetGraph, first_marked_ancestor
 
 log = logging.getLogger(__name__)
 
-REGIME_KINDS = ("Reference", "ReferenceExtended", "RandomSubsetPretrain",
-                "FacilitatedRandomHead", "FacilitatedReplicatedHead")
+
+@dataclass(frozen=True)
+class Recipe:
+    """What one regime kind does around its subordinate phase B."""
+    phase_a: str | None   # phase-A labels: "sub", "basic", "subset"; None: no phase A
+    head: str | None      # head into phase B: "keep", or a replace_head init
+    lowers: bool          # phase B lowers the first lowered_prefix conv layers
+
+    @property
+    def phase_a_level(self) -> str:
+        """TrainConfig.task_level of phase A (subset labels count as basic)."""
+        return "sub" if self.phase_a == "sub" else "basic"
+
+
+RECIPES = {
+    "Reference": Recipe(None, None, False),
+    "ReferenceExtended": Recipe("sub", "keep", False),
+    "RandomSubsetPretrain": Recipe("subset", "random", True),
+    "FacilitatedRandomHead": Recipe("basic", "random", True),
+    "FacilitatedReplicatedHead": Recipe("basic", "replicate", True),
+}
+REGIME_KINDS = tuple(RECIPES)
 
 
 @dataclass(frozen=True)
@@ -59,22 +79,34 @@ class Regime:
     pretrain_categories: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in REGIME_KINDS:
+        recipe = RECIPES.get(self.kind)
+        if recipe is None:
             raise ValidationError(f"unknown regime kind {self.kind!r}")
-        if self.kind == "Reference":
-            if self.phase_a is not None:
-                raise ValidationError("Reference takes no phase A")
-        elif self.phase_a is None:
+        if recipe.phase_a is None and self.phase_a is not None:
+            raise ValidationError(f"{self.kind} takes no phase A")
+        if recipe.phase_a is not None and self.phase_a is None:
             raise ValidationError(f"{self.kind} needs a phase A config")
         if self.phase_b.task_level != "sub":
             raise ValidationError("phase B always trains the subordinate task")
         if self.phase_a is not None:
-            want = "sub" if self.kind == "ReferenceExtended" else "basic"
-            if self.phase_a.task_level != want:
+            if self.phase_a.task_level != recipe.phase_a_level:
                 raise ValidationError(
-                    f"{self.kind} phase A trains at level {want!r}")
-        if self.kind == "RandomSubsetPretrain" and not self.pretrain_categories:
-            raise ValidationError("RandomSubsetPretrain needs pretrain categories")
+                    f"{self.kind} phase A trains at level {recipe.phase_a_level!r}")
+            if _lowers(self.phase_a):
+                raise ValidationError(
+                    "lowered_prefix and lowered_mult act only on phase B")
+        if _lowers(self.phase_b) and not recipe.lowers:
+            raise ValidationError(
+                f"{self.kind} lowers no conv layers: phase B takes no "
+                f"lowered_prefix or lowered_mult")
+        if recipe.phase_a == "subset" and not self.pretrain_categories:
+            raise ValidationError(f"{self.kind} needs pretrain categories")
+        if recipe.phase_a != "subset" and self.pretrain_categories:
+            raise ValidationError(f"{self.kind} takes no pretrain categories")
+
+
+def _lowers(cfg: TrainConfig) -> bool:
+    return cfg.lowered_prefix != 0 or cfg.lowered_mult != 1.0
 
 
 @dataclass
@@ -136,64 +168,6 @@ def _eval_metrics(ckpt, X, labels, batch_size):
     return metrics
 
 
-def _run_training(ckpt: md.Checkpoint, cfg: TrainConfig,
-                  train_manifest, train_labels, val_manifest, val_labels,
-                  store, out_dir=None) -> tuple[md.Checkpoint, RunReport]:
-    if len(train_manifest) == 0:
-        raise ValidationError("empty training manifest")
-    n_out = ckpt.spec.n_outputs
-    for arr, which in ((train_labels, "train"), (val_labels, "val")):
-        if len(arr) and (arr.min() < 0 or arr.max() >= n_out):
-            raise ValidationError(f"{which} labels exceed head width {n_out}")
-
-    work = ckpt.copy()
-    X = dp.load_batch(store, train_manifest.samples)
-    Xval = dp.load_batch(store, val_manifest.samples)
-    rng = np.random.default_rng(cfg.seed)
-    report = RunReport()
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-
-    bs = cfg.sgd.batch_size
-    order = np.empty(0, dtype=int)
-    cursor = 0
-    for it in range(cfg.max_iterations):
-        if cursor >= len(order):
-            order = rng.permutation(len(X))  # fresh shuffle per epoch
-            cursor = 0
-        batch_idx = order[cursor:cursor + bs]
-        cursor += bs
-        try:
-            logits, caches, _ = md.forward(work.spec, work.params, X[batch_idx],
-                                           mode="train", rng=rng)
-            loss, dlogits = nk.softmax_xent(logits, train_labels[batch_idx])
-            md.backward(work.params, caches, dlogits)
-            nk.sgd_step(work.params, cfg.sgd, it)
-        except NumericFault as exc:
-            raise NumericFault(f"iteration {it}: {exc}") from exc
-        report.curves.append((it, "train", "loss", loss))
-
-        done = it + 1
-        if done % cfg.eval_every == 0 or done == cfg.max_iterations:
-            for name, value in _eval_metrics(work, Xval, val_labels, bs).items():
-                report.curves.append((done, "val", name, value))
-        if out_path is not None and (done % cfg.checkpoint_every == 0
-                                     or done == cfg.max_iterations):
-            work.iteration = done
-            work.rng_state = rng.bit_generator.state
-            ref = out_path / f"ckpt_{done:08d}.ckpt"
-            md.save_checkpoint(work, ref)
-            report.checkpoints.append(str(ref))
-
-    work.iteration = cfg.max_iterations
-    work.rng_state = rng.bit_generator.state
-    final = _eval_metrics(work, Xval, val_labels, bs)
-    final["loss"] = report.curves[-1][3] if report.curves[-1][2] == "loss" else loss
-    report.final = {k: float(v) for k, v in sorted(final.items())}
-    return work, report
-
-
 def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
                 train: dp.DatasetManifest, val: dp.DatasetManifest,
                 labelmap: LabelMap, store,
@@ -206,36 +180,81 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     """
     train_labels = _labels_for(train, labelmap, cfg.task_level)
     val_labels = _labels_for(val, labelmap, cfg.task_level)
-    return _run_training(ckpt, cfg, train, train_labels, val, val_labels,
-                         store, out_dir)
+    if len(train) == 0:
+        raise ValidationError("empty training manifest")
+    n_out = ckpt.spec.n_outputs
+    for arr, which in ((train_labels, "train"), (val_labels, "val")):
+        if len(arr) and (arr.min() < 0 or arr.max() >= n_out):
+            raise ValidationError(f"{which} labels exceed head width {n_out}")
+
+    work = ckpt.copy()
+    X = dp.load_batch(store, train.samples)
+    Xval = dp.load_batch(store, val.samples)
+    rng = np.random.default_rng(cfg.seed)
+    report = RunReport()
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
+
+    bs = cfg.sgd.batch_size
+    batches = dp.epoch_batches(rng, len(X), bs)
+    for it, batch_idx in zip(range(cfg.max_iterations), batches):
+        try:
+            logits, caches, _ = md.forward(work.spec, work.params, X[batch_idx],
+                                           mode="train", rng=rng)
+            loss, dlogits = nk.softmax_xent(logits, train_labels[batch_idx])
+            md.backward(work.params, caches, dlogits)
+            nk.sgd_step(work.params, cfg.sgd, it)
+        except NumericFault as exc:
+            raise NumericFault(f"iteration {it}: {exc}") from exc
+        report.curves.append((it, "train", "loss", loss))
+
+        done = it + 1
+        if done % cfg.eval_every == 0 or done == cfg.max_iterations:
+            metrics = _eval_metrics(work, Xval, val_labels, bs)
+            for name, value in metrics.items():
+                report.curves.append((done, "val", name, value))
+        if done % cfg.checkpoint_every == 0 or done == cfg.max_iterations:
+            work.iteration = done
+            work.rng_state = rng.bit_generator.state
+            if out_path is not None:
+                ref = out_path / f"ckpt_{done:08d}.ckpt"
+                md.save_checkpoint(work, ref)
+                report.checkpoints.append(str(ref))
+
+    # the loop evaluated at done == max_iterations: those are the final metrics
+    final = {**metrics, "loss": loss}
+    report.final = {k: float(v) for k, v in sorted(final.items())}
+    return work, report
 
 
-def _subset_task(manifest: dp.DatasetManifest, graph: SynsetGraph,
-                 categories) -> tuple[dp.DatasetManifest, np.ndarray]:
-    """Pretraining task over an arbitrary category set.
+def _subset_task(graph: SynsetGraph, categories,
+                 manifests) -> tuple[LabelMap, list[dp.DatasetManifest]]:
+    """Pretraining task over a category set disjoint from the basic marks.
 
-    Each category is one class; leaves reach their class through the same
-    first-marked-ancestor walk used for basic labels. Samples under no
-    category are dropped.
+    The categories act as basic marks: each is one basic class, and leaves
+    reach their class through the same first-marked-ancestor walk used for
+    basic labels. Returns that label map and the manifests without the
+    samples under no category.
     """
     cats = sorted(set(categories))
+    overlap = set(cats) & set(graph.basic_marks)
+    if overlap:
+        raise ValidationError(
+            f"pretrain categories overlap basic marks: {', '.join(sorted(overlap))}")
     unknown = [c for c in cats if c not in graph.nodes]
     if unknown:
         raise ValidationError(f"unknown pretrain categories: {', '.join(unknown)}")
-    index = {c: i for i, c in enumerate(cats)}
-    cache: dict[str, str | None] = {}
-    kept, labels = [], []
-    for sample in manifest.samples:
-        if sample.leaf_id not in cache:
-            cache[sample.leaf_id] = first_marked_ancestor(
-                graph, sample.leaf_id, set(cats))
-        hit = cache[sample.leaf_id]
+    entries: dict[str, tuple[int, int]] = {}
+    for leaf in sorted({leaf for m in manifests for leaf in m.leaf_ids()}):
+        hit = first_marked_ancestor(graph, leaf, set(cats))
         if hit is not None:
-            kept.append(sample.sample_id)
-            labels.append(index[hit])
-    if not kept:
+            entries[leaf] = (len(entries), cats.index(hit))
+    kept = [m.subset(s.sample_id for s in m.samples if s.leaf_id in entries)
+            for m in manifests]
+    if not all(len(m) for m in kept):
         raise ValidationError("no samples fall under the pretrain categories")
-    return manifest.subset(kept), np.array(labels)
+    return LabelMap(entries, tuple(cats), tuple(entries)), kept
 
 
 def _merge(report: RunReport, phase: str, sub: RunReport) -> None:
@@ -246,66 +265,52 @@ def _merge(report: RunReport, phase: str, sub: RunReport) -> None:
     report.checkpoints.extend(sub.checkpoints)
 
 
+def _fresh_model(bundle: DataBundle, n_outputs: int, seed: int,
+                 phase_tag: str) -> md.Checkpoint:
+    return md.build_model(bundle.model_spec.with_outputs(n_outputs), seed=seed,
+                          phase_tag=phase_tag, init=bundle.init)
+
+
+def _train_phase_a(regime: Regime, bundle: DataBundle,
+                   out_dir) -> tuple[md.Checkpoint, RunReport]:
+    """Phase A on the labels its recipe names, from a fresh phase_a.seed model."""
+    task, lm = RECIPES[regime.kind].phase_a, bundle.labelmap
+    train, val = bundle.phase_a_manifest(), bundle.val
+    if task == "subset":
+        lm, (train, val) = _subset_task(
+            bundle.graph, regime.pretrain_categories, (train, val))
+    width, tag = lm.n_basic, "basic"
+    if task == "sub":  # the phase-B task, on the uncapped training set
+        train, width, tag = bundle.train, lm.n_sub, "subordinate"
+    start = _fresh_model(bundle, width, regime.phase_a.seed, tag)
+    return train_phase(start, regime.phase_a, train, val, lm, bundle.store,
+                       out_dir)
+
+
 def run_regime(regime: Regime, bundle: DataBundle,
                out_dir=None) -> tuple[md.Checkpoint, RunReport]:
     """Execute one full training recipe and merge the phase reports.
 
-    Phase A (when present) trains at its own level; facilitated and
-    random-subset regimes then swap the output head (replicated weights only
-    for FacilitatedReplicatedHead) and lower the learning rate of the first
-    conv layers per the phase-B config before subordinate training.
+    The regime's entry in RECIPES decides what phase A trains on, how the
+    head passes into phase B (kept, replicated or drawn at phase_b.seed)
+    and whether phase B lowers the learning rate of its first conv layers.
+    Without a phase A, phase B starts from a fresh phase_b.seed model.
     """
+    recipe = RECIPES[regime.kind]
     lm = bundle.labelmap
     out_path = Path(out_dir) if out_dir is not None else None
     report = RunReport(regime={"kind": regime.kind})
-    spec = bundle.model_spec
 
-    if regime.kind == "Reference":
-        ckpt = md.build_model(spec.with_outputs(lm.n_sub),
-                              seed=regime.phase_b.seed,
-                              phase_tag="subordinate", init=bundle.init)
+    if recipe.phase_a is None:
+        ckpt = _fresh_model(bundle, lm.n_sub, regime.phase_b.seed, "subordinate")
     else:
-        cfg_a = regime.phase_a
-        if regime.kind == "ReferenceExtended":
-            start = md.build_model(spec.with_outputs(lm.n_sub),
-                                   seed=cfg_a.seed, phase_tag="subordinate",
-                                   init=bundle.init)
-            ckpt_a, rep_a = train_phase(
-                start, cfg_a, bundle.train, bundle.val, lm, bundle.store,
-                out_path and out_path / "phase_a")
-        elif regime.kind == "RandomSubsetPretrain":
-            overlap = set(regime.pretrain_categories) & set(bundle.graph.basic_marks)
-            if overlap:
-                raise ValidationError(
-                    "pretrain categories overlap basic marks: "
-                    + ", ".join(sorted(overlap)))
-            sub_manifest, sub_labels = _subset_task(
-                bundle.phase_a_manifest(), bundle.graph, regime.pretrain_categories)
-            val_manifest, val_labels = _subset_task(
-                bundle.val, bundle.graph, regime.pretrain_categories)
-            start = md.build_model(
-                spec.with_outputs(len(set(regime.pretrain_categories))),
-                seed=cfg_a.seed, phase_tag="basic", init=bundle.init)
-            ckpt_a, rep_a = _run_training(
-                start, cfg_a, sub_manifest, sub_labels, val_manifest, val_labels,
-                bundle.store, out_path and out_path / "phase_a")
-        else:  # FacilitatedRandomHead, FacilitatedReplicatedHead
-            start = md.build_model(spec.with_outputs(lm.n_basic),
-                                   seed=cfg_a.seed, phase_tag="basic",
-                                   init=bundle.init)
-            ckpt_a, rep_a = train_phase(
-                start, cfg_a, bundle.phase_a_manifest(), bundle.val, lm,
-                bundle.store, out_path and out_path / "phase_a")
+        ckpt, rep_a = _train_phase_a(regime, bundle,
+                                     out_path and out_path / "phase_a")
         _merge(report, "phase_a", rep_a)
-
-        if regime.kind == "ReferenceExtended":
-            ckpt = ckpt_a
-        elif regime.kind == "FacilitatedReplicatedHead":
-            ckpt = md.replace_head(ckpt_a, lm.n_sub, "replicate", lm)
-        else:
-            ckpt = md.replace_head(ckpt_a, lm.n_sub, "random",
+        if recipe.head != "keep":
+            ckpt = md.replace_head(ckpt, lm.n_sub, recipe.head, lm,
                                    seed=regime.phase_b.seed)
-        if regime.kind != "ReferenceExtended":
+        if recipe.lowers:
             ckpt = md.set_layer_lr_mults(ckpt, regime.phase_b.lowered_prefix,
                                          regime.phase_b.lowered_mult)
 

@@ -343,6 +343,17 @@ def load_batch(store, samples) -> np.ndarray:
     return np.stack([store.load(s) for s in samples])
 
 
+def epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
+    """Endless mini-batches of indices into ``n`` rows: a fresh seeded
+    shuffle per epoch, the last partial batch kept."""
+    if n < 1:
+        raise ValidationError("no rows to batch")
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start:start + batch_size]
+
+
 def save_manifest(manifest: DatasetManifest, path) -> None:
     """CSV with header ``sample_id,path,leaf_id``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -8,8 +8,10 @@ round-trip through a versioned binary file byte-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -22,8 +24,43 @@ from .taxonomy import LabelMap
 PHASE_TAGS = ("basic", "subordinate", "transfer")
 
 
+class Layer:
+    """Base of the layer kinds. Each kind is a frozen dataclass whose fields
+    are the descriptor a checkpoint manifest stores under its ``kind``, and
+    defines its output-shape rule, its weight shape, and a ``forward`` and a
+    ``backward`` that each make exactly one call into :mod:`nnkernel`.
+    """
+
+    def _error(self, message: str) -> ValidationError:
+        return ValidationError(f"layer {self.name!r}: {message}")
+
+    def _chw(self, shape) -> tuple:
+        if len(shape) != 3:
+            raise self._error(f"{self.kind} needs CHW input, got {shape}")
+        return shape
+
+    def out_shape(self, shape: tuple) -> tuple:
+        """Output shape for input ``shape``; raises naming the layer."""
+        return shape
+
+    def param_shape(self, shape_in: tuple) -> tuple | None:
+        """Weight shape (one bias per leading row); None if parameterless."""
+        return None
+
+    def _weights(self, params: nk.ParamSet) -> tuple:
+        return (params[f"{self.name}.weight"].weight,
+                params[f"{self.name}.bias"].weight)
+
+    def _set_grads(self, params: nk.ParamSet, grads) -> np.ndarray:
+        grad, dw, db = grads
+        params[f"{self.name}.weight"].grad[...] = dw
+        params[f"{self.name}.bias"].grad[...] = db
+        return grad
+
+
 @dataclass(frozen=True)
-class Conv:
+class Conv(Layer):
+    kind = "conv"
     name: str
     maps: int
     kh: int
@@ -32,33 +69,121 @@ class Conv:
     pad: int = 0
     groups: int = 1
 
+    def out_shape(self, shape):
+        c, h, w = self._chw(shape)
+        if (min(self.maps, self.kh, self.kw, self.stride, self.groups) < 1
+                or self.pad < 0):
+            raise self._error("maps, kernel, stride, groups must be >= 1, pad >= 0")
+        if c % self.groups or self.maps % self.groups:
+            raise self._error(f"channels {c} / maps {self.maps} "
+                              f"not divisible by groups {self.groups}")
+        oh = (h + 2 * self.pad - self.kh) // self.stride + 1
+        ow = (w + 2 * self.pad - self.kw) // self.stride + 1
+        if oh < 1 or ow < 1:
+            raise self._error(f"kernel does not fit input {shape}")
+        return (self.maps, oh, ow)
+
+    def param_shape(self, shape_in):
+        return (self.maps, shape_in[0] // self.groups, self.kh, self.kw)
+
+    def forward(self, params, x, mode, rng):
+        return nk.conv2d_forward(x, *self._weights(params), self.stride,
+                                 self.pad, self.groups)
+
+    def backward(self, params, grad, cache):
+        return self._set_grads(params, nk.conv2d_backward(grad, cache))
+
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(Layer):
+    kind = "maxpool"
     name: str
     window: int
     stride: int
 
+    def out_shape(self, shape):
+        c, h, w = self._chw(shape)
+        if self.window > h or self.window > w or min(self.window, self.stride) < 1:
+            raise self._error(f"window {self.window} with stride {self.stride} "
+                              f"does not fit {shape}")
+        return (c, (h - self.window) // self.stride + 1,
+                (w - self.window) // self.stride + 1)
+
+    def forward(self, params, x, mode, rng):
+        return nk.maxpool_forward(x, self.window, self.stride)
+
+    def backward(self, params, grad, cache):
+        return nk.pool_backward(grad, cache)
+
 
 @dataclass(frozen=True)
-class Relu:
+class Relu(Layer):
+    kind = "relu"
     name: str
 
+    def forward(self, params, x, mode, rng):
+        return nk.relu_forward(x)
+
+    def backward(self, params, grad, cache):
+        return nk.relu_backward(grad, cache)
+
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(Layer):
+    kind = "dropout"
     name: str
     rate: float
 
+    def forward(self, params, x, mode, rng):
+        return nk.dropout_forward(x, self.rate, mode, rng)
+
+    def backward(self, params, grad, cache):
+        return nk.dropout_backward(grad, cache, self.rate)
+
 
 @dataclass(frozen=True)
-class Fc:
+class Fc(Layer):
+    kind = "fc"
     name: str
     units: int
 
+    def out_shape(self, shape):
+        return (self.units,)
 
-_KINDS = {Conv: "conv", MaxPool: "maxpool", Relu: "relu",
-          Dropout: "dropout", Fc: "fc"}
+    def param_shape(self, shape_in):
+        return (self.units, math.prod(shape_in))
+
+    def forward(self, params, x, mode, rng):
+        return nk.fc_forward(x, *self._weights(params))
+
+    def backward(self, params, grad, cache):
+        return self._set_grads(params, nk.fc_backward(grad, cache))
+
+
+_LAYERS = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Dropout, Fc)}
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}  # by annotation
+
+
+def _layer_from_dict(index: int, d: dict) -> Layer:
+    """One descriptor from its manifest form; rejects an unknown kind,
+    unknown or missing fields and values of the wrong type, naming the layer."""
+    d = dict(d)
+    label = d.get("name", index)
+    kind = d.pop("kind", None)
+    cls = _LAYERS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValidationError(
+            f"layer {label!r}: kind must be one of {', '.join(_LAYERS)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    problems = [f"unknown field {n!r}" for n in sorted(set(d) - set(fields))]
+    problems += [f"missing field {n!r}" for n, f in fields.items()
+                 if n not in d and f.default is dataclasses.MISSING]
+    problems += [f"field {n!r} must be {fields[n].type}" for n, v in d.items()
+                 if n in fields and (type(v) is bool or not isinstance(
+                     v, _FIELD_TYPES[fields[n].type]))]
+    if problems:
+        raise ValidationError(f"layer {label!r}: {cls.kind} " + ", ".join(problems))
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -75,7 +200,7 @@ class ModelSpec:
         return self.layers[-1].name
 
     def conv_names(self) -> list[str]:
-        return [l.name for l in self.layers if isinstance(l, Conv)]
+        return [l.name for l in self.layers if l.kind == "conv"]
 
     def with_outputs(self, n_outputs: int) -> "ModelSpec":
         head = replace(self.layers[-1], units=n_outputs)
@@ -85,16 +210,14 @@ class ModelSpec:
         """Weight shapes per parameterized layer, via a dry-run shape pass."""
         shapes: dict[str, tuple] = {}
         for layer, shape_in, _ in self.shape_chain():
-            if isinstance(layer, Conv):
-                c = shape_in[0]
-                shapes[layer.name] = (layer.maps, c // layer.groups, layer.kh, layer.kw)
-            elif isinstance(layer, Fc):
-                shapes[layer.name] = (layer.units, int(np.prod(shape_in)))
+            shape = layer.param_shape(shape_in)
+            if shape is not None:
+                shapes[layer.name] = shape
         return shapes
 
     def shape_chain(self) -> list[tuple]:
         """[(layer, shape_in, shape_out), ...]; raises naming the bad layer."""
-        if not self.layers or not isinstance(self.layers[-1], Fc):
+        if not self.layers or self.layers[-1].kind != "fc":
             raise ValidationError("last layer must be a fc output head")
         names = [l.name for l in self.layers]
         if len(set(names)) != len(names):
@@ -102,62 +225,19 @@ class ModelSpec:
         chain = []
         shape = tuple(self.input_shape)
         for layer in self.layers:
-            shape_in = shape
-            if isinstance(layer, Conv):
-                if len(shape) != 3:
-                    raise ValidationError(
-                        f"layer {layer.name!r}: conv needs CHW input, got {shape}")
-                c, h, w = shape
-                if c % layer.groups or layer.maps % layer.groups:
-                    raise ValidationError(
-                        f"layer {layer.name!r}: channels {c} / maps {layer.maps} "
-                        f"not divisible by groups {layer.groups}")
-                oh = (h + 2 * layer.pad - layer.kh) // layer.stride + 1
-                ow = (w + 2 * layer.pad - layer.kw) // layer.stride + 1
-                if oh < 1 or ow < 1:
-                    raise ValidationError(
-                        f"layer {layer.name!r}: kernel does not fit input {shape}")
-                shape = (layer.maps, oh, ow)
-            elif isinstance(layer, MaxPool):
-                if len(shape) != 3:
-                    raise ValidationError(
-                        f"layer {layer.name!r}: pool needs CHW input, got {shape}")
-                c, h, w = shape
-                if layer.window > h or layer.window > w:
-                    raise ValidationError(
-                        f"layer {layer.name!r}: window {layer.window} exceeds {shape}")
-                oh = (h - layer.window) // layer.stride + 1
-                ow = (w - layer.window) // layer.stride + 1
-                shape = (c, oh, ow)
-            elif isinstance(layer, Fc):
-                shape = (layer.units,)
-            elif isinstance(layer, (Relu, Dropout)):
-                pass
-            else:
-                raise ValidationError(f"unknown layer descriptor {layer!r}")
-            chain.append((layer, shape_in, shape))
+            shape_out = layer.out_shape(shape)
+            chain.append((layer, shape, shape_out))
+            shape = shape_out
         return chain
 
     def to_dict(self) -> dict:
-        out = {"input_shape": list(self.input_shape), "layers": []}
-        for layer in self.layers:
-            d = {"kind": _KINDS[type(layer)]}
-            d.update({k: v for k, v in layer.__dict__.items()})
-            out["layers"].append(d)
-        return out
+        return {"input_shape": list(self.input_shape),
+                "layers": [{"kind": l.kind, **vars(l)} for l in self.layers]}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        builders = {"conv": Conv, "maxpool": MaxPool, "relu": Relu,
-                    "dropout": Dropout, "fc": Fc}
-        layers = []
-        for ld in d["layers"]:
-            ld = dict(ld)
-            kind = ld.pop("kind")
-            if kind not in builders:
-                raise ValidationError(f"unknown layer kind {kind!r}")
-            layers.append(builders[kind](**ld))
-        return ModelSpec(tuple(d["input_shape"]), tuple(layers))
+        return ModelSpec(tuple(d["input_shape"]), tuple(
+            _layer_from_dict(i, ld) for i, ld in enumerate(d["layers"])))
 
 
 def desk_spec(n_outputs: int, input_shape=(3, 32, 32)) -> ModelSpec:
@@ -218,10 +298,8 @@ class Checkpoint:
 
 
 def parameter_count(spec: ModelSpec) -> int:
-    total = 0
-    for name, shape in spec.param_shapes().items():
-        total += int(np.prod(shape)) + shape[0]  # weights plus biases
-    return total
+    """Weights plus one bias per weight row, over every layer."""
+    return sum(math.prod(s) + s[0] for s in spec.param_shapes().values())
 
 
 def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
@@ -240,16 +318,14 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
     shapes = spec.param_shapes()  # raises on a broken shape chain
     rng = np.random.default_rng(seed)
     params = nk.ParamSet()
-    for layer in spec.layers:
-        if layer.name in shapes:
-            shape = shapes[layer.name]
-            if init == "fixed":
-                weight = nk.default_init(shape, rng, dtype)
-            else:
-                std = np.sqrt(2.0 / np.prod(shape[1:]))
-                weight = rng.normal(0.0, std, size=shape).astype(dtype, copy=False)
-            params.add(f"{layer.name}.weight", weight)
-            params.add(f"{layer.name}.bias", np.zeros(shape[0], dtype=dtype))
+    for name, shape in shapes.items():  # in layer order
+        if init == "fixed":
+            weight = nk.default_init(shape, rng, dtype)
+        else:
+            std = np.sqrt(2.0 / np.prod(shape[1:]))
+            weight = rng.normal(0.0, std, size=shape).astype(dtype, copy=False)
+        params.add(f"{name}.weight", weight)
+        params.add(f"{name}.bias", np.zeros(shape[0], dtype=dtype))
     return Checkpoint(spec=spec, params=params, iteration=0, phase_tag=phase_tag)
 
 
@@ -267,21 +343,7 @@ def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
     caches = []
     captured = None
     for layer in spec.layers:
-        if isinstance(layer, Conv):
-            act, cache = nk.conv2d_forward(
-                act, params[f"{layer.name}.weight"].weight,
-                params[f"{layer.name}.bias"].weight,
-                layer.stride, layer.pad, layer.groups)
-        elif isinstance(layer, MaxPool):
-            act, cache = nk.maxpool_forward(act, layer.window, layer.stride)
-        elif isinstance(layer, Relu):
-            act, cache = nk.relu_forward(act)
-        elif isinstance(layer, Dropout):
-            act, cache = nk.dropout_forward(act, layer.rate, mode, rng)
-        elif isinstance(layer, Fc):
-            act, cache = nk.fc_forward(
-                act, params[f"{layer.name}.weight"].weight,
-                params[f"{layer.name}.bias"].weight)
+        act, cache = layer.forward(params, act, mode, rng)
         caches.append((layer, cache))
         if capture is not None and layer.name == capture:
             captured = act.reshape(act.shape[0], -1).copy()
@@ -294,20 +356,7 @@ def backward(params: nk.ParamSet, caches, dlogits):
     """Backpropagate through cached layers, assigning parameter gradients."""
     grad = dlogits
     for layer, cache in reversed(caches):
-        if isinstance(layer, Conv):
-            grad, dw, db = nk.conv2d_backward(grad, cache)
-            params[f"{layer.name}.weight"].grad[...] = dw
-            params[f"{layer.name}.bias"].grad[...] = db
-        elif isinstance(layer, MaxPool):
-            grad = nk.pool_backward(grad, cache)
-        elif isinstance(layer, Relu):
-            grad = nk.relu_backward(grad, cache)
-        elif isinstance(layer, Dropout):
-            grad = nk.dropout_backward(grad, cache, layer.rate)
-        elif isinstance(layer, Fc):
-            grad, dw, db = nk.fc_backward(grad, cache)
-            params[f"{layer.name}.weight"].grad[...] = dw
-            params[f"{layer.name}.bias"].grad[...] = db
+        grad = layer.backward(params, grad, cache)
     return grad
 
 
@@ -423,26 +472,42 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
+    """Inverse of checkpoint_to_bytes; rejects truncated, corrupt or
+    trailing bytes with ValidationError."""
     if buf[:4] != _CKPT_MAGIC:
         raise ValidationError("bad checkpoint magic")
+    if len(buf) < 16:
+        raise ValidationError("truncated checkpoint header")
     version, length = struct.unpack_from("<IQ", buf, 4)
     if version != _CKPT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {version}")
-    manifest = json.loads(buf[16:16 + length].decode("utf-8"))
-    spec = ModelSpec.from_dict(manifest["spec"])
+    if 16 + length > len(buf):
+        raise ValidationError("truncated checkpoint manifest")
+    try:
+        manifest = json.loads(buf[16:16 + length].decode("utf-8"))
+        spec = ModelSpec.from_dict(manifest["spec"])
+        entries = [(e["name"], e["lr_mult"]) for e in manifest["entries"]]
+        iteration, phase_tag, rng_state = (
+            manifest["iteration"], manifest["phase_tag"], manifest["rng_state"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"corrupt checkpoint manifest: {exc}") from exc
     params = nk.ParamSet()
     offset = 16 + length
-    for entry in manifest["entries"]:
+    for name, lr_mult in entries:
         weight, used = nk.tensor_from_bytes(buf, offset)
         offset += used
         momentum, used = nk.tensor_from_bytes(buf, offset)
         offset += used
-        params.add(entry["name"], weight, entry["lr_mult"])
-        params[entry["name"]].momentum[...] = momentum
-    return Checkpoint(spec=spec, params=params,
-                      iteration=manifest["iteration"],
-                      phase_tag=manifest["phase_tag"],
-                      rng_state=manifest["rng_state"])
+        if momentum.shape != weight.shape:
+            raise ValidationError(f"checkpoint entry {name!r}: momentum shape "
+                                  f"{momentum.shape} != weight shape {weight.shape}")
+        params.add(name, weight, lr_mult)
+        params[name].momentum[...] = momentum
+    if offset != len(buf):
+        raise ValidationError(
+            f"{len(buf) - offset} trailing bytes after the last checkpoint tensor")
+    return Checkpoint(spec=spec, params=params, iteration=iteration,
+                      phase_tag=phase_tag, rng_state=rng_state)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

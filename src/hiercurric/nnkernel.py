@@ -8,6 +8,7 @@ it is on by default and can be switched off for long runs.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -51,7 +52,6 @@ class SgdConfig:
     lr_gamma: float = 0.1
     lr_step: int = 100_000
     batch_size: int = 256
-    dropout_rate: float = 0.5
 
     def __post_init__(self):
         if self.base_lr < 0:
@@ -66,8 +66,6 @@ class SgdConfig:
             raise ValidationError("lr_step must be > 0")
         if self.batch_size <= 0:
             raise ValidationError("batch_size must be > 0")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValidationError("dropout_rate must be in [0, 1)")
 
 
 @dataclass
@@ -105,10 +103,6 @@ class ParamSet:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def zero_grads(self) -> None:
-        for e in self._entries.values():
-            e.grad[...] = 0.0
 
     def copy(self) -> "ParamSet":
         out = ParamSet()
@@ -409,9 +403,14 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0):
-    """Inverse of tensor_to_bytes; returns (array, bytes consumed)."""
+    """Inverse of tensor_to_bytes; returns (array, bytes consumed).
+
+    Header, dims and payload are checked against the buffer's length, so
+    truncated or corrupt bytes raise ValidationError."""
     if buf[offset:offset + 4] != _MAGIC:
         raise ValidationError("bad tensor magic")
+    if len(buf) < offset + 20:
+        raise ValidationError("truncated tensor header")
     version, code = struct.unpack_from("<II", buf, offset + 4)
     if version != _IO_VERSION:
         raise ValidationError(f"unsupported tensor format version {version}")
@@ -419,9 +418,13 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
     if dtype is None:
         raise ValidationError(f"unknown dtype code {code}")
     (rank,) = struct.unpack_from("<Q", buf, offset + 12)
-    dims = struct.unpack_from(f"<{rank}Q", buf, offset + 20)
     start = offset + 20 + 8 * rank
-    count = int(np.prod(dims)) if rank else 1
+    if start > len(buf):
+        raise ValidationError(f"truncated tensor header: rank {rank}")
+    dims = struct.unpack_from(f"<{rank}Q", buf, offset + 20)
+    count = math.prod(dims)
+    if start + count * dtype.itemsize > len(buf):
+        raise ValidationError(f"truncated tensor payload for dims {dims}")
     arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start)
     arr = arr.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
     return arr, start + count * dtype.itemsize - offset
@@ -434,5 +437,8 @@ def save_tensor(arr: np.ndarray, path) -> None:
 
 def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        arr, _ = tensor_from_bytes(fh.read())
+        buf = fh.read()
+    arr, used = tensor_from_bytes(buf)
+    if used != len(buf):
+        raise ValidationError(f"{len(buf) - used} trailing bytes after the tensor")
     return arr

@@ -46,7 +46,7 @@ class ProbeSpec:
     layer: str | None = None       # None: input of the output head
     sgd: nk.SgdConfig = field(default_factory=lambda: nk.SgdConfig(
         base_lr=0.05, momentum=0.9, weight_decay=0.0, lr_gamma=1.0,
-        lr_step=10_000, batch_size=32, dropout_rate=0.0))
+        lr_step=10_000, batch_size=32))
 
 
 @dataclass(frozen=True)
@@ -94,26 +94,18 @@ def train_softmax_probe(features: FeatureMatrix, labels, cfg: nk.SgdConfig,
         raise ValidationError("probe needs at least two classes")
 
     rng = np.random.default_rng(seed)
+    head = md.Fc("probe", n_classes)
     params = nk.ParamSet()
     params.add("probe.weight",
                nk.default_init((n_classes, features.rows.shape[1]), rng))
     params.add("probe.bias", np.zeros(n_classes))
 
     X = features.rows
-    order = np.empty(0, dtype=int)
-    cursor = 0
-    for it in range(iters):
-        if cursor >= len(order):
-            order = rng.permutation(len(X))
-            cursor = 0
-        idx = order[cursor:cursor + cfg.batch_size]
-        cursor += cfg.batch_size
-        logits, cache = nk.fc_forward(X[idx], params["probe.weight"].weight,
-                                      params["probe.bias"].weight)
+    batches = dp.epoch_batches(rng, len(X), cfg.batch_size)
+    for it, idx in zip(range(iters), batches):
+        logits, cache = head.forward(params, X[idx], "train", rng)
         _, dlogits = nk.softmax_xent(logits, labels[idx])
-        _, dw, db = nk.fc_backward(dlogits, cache)
-        params["probe.weight"].grad[...] = dw
-        params["probe.bias"].grad[...] = db
+        head.backward(params, dlogits, cache)
         nk.sgd_step(params, cfg, it)
     return params["probe.weight"].weight, params["probe.bias"].weight
 

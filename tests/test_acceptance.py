@@ -50,8 +50,7 @@ class TestCriterion2OptimizerOracle:
     def test_momentum_recurrence_and_schedule_step(self):
         mu, eta, g = 0.9, 0.1, 1.0
         cfg = nk.SgdConfig(base_lr=eta, momentum=mu, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=1, batch_size=1,
-                           dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1, batch_size=1)
         params = nk.ParamSet()
         params.add("p.weight", np.array([0.0]))
         v = w = 0.0

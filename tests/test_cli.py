@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hiercurric import cli, dataprep as dp, model as md, taxonomy
+from hiercurric import nnkernel as nk
 from hiercurric.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION
 
 MARKS = "dog\nfish\ncar\n"
@@ -226,6 +227,43 @@ class TestTrainCmd:
         config["surprise"] = 1
         config_path.write_text(json.dumps(config))
         assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+        # dropout comes from the Dropout layer, not from the optimizer
+        config_path, config = train_config(tmp_path)
+        config["regime"]["phase_b"]["sgd"]["dropout_rate"] = 0.5
+        config_path.write_text(json.dumps(config))
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("regime, layers, match", [
+        (None, [{"kind": "conv", "name": "c1", "maps": 4, "kw": 3},
+                {"kind": "fc", "name": "out", "units": 2}],
+         "'c1': conv missing field 'kh'"),
+        (None, [{"kind": "relu", "name": "r1", "rate": 0.5},
+                {"kind": "fc", "name": "out", "units": 2}],
+         "'r1': relu unknown field 'rate'"),
+        ({"kind": "FacilitatedReplicatedHead", "phase_a": phase(seed=8),
+          "phase_b": phase(), "pretrain_categories": ["sub_00_00"]}, None,
+         "takes no pretrain_categories"),
+        ({"kind": "RandomSubsetPretrain", "phase_a": phase(seed=8),
+          "phase_b": phase(), "pretrain_categories": ["sub_00_00"],
+          "pretrain_sample": {"count": 1, "seed": 3}}, None, "not both"),
+    ], ids=["missing-field", "unknown-field", "pretrain-on-facilitated",
+            "both-pretrain-keys"])
+    def test_malformed_or_no_effect_config_exits_2(self, tmp_path, capsys,
+                                                   regime, layers, match):
+        config_path, config = train_config(tmp_path, regime=regime)
+        if layers is not None:
+            config["model"] = {"input_shape": [1, 8, 8], "layers": layers}
+            config_path.write_text(json.dumps(config))
+        code = cli.main(["train", "--config", str(config_path), "--dry-run"])
+        assert code == EXIT_VALIDATION
+        assert match in capsys.readouterr().err
+
+    def test_unchecked_run_restores_checked_mode(self, tmp_path):
+        config_path, _ = train_config(tmp_path, iters=2)
+        assert nk.checked_enabled()
+        assert cli.main(["train", "--config", str(config_path),
+                         "--unchecked"]) == EXIT_OK
+        assert nk.checked_enabled()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "none.json")]) \
@@ -322,6 +360,18 @@ class TestProbeCmd:
         assert (out / "n3" / "per_class_recall.csv").exists()
 
 
+    def test_truncated_checkpoint_exits_2(self, probe_fixtures, tmp_path,
+                                          capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        ckpt_path.write_bytes(ckpt_path.read_bytes()[:40])
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--out", str(tmp_path / "probe")])
+        assert code == EXIT_VALIDATION
+        assert "checkpoint" in capsys.readouterr().err
+
+
 class TestSweepCmd:
     def test_three_checkpoints_three_rows(self, probe_fixtures, tmp_path):
         data_dir, _, model_spec = probe_fixtures
@@ -342,6 +392,12 @@ class TestSweepCmd:
         lines = (out / "curves.csv").read_text().splitlines()
         assert lines[0] == "iteration,split,metric,value"
         assert [l.split(",")[0] for l in lines[1:]] == ["5", "10", "15"]
+
+        argv = ["sweep", "--checkpoints", *paths,
+                "--manifest", str(data_dir / "manifest.csv"),
+                "--images", str(data_dir), "--n-train", "2", "--n-train", "3",
+                "--seed", "44", "--out", str(tmp_path / "sweep2")]
+        assert cli.main(argv) == EXIT_VALIDATION
 
 
 class TestCsvQuoting:

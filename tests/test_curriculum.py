@@ -17,8 +17,7 @@ def bundle_pair():
 
 def tiny_cfg(iters=1, seed=0, level="sub", lr=0.01, **kw):
     sgd = nk.SgdConfig(base_lr=lr, momentum=0.9, weight_decay=0.0005,
-                       lr_gamma=1.0, lr_step=10_000, batch_size=32,
-                       dropout_rate=0.5)
+                       lr_gamma=1.0, lr_step=10_000, batch_size=32)
     defaults = dict(eval_every=1000, checkpoint_every=1000)
     defaults.update(kw)
     return cu.TrainConfig(sgd=sgd, max_iterations=iters, seed=seed,
@@ -69,6 +68,23 @@ class TestRegimeValidation:
         with pytest.raises(ValidationError, match="basic"):
             cu.Regime(kind="FacilitatedReplicatedHead",
                       phase_a=tiny_cfg(level="sub"), phase_b=tiny_cfg())
+
+    @pytest.mark.parametrize("kind, phase_a, phase_b, categories, match", [
+        ("Reference", None, dict(lowered_prefix=1), (), "lowers no conv"),
+        ("ReferenceExtended", dict(level="sub"), dict(lowered_prefix=1), (),
+         "lowers no conv"),
+        ("FacilitatedRandomHead", dict(level="basic", lowered_prefix=1), {}, (),
+         "only on phase B"),
+        ("FacilitatedReplicatedHead", dict(level="basic"), {}, ("b0",),
+         "takes no pretrain categories"),
+    ], ids=["reference-phase-b", "extended-phase-b", "phase-a",
+            "pretrain-on-facilitated"])
+    def test_no_effect_settings_rejected(self, kind, phase_a, phase_b,
+                                         categories, match):
+        with pytest.raises(ValidationError, match=match):
+            cu.Regime(kind=kind, phase_b=tiny_cfg(**phase_b),
+                      phase_a=None if phase_a is None else tiny_cfg(**phase_a),
+                      pretrain_categories=categories)
 
 
 class TestTrainPhase:

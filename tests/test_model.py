@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiercurric import model as md
 from hiercurric import nnkernel as nk
@@ -205,7 +206,7 @@ class TestLrMults:
         ckpt = md.set_layer_lr_mults(ckpt, 3, 0.0)
         before = {n: ckpt.params[n].weight.copy() for n in ckpt.params.names()}
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=10, batch_size=2, dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=10, batch_size=2)
         rng = np.random.default_rng(0)
         batch = rng.random((2, 3, 8, 8))
         labels = np.array([0, 1])
@@ -284,3 +285,19 @@ class TestCheckpointIO:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValidationError, match="magic"):
             md.load_checkpoint(path)
+
+    @settings(max_examples=10, deadline=None)
+    @given(maps=st.integers(1, 3), units=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_every_prefix_and_trailing_bytes_rejected(self, maps, units, seed):
+        spec = md.ModelSpec((1, 3, 3), (md.Conv("conv1", maps, 2, 2),
+                                        md.Relu("relu1"), md.Fc("out", units)))
+        ckpt = md.build_model(spec, seed=seed)
+        ckpt.rng_state = np.random.default_rng(seed).bit_generator.state
+        buf = md.checkpoint_to_bytes(ckpt)
+        for cut in range(len(buf)):
+            with pytest.raises(ValidationError):
+                md.checkpoint_from_bytes(buf[:cut])
+        with pytest.raises(ValidationError, match="trailing"):
+            md.checkpoint_from_bytes(buf + b"\x00")
+        assert md.checkpoint_to_bytes(md.checkpoint_from_bytes(buf)) == buf

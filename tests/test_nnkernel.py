@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiercurric import nnkernel as nk
 from hiercurric.errors import NumericFault, ValidationError
@@ -231,14 +232,14 @@ def _single_param(w0, g):
 class TestSgd:
     def test_vanilla_step(self):
         cfg = nk.SgdConfig(base_lr=0.5, momentum=0.0, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=1, batch_size=1, dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1, batch_size=1)
         params = _single_param(1.0, 2.0)
         nk.sgd_step(params, cfg, 0)
         assert params["p.weight"].weight[0] == 1.0 - 0.5 * 2.0
 
     def test_frozen_entry_untouched(self):
         cfg = nk.SgdConfig(base_lr=0.5, momentum=0.9, weight_decay=0.1,
-                           lr_gamma=1.0, lr_step=1, batch_size=1, dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1, batch_size=1)
         params = _single_param(1.0, 2.0)
         params["p.weight"].lr_mult = 0.0
         params["p.weight"].momentum[...] = 3.0
@@ -258,7 +259,7 @@ class TestSgd:
         assert w2 == pytest.approx(-0.29, abs=1e-15)
 
         cfg = nk.SgdConfig(base_lr=eta, momentum=mu, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=1, batch_size=1, dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1, batch_size=1)
         params = _single_param(0.0, g)
         nk.sgd_step(params, cfg, 0)
         assert params["p.weight"].momentum[0] == v
@@ -270,7 +271,7 @@ class TestSgd:
 
     def test_zero_grad_zero_decay_is_identity(self):
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=1, batch_size=1, dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1, batch_size=1)
         params = _single_param(1.2345, 0.0)
         before = params["p.weight"].weight.copy()
         nk.sgd_step(params, cfg, 0)
@@ -358,3 +359,23 @@ class TestTensorIO:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValidationError, match="magic"):
             nk.tensor_from_bytes(b"XXXX" + b"\x00" * 32)
+
+    @settings(max_examples=25, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           shape=st.lists(st.integers(0, 3), max_size=3),
+           seed=st.integers(0, 2 ** 16))
+    def test_every_prefix_rejected(self, dtype, shape, seed):
+        arr = np.random.default_rng(seed).random(shape).astype(dtype)
+        buf = nk.tensor_to_bytes(arr)
+        for cut in range(len(buf)):
+            with pytest.raises(ValidationError):
+                nk.tensor_from_bytes(buf[:cut])
+        back, used = nk.tensor_from_bytes(buf)
+        assert used == len(buf)
+        np.testing.assert_array_equal(back, arr)
+
+    def test_trailing_bytes_in_file_rejected(self, tmp_path):
+        path = tmp_path / "t.tnsr"
+        path.write_bytes(nk.tensor_to_bytes(np.zeros(3)) + b"\x00")
+        with pytest.raises(ValidationError, match="trailing"):
+            nk.load_tensor(path)

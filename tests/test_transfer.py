@@ -88,8 +88,7 @@ class TestProbeTraining:
     def test_separable_two_class_reaches_full_accuracy(self):
         feats, labels = separable_features()
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=1000, batch_size=16,
-                           dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1000, batch_size=16)
         w, b = transfer.train_softmax_probe(feats, labels, cfg, iters=500, seed=0)
         predictions = (feats.rows @ w.T + b).argmax(axis=1)
         assert (predictions == labels).mean() == 1.0
@@ -97,8 +96,7 @@ class TestProbeTraining:
     def test_zero_lr_leaves_weights_at_init(self):
         feats, labels = separable_features(seed=1)
         cfg = nk.SgdConfig(base_lr=0.0, momentum=0.9, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=1000, batch_size=16,
-                           dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1000, batch_size=16)
         w, b = transfer.train_softmax_probe(feats, labels, cfg, iters=50, seed=5)
         expected = nk.default_init((2, 2), np.random.default_rng(5))
         np.testing.assert_array_equal(w, expected)
@@ -107,8 +105,7 @@ class TestProbeTraining:
     def test_seeded_shuffles_reproduce_weights(self):
         feats, labels = separable_features(seed=2)
         cfg = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=1000, batch_size=8,
-                           dropout_rate=0.0)
+                           lr_gamma=1.0, lr_step=1000, batch_size=8)
         w1, b1 = transfer.train_softmax_probe(feats, labels, cfg, 100, seed=7)
         w2, b2 = transfer.train_softmax_probe(feats, labels, cfg, 100, seed=7)
         np.testing.assert_array_equal(w1, w2)
