@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nnkernel as nk
-from .errors import ValidationError
+from .errors import NumericFault, ValidationError
 from .taxonomy import LabelMap
 
 PHASE_TAGS = ("basic", "subordinate", "transfer")
@@ -343,7 +343,10 @@ def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
     caches = []
     captured = None
     for layer in spec.layers:
-        act, cache = layer.forward(params, act, mode, rng)
+        try:
+            act, cache = layer.forward(params, act, mode, rng)
+        except NumericFault as exc:
+            raise NumericFault(f"layer {layer.name!r} forward: {exc}") from exc
         caches.append((layer, cache))
         if capture is not None and layer.name == capture:
             captured = act.reshape(act.shape[0], -1).copy()
@@ -356,7 +359,10 @@ def backward(params: nk.ParamSet, caches, dlogits):
     """Backpropagate through cached layers, assigning parameter gradients."""
     grad = dlogits
     for layer, cache in reversed(caches):
-        grad = layer.backward(params, grad, cache)
+        try:
+            grad = layer.backward(params, grad, cache)
+        except NumericFault as exc:
+            raise NumericFault(f"layer {layer.name!r} backward: {exc}") from exc
     return grad
 
 
@@ -511,8 +517,7 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_to_bytes(ckpt))
+    nk._write_atomic(path, checkpoint_to_bytes(ckpt))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -9,6 +9,7 @@ it is on by default and can be switched off for long runs.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -151,7 +152,7 @@ def sgd_step(params: ParamSet, cfg: SgdConfig, iteration: int) -> None:
 
 @dataclass
 class ConvCache:
-    windows: np.ndarray
+    xp: np.ndarray  # zero-padded input (the input itself when pad is 0)
     kernels: np.ndarray
     x_shape: tuple
     stride: int
@@ -159,12 +160,22 @@ class ConvCache:
     groups: int
 
 
+def _im2col(xp, kh, kw, stride, groups):
+    """Contiguous (groups, C/groups*kh*kw, N*OH*OW) column matrix of xp."""
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    # (n, c, oh, ow, kh, kw) -> (c, kh, kw, n, oh, ow): rows match the kernels
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    n, c, oh, ow = win.shape[:4]
+    return cols.reshape(groups, c // groups * kh * kw, n * oh * ow)
+
+
 def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
                    groups: int = 1):
     """Cross-correlation of NCHW input with (K, C/groups, kh, kw) kernels.
 
     Returns (output, cache). Output spatial dims follow
-    floor((H + 2*pad - kh) / stride) + 1; padding is zero-fill.
+    floor((H + 2*pad - kh) / stride) + 1; padding is zero-fill. Each group
+    is one GEMM of its kernels against the im2col matrix (Caffe's scheme).
     """
     n, c, h, w = x.shape
     k, cg, kh, kw = kernels.shape
@@ -179,71 +190,44 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
             f"kernel {kernels.shape} larger than padded input {x.shape} (pad={pad})")
 
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # win: (n, c, out_h, out_w, kh, kw)
-    kpg = k // groups
-    parts = []
-    for g in range(groups):
-        wg = win[:, g * cg:(g + 1) * cg]
-        kg = kernels[g * kpg:(g + 1) * kpg]
-        og = np.tensordot(wg, kg, axes=([1, 4, 5], [1, 2, 3]))  # (n, oh, ow, kpg)
-        parts.append(np.moveaxis(og, 3, 1))
-    out = parts[0] if groups == 1 else np.concatenate(parts, axis=1)
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    out = np.matmul(kernels.reshape(groups, k // groups, -1),
+                    _im2col(xp, kh, kw, stride, groups))
+    out = out.reshape(k, n, out_h, out_w).transpose(1, 0, 2, 3)
     out += bias[None, :, None, None]
     _guard(out)
-    return out, ConvCache(win, kernels, x.shape, stride, pad, groups)
-
-
-_COL2IM_IDX: dict[tuple, np.ndarray] = {}
-
-
-def _col2im_spatial_index(out_h, out_w, kh, kw, stride, wp):
-    key = (out_h, out_w, kh, kw, stride, wp)
-    idx = _COL2IM_IDX.get(key)
-    if idx is None:
-        rows = (stride * np.arange(out_h))[:, None] + np.arange(kh)[None, :]
-        cols = (stride * np.arange(out_w))[:, None] + np.arange(kw)[None, :]
-        # (out_h, kh, out_w, kw) linearized over the padded plane
-        idx = (rows[:, :, None, None] * wp + cols[None, None, :, :]).ravel()
-        _COL2IM_IDX[key] = idx
-    return idx
+    return out, ConvCache(xp, kernels, x.shape, stride, pad, groups)
 
 
 def conv2d_backward(dout, cache: ConvCache):
     """Gradients for conv2d_forward: returns (dx, dkernels, dbias)."""
-    win, kernels, x_shape, stride, pad, groups = (
-        cache.windows, cache.kernels, cache.x_shape, cache.stride,
-        cache.pad, cache.groups)
-    n, c, h, w = x_shape
+    xp, kernels, stride, pad, groups = (
+        cache.xp, cache.kernels, cache.stride, cache.pad, cache.groups)
+    n, c, h, w = cache.x_shape
     k, cg, kh, kw = kernels.shape
-    if dout.shape[:2] != (n, k) or dout.shape[2:] != win.shape[2:4]:
+    hp, wp = xp.shape[2:]
+    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    if dout.shape != (n, k, out_h, out_w):
         raise ValidationError(
             f"upstream gradient shape {dout.shape} does not match forward "
-            f"output (n={n}, k={k}, spatial={win.shape[2:4]})")
-    out_h, out_w = dout.shape[2:]
-    kpg = k // groups
+            f"output (n={n}, k={k}, spatial={(out_h, out_w)})")
 
     db = dout.sum(axis=(0, 2, 3))
-    dw = np.empty_like(kernels)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    spatial = _col2im_spatial_index(out_h, out_w, kh, kw, stride, wp)
-    dxp_flat = np.zeros(n * c * hp * wp)
-    for g in range(groups):
-        dg = dout[:, g * kpg:(g + 1) * kpg]
-        wg = win[:, g * cg:(g + 1) * cg]
-        dw[g * kpg:(g + 1) * kpg] = np.tensordot(
-            dg, wg, axes=([0, 2, 3], [0, 2, 3]))
-        # (n, oh, ow, cg, kh, kw) -> (n, cg, oh, kh, ow, kw) to match spatial idx
-        dcols = np.tensordot(dg, kernels[g * kpg:(g + 1) * kpg], axes=([1], [0]))
-        dcols = dcols.transpose(0, 3, 1, 4, 2, 5)
-        # group channels live at c-offset g*cg within each sample's block
-        offs = (np.arange(n)[:, None] * c + g * cg
-                + np.arange(cg)[None, :]).ravel() * (hp * wp)
-        idx = (offs[:, None] + spatial[None, :]).ravel()
-        dxp_flat += np.bincount(idx, weights=dcols.ravel(),
-                                minlength=dxp_flat.size)
-    dxp = dxp_flat.reshape(n, c, hp, wp)
-    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+    dout_mat = dout.transpose(1, 0, 2, 3).reshape(groups, k // groups, -1)
+    cols = _im2col(xp, kh, kw, stride, groups)
+    dw = (dout_mat @ cols.transpose(0, 2, 1)).reshape(kernels.shape)
+    dw = dw.astype(kernels.dtype, copy=False)
+    del cols  # freed before dcols, a matrix of the same size, is allocated
+    kmat = kernels.reshape(groups, k // groups, -1)
+    dcols = (kmat.transpose(0, 2, 1) @ dout_mat).reshape(c, kh, kw, n, out_h, out_w)
+    # col2im: window offset (i, j) adds its (c, n, oh, ow) block at a stride
+    dxp = np.zeros((c, n, hp, wp), dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * out_h:stride,
+                j:j + stride * out_w:stride] += dcols[:, i, j]
+    dx = dxp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w]
     dx = dx.astype(dout.dtype, copy=False)
     _guard(dx, dw, db)
     return dx, dw, db
@@ -430,9 +414,22 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
     return arr, start + count * dtype.itemsize - offset
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write through a temp file in the same directory, then os.replace, so
+    ``path`` holds either its old bytes or all of ``data``. Shared by the
+    tensor and checkpoint writers; the temp file never outlives the call."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_tensor(arr: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(arr))
+    _write_atomic(path, tensor_to_bytes(arr))
 
 
 def load_tensor(path) -> np.ndarray:

@@ -278,14 +278,30 @@ def labelmap_to_csv(labelmap: LabelMap, path) -> None:
 
 
 def labelmap_from_csv(path) -> LabelMap:
-    """Inverse of :func:`labelmap_to_csv`."""
+    """Inverse of :func:`labelmap_to_csv`. Rejects missing columns or fields,
+    non-integer indices, a repeated leaf, sub_index values that are not a
+    permutation of 0..n-1 and basic_index values with gaps or two names."""
     entries: dict[str, tuple[int, int]] = {}
     basic_by_index: dict[int, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = [col for col in ("leaf_id", "sub_index", "basic_index", "basic_id")
+                   if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"label map {path}: missing column(s) "
+                                  f"{', '.join(missing)}")
         for row in reader:
-            sub_i = int(row["sub_index"])
-            basic_i = int(row["basic_index"])
+            line = reader.line_num
+            if None in row or None in row.values():
+                raise ParseError(f"expected {len(reader.fieldnames)} fields", line)
+            try:
+                sub_i, basic_i = int(row["sub_index"]), int(row["basic_index"])
+            except ValueError:
+                raise ParseError("sub_index and basic_index must be integers, got "
+                                 f"{row['sub_index']!r}, {row['basic_index']!r}",
+                                 line) from None
+            if row["leaf_id"] in entries:
+                raise ParseError(f"leaf {row['leaf_id']!r} listed twice", line)
             entries[row["leaf_id"]] = (sub_i, basic_i)
             prev = basic_by_index.setdefault(basic_i, row["basic_id"])
             if prev != row["basic_id"]:
@@ -293,6 +309,9 @@ def labelmap_from_csv(path) -> LabelMap:
                     f"basic_index {basic_i} maps to both {prev!r} and {row['basic_id']!r}")
     if not entries:
         raise ValidationError(f"empty label map file {path}")
+    if sorted(sub_i for sub_i, _ in entries.values()) != list(range(len(entries))):
+        raise ValidationError(
+            f"sub_index values must be a permutation of 0..{len(entries) - 1}")
     sub_names = tuple(sorted(entries, key=lambda leaf: entries[leaf][0]))
     n_basic = max(basic_by_index) + 1
     if sorted(basic_by_index) != list(range(n_basic)):

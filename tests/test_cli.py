@@ -164,6 +164,18 @@ class TestPrepareCmd:
         assert ((out / "capped_manifest.csv").read_bytes()
                 == (rerun / "capped_manifest.csv").read_bytes())
 
+    def test_non_integer_sub_index_exits_2(self, tmp_path, capsys):
+        (tmp_path / "lm.csv").write_text(
+            "leaf_id,sub_index,basic_index,basic_id\npoodle,0.5,0,dog\n")
+        dp.save_manifest(dp.DatasetManifest((dp.Sample("s0", "t/0.tnsr", "poodle"),)),
+                         tmp_path / "m.csv")
+        code = cli.main(["prepare", "--manifest", str(tmp_path / "m.csv"),
+                         "--labelmap", str(tmp_path / "lm.csv"),
+                         "--level", "basic", "--cap", "1", "--seed", "1",
+                         "--out", str(tmp_path / "prep")])
+        assert code == EXIT_VALIDATION
+        assert "sub_index" in capsys.readouterr().err
+
 
 class TestDedupCmd:
     def test_self_dedup_is_empty(self, tmp_path):
@@ -285,6 +297,19 @@ class TestTrainCmd:
         code = cli.main(["train", "--config", str(config_path)])
         assert code == EXIT_NUMERIC
         assert "iteration" in capsys.readouterr().err
+
+    def test_numeric_fault_names_layer(self, tmp_path, capsys, monkeypatch):
+        build = md.build_model
+
+        def nan_in_conv2(*args, **kwargs):
+            ckpt = build(*args, **kwargs)
+            ckpt.params["conv2.weight"].weight[0, 0, 0, 0] = np.nan
+            return ckpt
+
+        monkeypatch.setattr(md, "build_model", nan_in_conv2)
+        config_path, _ = train_config(tmp_path, out_name="nan")
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_NUMERIC
+        assert "iteration 0: layer 'conv2' forward: non-finite" in capsys.readouterr().err
 
     def test_regime_matrix_five_subdirectories(self, tmp_path):
         regimes = [

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hiercurric import model as md
 from hiercurric import nnkernel as nk
 from hiercurric import taxonomy
-from hiercurric.errors import ValidationError
+from hiercurric.errors import NumericFault, ValidationError
 
 
 def desk_param_count_closed_form(n_outputs):
@@ -259,6 +261,12 @@ class TestForwardEval:
         with pytest.raises(ValidationError, match="shape"):
             md.forward_eval(ckpt, np.zeros((2, 3, 16, 16)))
 
+    def test_backward_fault_names_layer_and_direction(self, small_ckpt):
+        x = np.zeros((2,) + small_ckpt.spec.input_shape)
+        logits, caches, _ = md.forward(small_ckpt.spec, small_ckpt.params, x)
+        with pytest.raises(NumericFault, match=r"layer 'fc2' backward: non-finite"):
+            md.backward(small_ckpt.params, caches, np.full(logits.shape, np.nan))
+
 
 class TestCheckpointIO:
     def test_round_trip_byte_identical(self, small_ckpt, tmp_path):
@@ -279,6 +287,23 @@ class TestCheckpointIO:
         loaded = md.load_checkpoint(path)
         assert loaded.params["conv1.weight"].lr_mult == 0.1
         assert loaded.params["fc1.weight"].lr_mult == 1.0
+
+    def test_failed_replace_keeps_old_checkpoint(self, small_ckpt, tmp_path,
+                                                 monkeypatch):
+        (tmp_path / "run").mkdir()
+        path = tmp_path / "run" / "model.ckpt"
+        md.save_checkpoint(small_ckpt, path)
+        before = path.read_bytes()
+        small_ckpt.iteration = 99
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            md.save_checkpoint(small_ckpt, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["model.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -32,6 +32,24 @@ def naive_conv2d(x, kernels, bias, stride, pad, groups=1):
     return out
 
 
+def naive_conv2d_backward(dout, x, kernels, stride, pad, groups=1):
+    """Reference (dx, dkernels): each output's upstream value scattered back
+    over its input window and kernel, one output position at a time."""
+    n, c, h, w = x.shape
+    k, cg, kh, kw = kernels.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(kernels)
+    kpg = k // groups
+    for ni, ki, y, xo in np.ndindex(dout.shape):
+        chans = slice(ki // kpg * cg, (ki // kpg + 1) * cg)
+        rows = slice(y * stride, y * stride + kh)
+        cols = slice(xo * stride, xo * stride + kw)
+        dw[ki] += dout[ni, ki, y, xo] * xp[ni, chans, rows, cols]
+        dxp[ni, chans, rows, cols] += dout[ni, ki, y, xo] * kernels[ki]
+    return dxp[:, :, pad:pad + h, pad:pad + w], dw
+
+
 def naive_maxpool(x, window, stride):
     n, c, h, w = x.shape
     out_h = (h - window) // stride + 1
@@ -128,6 +146,48 @@ class TestConvBackward:
         out, cache = nk.conv2d_forward(x, np.zeros((1, 1, 3, 3)), np.zeros(1))
         with pytest.raises(ValidationError):
             nk.conv2d_backward(np.zeros((1, 1, 4, 4)), cache)
+
+    @pytest.mark.parametrize("x_shape,k_shape,stride,pad,groups", [
+        # overlapping strided windows, as AlexNet conv1 (11x11, stride 4)
+        ((2, 3, 27, 27), (4, 3, 11, 11), 4, 0, 1),
+        # padded input whose H + 2p - k (7) and W + 2p - k (8) leave a
+        # remainder at stride 3, so the last rows and columns are unused
+        ((2, 2, 8, 9), (3, 2, 3, 3), 3, 1, 1),
+        ((2, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),
+    ])
+    def test_matches_naive_loops(self, x_shape, k_shape, stride, pad, groups):
+        rng = np.random.default_rng(sum(x_shape) + stride)
+        x = rng.standard_normal(x_shape)
+        kernels = rng.standard_normal(k_shape)
+        bias = rng.standard_normal(k_shape[0])
+        out, cache = nk.conv2d_forward(x, kernels, bias, stride, pad, groups)
+        np.testing.assert_allclose(
+            out, naive_conv2d(x, kernels, bias, stride, pad, groups), atol=1e-10)
+        dout = rng.standard_normal(out.shape)
+        dx, dw, db = nk.conv2d_backward(dout, cache)
+        ref_dx, ref_dw = naive_conv2d_backward(dout, x, kernels, stride, pad, groups)
+        np.testing.assert_allclose(dx, ref_dx, atol=1e-10)
+        np.testing.assert_allclose(dw, ref_dw, atol=1e-10)
+        np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)), atol=1e-12)
+
+    def test_float32_in_float32_out(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        kernels = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+        out, cache = nk.conv2d_forward(x, kernels, np.zeros(4, np.float32),
+                                       stride=2, pad=1, groups=2)
+        dx, dw, _ = nk.conv2d_backward(np.ones_like(out), cache)
+        assert (out.dtype, dx.dtype, dw.dtype) == (np.float32,) * 3
+
+    def test_backward_twice_byte_identical(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 4, 9, 9))
+        kernels = rng.standard_normal((6, 2, 5, 5))
+        out, cache = nk.conv2d_forward(x, kernels, np.zeros(6), 2, 2, 2)
+        dout = rng.standard_normal(out.shape)
+        first, second = (nk.conv2d_backward(dout, cache) for _ in range(2))
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestMaxPool:
@@ -351,6 +411,20 @@ class TestTensorIO:
         back = nk.load_tensor(path)
         assert back.dtype == arr.dtype and back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
+
+    def test_failed_replace_keeps_old_tensor(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.tnsr"
+        nk.save_tensor(np.zeros(3), path)
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nk.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            nk.save_tensor(np.ones(3), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tnsr"]
 
     def test_serialization_is_byte_stable(self):
         arr = np.linspace(0, 1, 10)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hiercurric import taxonomy
 from hiercurric.errors import ParseError, ValidationError
 
+LABELMAP_HEADER = "leaf_id,sub_index,basic_index,basic_id\n"
+
 
 class TestParse:
     def test_three_line_file(self, tmp_path):
@@ -133,6 +135,20 @@ class TestAllocate:
         taxonomy.labelmap_to_csv(labelmap, path)
         back = taxonomy.labelmap_from_csv(path)
         assert back == labelmap
+
+    @pytest.mark.parametrize("text,match", [
+        (LABELMAP_HEADER + "poodle,0,0,dog\nbeagle,0,0,dog\nsuv,7,1,car\n",
+         "permutation of 0..2"),
+        (LABELMAP_HEADER + "poodle,0,0,dog\nbeagle,one,0,dog\n", "line 3: .*integers"),
+        (LABELMAP_HEADER + "poodle,0,0,dog\npoodle,1,0,dog\n", "twice"),
+        (LABELMAP_HEADER + "poodle,0,0\n", "expected 4 fields"),
+        ("leaf_id,sub_index,basic_id\npoodle,0,dog\n", "missing column.*basic_index"),
+    ])
+    def test_corrupt_csv_rejected(self, tmp_path, text, match):
+        path = tmp_path / "lm.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=match):
+            taxonomy.labelmap_from_csv(path)
 
 
 class TestHeights:
