@@ -9,18 +9,16 @@ Exit codes: 0 success, 2 config or validation error, 3 numeric fault,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import config as cf
 from . import curriculum as cu
 from . import dataprep as dp
+from . import files
 from . import model as md
 from . import nnkernel as nk
 from . import taxonomy, transfer
@@ -40,11 +38,12 @@ def resolve_out(value: str) -> Path:
     return path
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _image_size(text: str) -> tuple[int, ...]:
+    dims = text.split("x")
+    if len(dims) != 3 or not all(d.isdecimal() and int(d) > 0 for d in dims):
+        raise argparse.ArgumentTypeError(
+            f"expected CxHxW, three positive integers, got {text!r}")
+    return tuple(map(int, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +57,9 @@ def cmd_taxonomy(args) -> int:
     hist = taxonomy.category_height_histogram(graph, mode=args.height_mode)
 
     out = resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     taxonomy.labelmap_to_csv(labelmap, out / "labelmap.csv")
-    _write_csv(out / "height_histogram.csv", ["height", "count"],
-               [(h, hist[h]) for h in sorted(hist)])
+    files.write_csv(out / "height_histogram.csv", ["height", "count"],
+                    [(h, hist[h]) for h in sorted(hist)])
     print(f"{labelmap.n_sub} leaves -> {labelmap.n_basic} basic categories")
     return EXIT_OK
 
@@ -69,7 +67,7 @@ def cmd_taxonomy(args) -> int:
 def cmd_synth(args) -> int:
     spec = dp.SynthSpec(
         n_basic=args.n_basic, subs_per_basic=args.subs_per_basic,
-        image_size=tuple(int(d) for d in args.image_size.split("x")),
+        image_size=args.image_size,
         prototype_scale=args.prototype_scale,
         subordinate_scale=args.subordinate_scale,
         noise_scale=args.noise_scale,
@@ -87,16 +85,12 @@ def cmd_prepare(args) -> int:
     capped = dp.cap_per_category(manifest, labelmap, args.level, args.cap,
                                  args.seed)
     out = resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dp.save_manifest(capped, out / "capped_manifest.csv")
 
-    counts: dict[str, int] = {}
-    for sample in capped.samples:
-        key = (labelmap.basic_names[labelmap.basic_index(sample.leaf_id)]
-               if args.level == "basic" else sample.leaf_id)
-        counts[key] = counts.get(key, 0) + 1
-    _write_csv(out / "category_counts.csv", ["category", "retained"],
-               sorted(counts.items()))
+    counts = Counter(labelmap.basic_names[labelmap.basic_index(s.leaf_id)]
+                     if args.level == "basic" else s.leaf_id for s in capped.samples)
+    files.write_csv(out / "category_counts.csv", ["category", "retained"],
+                    sorted(counts.items()))
     for category, retained in sorted(counts.items()):
         print(f"{category}: {retained}")
     print(f"total retained: {len(capped)} of {len(manifest)}")
@@ -121,7 +115,6 @@ def cmd_dedup(args) -> int:
     matches, filtered = dp.find_overlaps(man_a, man_b, args.threshold,
                                          images_a, images_b)
     out = resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dp.overlap_report_csv(matches, out / "overlap.csv")
     dp.save_manifest(filtered, out / "filtered_manifest.csv")
     print(f"{len(matches)} overlap pairs; {len(filtered)} of "
@@ -186,18 +179,16 @@ def cmd_train(args) -> int:
             print(f"regime: {name}")
         return EXIT_OK
 
-    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "MANIFEST.json"
     digest = cf.config_hash(config)
     if manifest_path.exists():
-        previous = json.loads(manifest_path.read_text())
-        if previous.get("config_hash") != digest:
+        previous = files.read_json(manifest_path)
+        if not isinstance(previous, dict) or previous.get("config_hash") != digest:
             raise ValidationError(
                 f"output directory {out} holds a run with a different config "
                 f"hash; refusing to mix runs")
-    manifest_path.write_text(json.dumps(
-        {"config_hash": digest, "code_version": __version__, "config": config},
-        indent=2, sort_keys=True) + "\n")
+    files.write_json(manifest_path, {"config_hash": digest,
+                                     "code_version": __version__, "config": config})
 
     single = "regime" in config
 
@@ -263,7 +254,6 @@ def cmd_probe(args) -> int:
     ckpt = md.load_checkpoint(args.checkpoint)
     manifest, store, labelmap, specs = _probe_inputs(args)
     out = resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for spec in specs:
         n_train = spec.n_train_per_class
@@ -273,8 +263,8 @@ def cmd_probe(args) -> int:
                      repr(result.aggregate["std"])))
         print(f"n_train={n_train}: mean_class_recall="
               f"{result.aggregate['mean']:.4f}")
-    _write_csv(out / "aggregates.csv",
-               ["n_train_per_class", "mean_class_recall", "std"], rows)
+    files.write_csv(out / "aggregates.csv",
+                    ["n_train_per_class", "mean_class_recall", "std"], rows)
     return EXIT_OK
 
 
@@ -312,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n-basic", type=int, default=4)
     p.add_argument("--subs-per-basic", type=int, default=3)
-    p.add_argument("--image-size", default="3x16x16")
+    p.add_argument("--image-size", type=_image_size, default="3x16x16")
     p.add_argument("--prototype-scale", type=float, default=0.25)
     p.add_argument("--subordinate-scale", type=float, default=0.1)
     p.add_argument("--noise-scale", type=float, default=0.2)

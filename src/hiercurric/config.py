@@ -8,9 +8,7 @@ explicitly; nothing is ever seeded from the clock.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -18,6 +16,7 @@ import numpy as np
 from . import benchmark as bm
 from . import curriculum as cu
 from . import dataprep as dp
+from . import files
 from . import model as md
 from . import nnkernel as nk
 from .errors import ValidationError
@@ -194,19 +193,14 @@ def validate_config(config: dict) -> dict:
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        config = files.read_json(path)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
     return validate_config(config)
 
 
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(files.canonical_json(config)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ validation accuracy curves plus final metrics.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataprep as dp
+from . import files
 from . import model as md
 from . import nnkernel as nk
 from . import transfer
@@ -193,8 +192,6 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     report = RunReport()
     out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
 
     bs = cfg.sgd.batch_size
     batches = dp.epoch_batches(rng, len(X), bs)
@@ -346,17 +343,12 @@ def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest, store,
 def save_run_report(report: RunReport, out_dir) -> None:
     """curves.csv (iteration,split,metric,value) and final.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "curves.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "split", "metric", "value"])
-        for it, split, metric, value in report.curves:
-            writer.writerow([it, split, metric, repr(float(value))])
+    files.write_csv(out / "curves.csv", ["iteration", "split", "metric", "value"],
+                    [(it, split, metric, repr(float(value)))
+                     for it, split, metric, value in report.curves])
     payload = {"final": report.final}
     if report.regime is not None:
         payload["regime"] = report.regime
     if report.checkpoints:
         payload["checkpoints"] = report.checkpoints
-    with open(out / "final.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(out / "final.json", payload)

@@ -8,7 +8,6 @@ numpy's PCG64 generator so every artifact is reproducible byte for byte.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import files
 from . import nnkernel as nk
 from .errors import ValidationError, ZeroVarianceError
 from .taxonomy import LabelMap, SynsetGraph, build_graph
@@ -23,6 +23,7 @@ from .taxonomy import LabelMap, SynsetGraph, build_graph
 log = logging.getLogger(__name__)
 
 SPLIT_TAGS = ("train", "val", "test")
+MANIFEST_COLUMNS = ("sample_id", "path", "leaf_id")
 
 
 @dataclass(frozen=True)
@@ -356,45 +357,32 @@ def epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
     """CSV with header ``sample_id,path,leaf_id``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "path", "leaf_id"])
-        for s in manifest.samples:
-            writer.writerow([s.sample_id, s.source, s.leaf_id])
+    files.write_csv(path, MANIFEST_COLUMNS,
+                    [(s.sample_id, s.source, s.leaf_id) for s in manifest.samples])
 
 
 def load_manifest(path, split_tag: str = "train") -> DatasetManifest:
-    samples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            samples.append(Sample(row["sample_id"], row["path"], row["leaf_id"]))
-    return DatasetManifest(tuple(samples), split_tag=split_tag)
+    samples = tuple(Sample(row["sample_id"], row["path"], row["leaf_id"])
+                    for _, row in files.read_csv(path, MANIFEST_COLUMNS))
+    return DatasetManifest(samples, split_tag=split_tag)
 
 
 def save_dataset(data: SyntheticData, out_dir) -> None:
     """Persist a synthetic dataset: manifest, graph, marks, one tensor/sample."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tensors = out / "tensors"
-    tensors.mkdir(exist_ok=True)
     rows = []
     for s in data.manifest.samples:
         rel = f"tensors/{s.sample_id}.tnsr"
         nk.save_tensor(data.images[s.sample_id].astype(np.float32), out / rel)
         rows.append(Sample(s.sample_id, rel, s.leaf_id))
     save_manifest(replace(data.manifest, samples=tuple(rows)), out / "manifest.csv")
-    with open(out / "synsets.txt", "w", encoding="utf-8") as fh:
-        for parent, child in data.graph.edges:
-            fh.write(f"{parent}>{child}\n")
-    with open(out / "basic_marks.txt", "w", encoding="utf-8") as fh:
-        for mark in sorted(data.basic_marks):
-            fh.write(mark + "\n")
+    files.write_bytes(out / "synsets.txt", "".join(
+        f"{parent}>{child}\n" for parent, child in data.graph.edges).encode("utf-8"))
+    files.write_bytes(out / "basic_marks.txt", "".join(
+        mark + "\n" for mark in sorted(data.basic_marks)).encode("utf-8"))
 
 
 def overlap_report_csv(matches, path) -> None:
     """CSV ``id_a,id_b,score`` with scores at 6 decimal places."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id_a", "id_b", "score"])
-        for id_a, id_b, score in matches:
-            writer.writerow([id_a, id_b, f"{score:.6f}"])
+    files.write_csv(path, ["id_a", "id_b", "score"],
+                    [(id_a, id_b, f"{score:.6f}") for id_a, id_b, score in matches])

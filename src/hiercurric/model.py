@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import files
 from . import nnkernel as nk
 from .errors import NumericFault, ValidationError
 from .taxonomy import LabelMap
@@ -453,10 +454,6 @@ _CKPT_MAGIC = b"HCCK"
 _CKPT_VERSION = 1
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     manifest = {
         "version": _CKPT_VERSION,
@@ -472,7 +469,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         e = ckpt.params[name]
         blob += nk.tensor_to_bytes(e.weight)
         blob += nk.tensor_to_bytes(e.momentum)
-    payload = _canonical_json(manifest)
+    payload = files.canonical_json(manifest)
     return (_CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(payload))
             + payload + bytes(blob))
 
@@ -517,7 +514,7 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    nk._write_atomic(path, checkpoint_to_bytes(ckpt))
+    files.write_bytes(path, checkpoint_to_bytes(ckpt))
 
 
 def load_checkpoint(path) -> Checkpoint:

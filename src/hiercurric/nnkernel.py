@@ -9,13 +9,13 @@ it is on by default and can be switched off for long runs.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import files
 from .errors import NumericFault, ValidationError
 
 _CHECKED = True
@@ -414,22 +414,8 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
     return arr, start + count * dtype.itemsize - offset
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write through a temp file in the same directory, then os.replace, so
-    ``path`` holds either its old bytes or all of ``data``. Shared by the
-    tensor and checkpoint writers; the temp file never outlives the call."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def save_tensor(arr: np.ndarray, path) -> None:
-    _write_atomic(path, tensor_to_bytes(arr))
+    files.write_bytes(path, tensor_to_bytes(arr))
 
 
 def load_tensor(path) -> np.ndarray:

@@ -8,15 +8,16 @@ upward breadth-first search that expands parents in file edge order.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
+from . import files
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
+
+LABELMAP_COLUMNS = ("leaf_id", "sub_index", "basic_index", "basic_id")
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,7 @@ def parse_synset_file(path) -> SynsetGraph:
     preserved exactly; it is significant for multi-parent tie-breaking.
     """
     edges = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(files.read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -140,7 +140,7 @@ def parse_synset_file(path) -> SynsetGraph:
 def parse_marks_file(path) -> set[str]:
     """Read one node_id per line; ``#`` comments and blanks ignored."""
     marks = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in files.read_text(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             marks.add(line)
@@ -269,12 +269,9 @@ def category_height_histogram(graph: SynsetGraph, mode: str = "longest") -> dict
 
 def labelmap_to_csv(labelmap: LabelMap, path) -> None:
     """Write ``leaf_id,sub_index,basic_index,basic_id`` rows sorted by leaf."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["leaf_id", "sub_index", "basic_index", "basic_id"])
-        for leaf in sorted(labelmap.entries):
-            sub_i, basic_i = labelmap.entries[leaf]
-            writer.writerow([leaf, sub_i, basic_i, labelmap.basic_names[basic_i]])
+    files.write_csv(path, LABELMAP_COLUMNS, [
+        (leaf, sub_i, basic_i, labelmap.basic_names[basic_i])
+        for leaf, (sub_i, basic_i) in sorted(labelmap.entries.items())])
 
 
 def labelmap_from_csv(path) -> LabelMap:
@@ -283,30 +280,20 @@ def labelmap_from_csv(path) -> LabelMap:
     permutation of 0..n-1 and basic_index values with gaps or two names."""
     entries: dict[str, tuple[int, int]] = {}
     basic_by_index: dict[int, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in ("leaf_id", "sub_index", "basic_index", "basic_id")
-                   if col not in (reader.fieldnames or ())]
-        if missing:
-            raise ValidationError(f"label map {path}: missing column(s) "
-                                  f"{', '.join(missing)}")
-        for row in reader:
-            line = reader.line_num
-            if None in row or None in row.values():
-                raise ParseError(f"expected {len(reader.fieldnames)} fields", line)
-            try:
-                sub_i, basic_i = int(row["sub_index"]), int(row["basic_index"])
-            except ValueError:
-                raise ParseError("sub_index and basic_index must be integers, got "
-                                 f"{row['sub_index']!r}, {row['basic_index']!r}",
-                                 line) from None
-            if row["leaf_id"] in entries:
-                raise ParseError(f"leaf {row['leaf_id']!r} listed twice", line)
-            entries[row["leaf_id"]] = (sub_i, basic_i)
-            prev = basic_by_index.setdefault(basic_i, row["basic_id"])
-            if prev != row["basic_id"]:
-                raise ValidationError(
-                    f"basic_index {basic_i} maps to both {prev!r} and {row['basic_id']!r}")
+    for line, row in files.read_csv(path, LABELMAP_COLUMNS):
+        try:
+            sub_i, basic_i = int(row["sub_index"]), int(row["basic_index"])
+        except ValueError:
+            raise ParseError("sub_index and basic_index must be integers, got "
+                             f"{row['sub_index']!r}, {row['basic_index']!r}",
+                             line) from None
+        if row["leaf_id"] in entries:
+            raise ParseError(f"leaf {row['leaf_id']!r} listed twice", line)
+        entries[row["leaf_id"]] = (sub_i, basic_i)
+        prev = basic_by_index.setdefault(basic_i, row["basic_id"])
+        if prev != row["basic_id"]:
+            raise ValidationError(
+                f"basic_index {basic_i} maps to both {prev!r} and {row['basic_id']!r}")
     if not entries:
         raise ValidationError(f"empty label map file {path}")
     if sorted(sub_i for sub_i, _ in entries.values()) != list(range(len(entries))):

@@ -10,10 +10,12 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import dataprep as dp
+from . import files
 from . import model as md
 from . import nnkernel as nk
 from .errors import ValidationError
@@ -209,24 +211,14 @@ def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest, store,
 
 def save_probe_result(result: ProbeResult, out_dir) -> None:
     """probe.json with per-split and aggregate, per_class_recall.csv rows."""
-    import csv as _csv
-    import json as _json
-    from pathlib import Path
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {
+    files.write_json(out / "probe.json", {
         "n_train_per_class": result.n_train_per_class,
         "aggregate": result.aggregate,
         "per_split": [{"split": i, "mean_class_recall": m}
                       for i, m, _ in result.per_split],
-    }
-    with open(out / "probe.json", "w", encoding="utf-8") as fh:
-        _json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "per_class_recall.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "class_index", "recall"])
-        for i, _, per_class in result.per_split:
-            for c, r in enumerate(per_class):
-                writer.writerow([i, c, "" if np.isnan(r) else repr(float(r))])
+    })
+    files.write_csv(out / "per_class_recall.csv", ["split", "class_index", "recall"],
+                    [(i, c, "" if np.isnan(r) else repr(float(r)))
+                     for i, _, per_class in result.per_split
+                     for c, r in enumerate(per_class)])

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from hiercurric import cli, dataprep as dp, model as md, taxonomy
+from hiercurric import cli, config as cf, curriculum as cu, dataprep as dp
+from hiercurric import model as md, taxonomy, transfer
 from hiercurric import nnkernel as nk
 from hiercurric.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION
 
@@ -132,6 +134,15 @@ class TestSynthCmd:
         assert cli.main(["synth", "--seed", "1", "--out", str(out)]) == EXIT_OK
         assert len(dp.load_manifest(out / "manifest.csv")) == 600
 
+    @pytest.mark.parametrize("size", ["3x16", "3xA", "0x8x8", "3x-8x8",
+                                      "3x8x8x8", "3x 8x8"])
+    def test_bad_image_size_rejected_by_parser(self, tmp_path, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(synth_args(tmp_path / "data", image=size))
+        assert exc.value.code == EXIT_VALIDATION
+        assert "three positive integers" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
 
 class TestPrepareCmd:
     def test_counts_sum_to_manifest_size(self, tmp_path, animal_file,
@@ -210,6 +221,19 @@ class TestDedupCmd:
         assert lines[1].startswith(man_a.samples[0].sample_id)
         assert lines[1].endswith("1.000000")
 
+    @pytest.mark.parametrize("text, match", [
+        ("sample_id,leaf_id\ns0,poodle\n", "missing column(s) path"),
+        ("sample_id,path,leaf_id\ns0,t/0.tnsr\n", "line 2: expected 3 fields"),
+    ], ids=["missing-column", "short-row"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, text, match):
+        (tmp_path / "m.csv").write_text(text)
+        code = cli.main(["dedup", "--manifest-a", str(tmp_path / "m.csv"),
+                         "--images-a", str(tmp_path),
+                         "--out", str(tmp_path / "dedup")])
+        assert code == EXIT_VALIDATION
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "dedup").exists()
+
 
 class TestTrainCmd:
     def test_dry_run_prints_chain_and_writes_nothing(self, tmp_path, capsys):
@@ -280,6 +304,17 @@ class TestTrainCmd:
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "none.json")]) \
             == EXIT_VALIDATION
+
+    def test_corrupt_run_manifest_exits_2(self, tmp_path, capsys):
+        config_path, _ = train_config(tmp_path, iters=2)
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_OK
+        manifest = tmp_path / "run" / "MANIFEST.json"
+        manifest.write_bytes(manifest.read_bytes()[:30])
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+        assert f"{manifest} is not valid JSON" in capsys.readouterr().err
+        manifest.write_text("[]")
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+        assert "refusing to mix runs" in capsys.readouterr().err
 
     def test_manifest_hash_guard(self, tmp_path):
         config_path, config = train_config(tmp_path)
@@ -442,3 +477,95 @@ class TestCsvQuoting:
         path = tmp_path / "o.csv"
         dp.overlap_report_csv([("a,1", "b,2", 1.0)], path)
         assert path.read_text() == 'id_a,id_b,score\n"a,1","b,2",1.000000\n'
+
+
+class TestTextInputs:
+    @pytest.mark.parametrize("target", ["synsets", "marks", "config",
+                                        "manifest", "labelmap"])
+    def test_non_utf8_input_exits_2(self, tmp_path, animal_file, marks_file,
+                                    capsys, target):
+        config_path, _ = train_config(tmp_path)
+        graph = taxonomy.validate_basic_marks(
+            taxonomy.parse_synset_file(animal_file), {"dog", "fish", "car"})
+        taxonomy.labelmap_to_csv(taxonomy.allocate_descendants(graph),
+                                 tmp_path / "lm.csv")
+        dp.save_manifest(dp.DatasetManifest(
+            (dp.Sample("s0", "t/0.tnsr", "poodle"),)), tmp_path / "m.csv")
+        out = str(tmp_path / "out")
+        cases = {
+            "synsets": (animal_file, ["taxonomy", "--synsets", str(animal_file),
+                                      "--marks", str(marks_file), "--out", out]),
+            "config": (config_path, ["train", "--config", str(config_path),
+                                     "--dry-run"]),
+            "manifest": (tmp_path / "m.csv", [
+                "prepare", "--manifest", str(tmp_path / "m.csv"),
+                "--labelmap", str(tmp_path / "lm.csv"), "--cap", "1",
+                "--seed", "1", "--out", out]),
+        }
+        cases["marks"] = (marks_file, cases["synsets"][1])
+        cases["labelmap"] = (tmp_path / "lm.csv", cases["manifest"][1])
+        path, argv = cases[target]
+        # a Latin-1 "ö" where the file had its first "o"
+        path.write_bytes(path.read_bytes().replace(b"o", b"\xf6", 1))
+        assert cli.main(argv) == EXIT_VALIDATION
+        assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
+def _write_run_report(d, variant):
+    cu.save_run_report(cu.RunReport(curves=[(variant, "val", "top1", 0.5)]), d)
+
+
+def _write_probe_result(d, variant):
+    transfer.save_probe_result(transfer.ProbeResult(
+        per_split=((0, 0.5, np.array([0.5, variant])),),
+        aggregate={"mean": 0.5, "std": 0.0}, n_train_per_class=2 + variant), d)
+
+
+def _write_labelmap(d, variant):
+    taxonomy.labelmap_to_csv(taxonomy.LabelMap(
+        {"leaf": (0, 0)}, (f"basic{variant}",), ("leaf",)), d / "lm.csv")
+
+
+def _write_manifest(d, variant):
+    dp.save_manifest(dp.DatasetManifest(
+        (dp.Sample(f"s{variant}", "t/0.tnsr", "leaf"),)), d / "m.csv")
+
+
+def _write_overlap_report(d, variant):
+    dp.overlap_report_csv([("a", "b", 0.99 + variant / 200)], d / "o.csv")
+
+
+def _write_run_manifest(d, variant):
+    """Variant 0 plants a MANIFEST.json for the same config from an older
+    code version; variant 1 lets ``train`` rewrite it."""
+    config_path, _ = train_config(d)
+    if variant == 0:
+        (d / "run").mkdir()
+        digest = cf.config_hash(cf.load_config(config_path))
+        (d / "run" / "MANIFEST.json").write_text(json.dumps(
+            {"config_hash": digest, "code_version": "0.0.0", "config": {}}))
+    else:
+        cli.cmd_train(cli.build_parser().parse_args(
+            ["train", "--config", str(config_path)]))
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        _write_run_report, _write_probe_result, _write_labelmap,
+        _write_manifest, _write_overlap_report, _write_run_manifest,
+    ], ids=["run-report", "probe-result", "labelmap", "manifest",
+            "overlap-report", "run-manifest"])
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, write):
+        def tree():
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        write(tmp_path, 0)
+        before = tree()
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path, 1)
+        assert tree() == before

@@ -58,7 +58,7 @@ def test_conv2d_gradients(stride, pad, groups):
 
     out, cache = nk.conv2d_forward(x, kernels, bias, stride, pad, groups)
     dx, dw, db = nk.conv2d_backward(proj, cache)
-    # cache.windows views x's padded copy, so rebuild inside loss() above
+    # cache.xp is x or its padded copy, so rebuild inside loss() above
     check_tensor(loss, dw, kernels, rng)
     check_tensor(loss, db, bias, rng)
     check_tensor(loss, dx, x, rng)

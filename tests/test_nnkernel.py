@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -420,7 +421,7 @@ class TestTensorIO:
         def fail(*args):
             raise OSError("disk full")
 
-        monkeypatch.setattr(nk.os, "replace", fail)
+        monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             nk.save_tensor(np.ones(3), path)
         assert path.read_bytes() == before
