@@ -46,6 +46,12 @@ def _image_size(text: str) -> tuple[int, ...]:
     return tuple(map(int, dims))
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate and print the shape chain, then stop")
     p.add_argument("--unchecked", action="store_true",
                    help="disable NaN/Inf faulting for long runs")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel regimes in a matrix run (never within one)")
     p.set_defaults(func=cmd_train)
 

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValidationError("eval_every and checkpoint_every must be >= 1")
         if self.task_level not in ("basic", "sub"):
             raise ValidationError(f"unknown task level {self.task_level!r}")
+        if self.lowered_prefix < 0:
+            raise ValidationError("lowered_prefix must be >= 0")
         if not 0 <= self.lowered_mult <= 1:
             raise ValidationError("lowered_mult must be in [0, 1]")
 

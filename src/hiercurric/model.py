@@ -8,7 +8,6 @@ round-trip through a versioned binary file byte-identically.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -19,10 +18,12 @@ import numpy as np
 
 from . import files
 from . import nnkernel as nk
+from . import strict
 from .errors import NumericFault, ValidationError
 from .taxonomy import LabelMap
 
 PHASE_TAGS = ("basic", "subordinate", "transfer")
+INITS = ("fixed", "scaled")
 
 
 class Layer:
@@ -162,35 +163,25 @@ class Fc(Layer):
 
 
 _LAYERS = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Dropout, Fc)}
-_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}  # by annotation
 
 
-def _layer_from_dict(index: int, d: dict) -> Layer:
-    """One descriptor from its manifest form; rejects an unknown kind,
-    unknown or missing fields and values of the wrong type, naming the layer."""
-    d = dict(d)
-    label = d.get("name", index)
-    kind = d.pop("kind", None)
-    cls = _LAYERS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValidationError(
-            f"layer {label!r}: kind must be one of {', '.join(_LAYERS)}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    problems = [f"unknown field {n!r}" for n in sorted(set(d) - set(fields))]
-    problems += [f"missing field {n!r}" for n, f in fields.items()
-                 if n not in d and f.default is dataclasses.MISSING]
-    problems += [f"field {n!r} must be {fields[n].type}" for n, v in d.items()
-                 if n in fields and (type(v) is bool or not isinstance(
-                     v, _FIELD_TYPES[fields[n].type]))]
-    if problems:
-        raise ValidationError(f"layer {label!r}: {cls.kind} " + ", ".join(problems))
-    return cls(**d)
+def _layer_from_dict(path: str, d: dict) -> Layer:
+    """One descriptor from its manifest form, built by :func:`strict.build`."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not (isinstance(kind, str) and kind in _LAYERS):
+        raise ValidationError(f"{path}.kind: must be one of {', '.join(_LAYERS)}")
+    return strict.build(_LAYERS[kind], {k: v for k, v in d.items() if k != "kind"},
+                        path)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     input_shape: tuple[int, int, int]
     layers: tuple
+
+    def __post_init__(self):
+        if min(self.input_shape) < 1:
+            raise ValidationError(f"input_shape {self.input_shape} must be >= 1")
 
     @property
     def n_outputs(self) -> int:
@@ -236,9 +227,11 @@ class ModelSpec:
                 "layers": [{"kind": l.kind, **vars(l)} for l in self.layers]}
 
     @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(tuple(d["input_shape"]), tuple(
-            _layer_from_dict(i, ld) for i, ld in enumerate(d["layers"])))
+    def from_dict(d: dict, path: str = "spec") -> "ModelSpec":
+        layers = tuple(_layer_from_dict(f"{path}.layers[{i}]", ld)
+                       for i, ld in enumerate(d["layers"]))
+        with strict.at(path):
+            return ModelSpec(tuple(d["input_shape"]), layers)
 
 
 def desk_spec(n_outputs: int, input_shape=(3, 32, 32)) -> ModelSpec:
@@ -314,7 +307,7 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
     """
     if phase_tag not in PHASE_TAGS:
         raise ValidationError(f"unknown phase tag {phase_tag!r}")
-    if init not in ("fixed", "scaled"):
+    if init not in INITS:
         raise ValidationError(f"unknown init scheme {init!r}")
     shapes = spec.param_shapes()  # raises on a broken shape chain
     rng = np.random.default_rng(seed)

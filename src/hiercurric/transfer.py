@@ -40,7 +40,7 @@ class FeatureMatrix:
 @dataclass(frozen=True)
 class ProbeSpec:
     """Settings for one probe evaluation run."""
-    n_train_per_class: int = 10
+    n_train_per_class: int
     max_test_per_class: int = 50
     n_splits: int = 3
     seed: int = 0
@@ -49,6 +49,12 @@ class ProbeSpec:
     sgd: nk.SgdConfig = field(default_factory=lambda: nk.SgdConfig(
         base_lr=0.05, momentum=0.9, weight_decay=0.0, lr_gamma=1.0,
         lr_step=10_000, batch_size=32))
+
+    def __post_init__(self):
+        if min(self.n_train_per_class, self.max_test_per_class, self.n_splits,
+               self.iters) < 1:
+            raise ValidationError("n_train_per_class, max_test_per_class, "
+                                  "n_splits and iters must be >= 1")
 
 
 @dataclass(frozen=True)

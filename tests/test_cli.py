@@ -1,5 +1,9 @@
+import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,10 +276,10 @@ class TestTrainCmd:
     @pytest.mark.parametrize("regime, layers, match", [
         (None, [{"kind": "conv", "name": "c1", "maps": 4, "kw": 3},
                 {"kind": "fc", "name": "out", "units": 2}],
-         "'c1': conv missing field 'kh'"),
+         "model.layers[0]: missing key 'kh'"),
         (None, [{"kind": "relu", "name": "r1", "rate": 0.5},
                 {"kind": "fc", "name": "out", "units": 2}],
-         "'r1': relu unknown field 'rate'"),
+         "model.layers[0]: unknown key 'rate'"),
         ({"kind": "FacilitatedReplicatedHead", "phase_a": phase(seed=8),
           "phase_b": phase(), "pretrain_categories": ["sub_00_00"]}, None,
          "takes no pretrain_categories"),
@@ -371,6 +375,32 @@ class TestTrainCmd:
             assert (out / name / "curves.csv").exists()
             assert (out / name / "final.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_rejected_by_parser(self, tmp_path, capsys, jobs):
+        config_path, _ = train_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(config_path), "--jobs", jobs])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_two_jobs_write_the_tree_of_one(self, tmp_path):
+        regimes = [
+            {"name": "reference", "kind": "Reference", "phase_b": phase()},
+            {"name": "facilitated", "kind": "FacilitatedReplicatedHead",
+             "phase_a": phase(seed=21), "phase_b": phase(seed=22)},
+        ]
+        config_path, _ = train_config(tmp_path, regimes=regimes)
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["train", "--config", str(config_path), "--out",
+                             str(out), "--jobs", jobs]) == EXIT_OK
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) > 5
+        assert trees[0] == trees[1]
+
     def test_transfer_section_runs_probe(self, tmp_path):
         extra = {"transfer": {"n_train_per_class": 4, "max_test_per_class": 4,
                               "n_splits": 2, "seed": 41, "iters": 20}}
@@ -386,6 +416,239 @@ class TestTrainCmd:
                          "--out", "rel_run", "--dry-run"])
         assert code == EXIT_OK
         assert cli.resolve_out("rel_run") == tmp_path / "root" / "rel_run"
+
+
+DELETE = object()
+SUBSET = {"kind": "RandomSubsetPretrain", "phase_a": phase(seed=8),
+          "phase_b": phase(), "pretrain_sample": {"count": 1, "seed": 3}}
+CAP = {"cap": 4, "seed": 1}
+PROBE = {"n_train_per_class": 4, "seed": 41}
+INLINE = {"input_shape": [1, 8, 8],
+          "layers": [{"kind": "fc", "name": "out", "units": 4}]}
+MATRIX = [("regime", DELETE),
+          ("regimes", [{"name": "a", "kind": "Reference", "phase_b": phase()}])]
+
+
+def _case(case_id, edits, message=None):
+    """One bad config: ``edits`` are (dotted key, value) pairs applied to the
+    standard train config (DELETE drops the key; "" replaces the whole
+    config); ``message`` is what the error names, where a config check
+    rather than a library function rejects it."""
+    edits = [edits] if isinstance(edits, tuple) else edits
+    return pytest.param(edits, message, id=case_id)
+
+
+# every kind of rejection the config checks make
+CONFIG_REJECTIONS = [
+    # an unknown key at each nesting level
+    _case("unknown-root", ("surprise", 1), "config: unknown key 'surprise'"),
+    _case("unknown-output", ("output.x", 1), "output: unknown key 'x'"),
+    _case("unknown-taxonomy", ("taxonomy", {"synsets": "s", "marks": "m", "x": 1}),
+          "taxonomy: unknown key 'x'"),
+    _case("unknown-data", ("data.x", 1), "data: unknown key 'x'"),
+    _case("unknown-synthetic", ("data.synthetic.x", 1),
+          "data.synthetic: unknown key 'x'"),
+    _case("unknown-cap", ("data.cap", dict(CAP, x=1)), "data.cap: unknown key 'x'"),
+    _case("unknown-split", ("data.split.x", 1), "data.split: unknown key 'x'"),
+    _case("unknown-model", ("model.x", 1), "model: unknown key 'x'"),
+    _case("unknown-regime", ("regime.x", 1), "regime: unknown key 'x'"),
+    _case("unknown-phase", ("regime.phase_b.x", 1), "regime.phase_b: unknown key 'x'"),
+    _case("phase-max-iterations", ("regime.phase_b.max_iterations", 6),
+          "regime.phase_b: unknown key 'max_iterations'"),
+    _case("phase-task-level", ("regime.phase_b.task_level", "sub"),
+          "regime.phase_b: unknown key 'task_level'"),
+    _case("unknown-sgd", ("regime.phase_b.sgd.x", 1),
+          "regime.phase_b.sgd: unknown key 'x'"),
+    _case("unknown-pretrain-sample", [("regime", SUBSET),
+                                      ("regime.pretrain_sample.x", 1)],
+          "regime.pretrain_sample: unknown key 'x'"),
+    _case("unknown-regimes-item", MATRIX + [("regimes.0.x", 1)],
+          "regimes[0]: unknown key 'x'"),
+    _case("unknown-transfer", ("transfer", dict(PROBE, x=1)),
+          "transfer: unknown key 'x'"),
+    _case("transfer-sgd", ("transfer", dict(PROBE, sgd={})),
+          "transfer: unknown key 'sgd'"),
+    # a value of the wrong type
+    _case("type-str-int", ("data.synthetic.n_basic", "2"),
+          "data.synthetic.n_basic: must be int"),
+    _case("type-bool-float", ("data.synthetic.noise_scale", True),
+          "data.synthetic.noise_scale: must be float"),
+    _case("type-short-size", ("data.synthetic.image_size", [1, 8]),
+          "data.synthetic.image_size: must be tuple[int, int, int]"),
+    _case("type-str-seed", ("data.split.seed", "6"), "data.split.seed: must be int"),
+    _case("type-bool-int", ("regime.phase_b.iterations", True),
+          "regime.phase_b.iterations: must be int"),
+    _case("type-str-float", ("regime.phase_b.sgd.base_lr", "0.1"),
+          "regime.phase_b.sgd.base_lr: must be float"),
+    _case("type-null-float", ("regime.phase_b.sgd.momentum", None),
+          "regime.phase_b.sgd.momentum: must be float"),
+    _case("type-shape-item", ("model.input_shape", [1, "8", 8]),
+          "model.input_shape: must be tuple[int, int, int]"),
+    _case("type-regime-name", ("regime.name", 3),
+          "regime.name: must be non-empty str"),
+    _case("type-categories-item", [("regime", SUBSET),
+                                   ("regime.pretrain_sample", DELETE),
+                                   ("regime.pretrain_categories", [3])],
+          "regime.pretrain_categories[0]: must be str"),
+    _case("type-transfer-layer", ("transfer", dict(PROBE, layer=3)),
+          "transfer.layer: must be str | None"),
+    _case("type-directory", ("output.directory", 5),
+          "output.directory: must be non-empty str"),
+    _case("type-manifest", ("data.manifest", 5), "data.manifest: must be str"),
+    _case("type-layers", ("model", dict(INLINE, layers={})),
+          "model.layers: must be a non-empty list"),
+    _case("type-layer-item", ("model", dict(INLINE, layers=[5])),
+          "model.layers[0]: must be object"),
+    _case("type-regimes-item", MATRIX + [("regimes", [5])],
+          "regimes[0]: must be object"),
+    _case("type-section", ("data", []), "data: must be object"),
+    # a value below its minimum
+    _case("min-n-basic", ("data.synthetic.n_basic", 0),
+          "data.synthetic: all synthetic counts must be >= 1"),
+    _case("min-prototype-scale", ("data.synthetic.prototype_scale", 0),
+          "data.synthetic: prototype scale must be > 0"),
+    _case("min-noise-scale", ("data.synthetic.noise_scale", -1),
+          "data.synthetic: noise scale must be >= 0"),
+    _case("min-image-size", ("data.synthetic.image_size", [0, 8, 8]),
+          "data.synthetic: image dims must be >= 1"),
+    _case("min-split-train", ("data.split.n_train_per_class", 0)),
+    _case("min-split-test", ("data.split.max_test_per_class", 0)),
+    _case("min-cap", ("data.cap", {"cap": 0, "seed": 1})),
+    _case("min-iterations", ("regime.phase_b.iterations", 0),
+          "regime.phase_b: max_iterations must be >= 1"),
+    _case("min-eval-every", ("regime.phase_b.eval_every", 0),
+          "regime.phase_b: eval_every and checkpoint_every must be >= 1"),
+    _case("min-checkpoint-every", ("regime.phase_b.checkpoint_every", 0),
+          "regime.phase_b: eval_every and checkpoint_every must be >= 1"),
+    _case("min-lowered-prefix", ("regime.phase_b.lowered_prefix", -1),
+          "regime.phase_b: lowered_prefix must be >= 0"),
+    _case("max-lowered-mult", ("regime.phase_b.lowered_mult", 1.5),
+          "regime.phase_b: lowered_mult must be in [0, 1]"),
+    _case("min-base-lr", ("regime.phase_b.sgd.base_lr", -1),
+          "regime.phase_b.sgd: base_lr must be >= 0"),
+    _case("max-momentum", ("regime.phase_b.sgd.momentum", 1),
+          "regime.phase_b.sgd: momentum must be in [0, 1)"),
+    _case("min-weight-decay", ("regime.phase_b.sgd.weight_decay", -1),
+          "regime.phase_b.sgd: weight_decay must be >= 0"),
+    _case("min-lr-gamma", ("regime.phase_b.sgd.lr_gamma", 0),
+          "regime.phase_b.sgd: lr_gamma must be in (0, 1]"),
+    _case("min-lr-step", ("regime.phase_b.sgd.lr_step", 0),
+          "regime.phase_b.sgd: lr_step must be > 0"),
+    _case("min-batch-size", ("regime.phase_b.sgd.batch_size", 0),
+          "regime.phase_b.sgd: batch_size must be > 0"),
+    _case("min-sample-count", [("regime", SUBSET),
+                               ("regime.pretrain_sample.count", 0)]),
+    _case("min-input-shape", ("model.input_shape", [0, 8, 8]),
+          "model: input_shape (0, 8, 8) must be >= 1"),
+    _case("empty-regime-name", ("regime.name", ""),
+          "regime.name: must be non-empty str"),
+    _case("empty-directory", ("output.directory", ""),
+          "output.directory: must be non-empty str"),
+    _case("min-transfer-train", ("transfer", dict(PROBE, n_train_per_class=0)),
+          "transfer: n_train_per_class, max_test_per_class, n_splits and "
+          "iters must be >= 1"),
+    _case("min-transfer-test", ("transfer", dict(PROBE, max_test_per_class=0)),
+          "transfer: n_train_per_class"),
+    _case("min-transfer-splits", ("transfer", dict(PROBE, n_splits=0)),
+          "transfer: n_train_per_class"),
+    _case("min-transfer-iters", ("transfer", dict(PROBE, iters=0)),
+          "transfer: n_train_per_class"),
+    # each required seed, and the other required keys
+    _case("seed-synthetic", ("data.synthetic.seed", DELETE),
+          "data.synthetic: missing key 'seed'"),
+    _case("seed-split", ("data.split.seed", DELETE), "data.split: missing key 'seed'"),
+    _case("seed-cap", ("data.cap", {"cap": 4}), "data.cap: missing key 'seed'"),
+    _case("seed-phase-b", ("regime.phase_b.seed", DELETE),
+          "regime.phase_b: missing key 'seed'"),
+    _case("seed-phase-a", [("regime", SUBSET), ("regime.phase_a.seed", DELETE)],
+          "regime.phase_a: missing key 'seed'"),
+    _case("seed-pretrain-sample", [("regime", SUBSET),
+                                   ("regime.pretrain_sample.seed", DELETE)],
+          "regime.pretrain_sample: missing key 'seed'"),
+    _case("seed-transfer", ("transfer", {"n_train_per_class": 4}),
+          "transfer: missing key 'seed'"),
+    _case("need-data", ("data", DELETE), "config: missing key 'data'"),
+    _case("need-model", ("model", DELETE), "config: missing key 'model'"),
+    _case("need-kind", ("regime.kind", DELETE), "regime: missing key 'kind'"),
+    _case("need-phase-b", ("regime.phase_b", DELETE),
+          "regime: missing key 'phase_b'"),
+    _case("need-iterations", ("regime.phase_b.iterations", DELETE),
+          "regime.phase_b: missing key 'iterations'"),
+    _case("need-marks", ("taxonomy", {"synsets": "s"}),
+          "taxonomy: missing key 'marks'"),
+    _case("need-cap", ("data.cap", {"seed": 1}), "data.cap: missing key 'cap'"),
+    _case("need-split-train", ("data.split.n_train_per_class", DELETE),
+          "data.split: missing key 'n_train_per_class'"),
+    _case("need-sample-count", [("regime", SUBSET),
+                                ("regime.pretrain_sample.count", DELETE)],
+          "regime.pretrain_sample: missing key 'count'"),
+    _case("need-transfer-train", ("transfer", {"seed": 41}),
+          "transfer: missing key 'n_train_per_class'"),
+    # a value outside its enum
+    _case("enum-model-name", ("model.name", "resnet"),
+          "model.name: must be one of desk, alexnet, benchmark"),
+    _case("enum-regime-kind", ("regime.kind", "Bogus"),
+          "regime.kind: must be one of Reference"),
+    _case("enum-init", ("model.init", "xavier"),
+          "model.init: must be one of fixed, scaled"),
+    _case("enum-cap-level", ("data.cap", dict(CAP, level="leaf")),
+          "data.cap.level: must be one of basic, sub"),
+    # an empty list
+    _case("empty-layers", ("model", dict(INLINE, layers=[])),
+          "model.layers: must be a non-empty list"),
+    _case("empty-regimes", MATRIX + [("regimes", [])],
+          "regimes: must be a non-empty list"),
+    _case("empty-categories", [("regime", SUBSET),
+                               ("regime.pretrain_sample", DELETE),
+                               ("regime.pretrain_categories", [])],
+          "regime.pretrain_categories: must be a non-empty list"),
+    # a config that is not an object
+    _case("config-list", ("", []), "config: must be object"),
+    _case("config-number", ("", 3), "config: must be object"),
+    _case("config-null", ("", None), "config: must be object"),
+    # whole-number floats where an int belongs
+    _case("float-n-basic", ("data.synthetic.n_basic", 2.0),
+          "data.synthetic.n_basic: must be int"),
+    _case("float-iterations", ("regime.phase_b.iterations", 2.0),
+          "regime.phase_b.iterations: must be int"),
+    _case("float-batch-size", ("regime.phase_b.sgd.batch_size", 8.0),
+          "regime.phase_b.sgd.batch_size: must be int"),
+    _case("float-split-seed", ("data.split.seed", 6.0),
+          "data.split.seed: must be int"),
+]
+
+
+def _bad_config(tmp_path, edits):
+    config_path, config = train_config(tmp_path)
+    for dotted, value in edits:
+        if not dotted:
+            config = value
+            continue
+        *parents, last = dotted.split(".")
+        node = config
+        for key in parents:
+            node = node[int(key) if isinstance(node, list) else key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = copy.deepcopy(value)
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("edits, message", CONFIG_REJECTIONS)
+    def test_bad_config_exits_2_before_any_work(self, tmp_path, edits, message):
+        config_path = _bad_config(tmp_path, edits)
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edits, message", [
+        case for case in CONFIG_REJECTIONS if case.values[1] is not None])
+    def test_error_names_key_path(self, tmp_path, capsys, edits, message):
+        config_path = _bad_config(tmp_path, edits)
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -419,6 +682,19 @@ class TestProbeCmd:
         assert (out / "n2" / "probe.json").exists()
         assert (out / "n3" / "per_class_recall.csv").exists()
 
+
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_untrained_probe_exits_2(self, probe_fixtures, tmp_path, capsys,
+                                     iters):
+        data_dir, ckpt_path, _ = probe_fixtures
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--iters", iters, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "iters must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truncated_checkpoint_exits_2(self, probe_fixtures, tmp_path,
                                           capsys):
@@ -569,3 +845,13 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="disk full"):
             write(tmp_path, 1)
         assert tree() == before
+
+
+def test_cli_import_leaves_jsonschema_out():
+    src = Path(cli.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, hiercurric.cli; "
+         "print('jsonschema' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True)
+    assert result.stdout.strip() == "False"
