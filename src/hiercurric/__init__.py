@@ -8,7 +8,8 @@ all at a desk scale that runs in minutes on a CPU.
 
 __version__ = "0.1.0"
 
-from . import (benchmark, cli, config, curriculum, dataprep, files, model,
+# cli is left out: ``python -m hiercurric.cli`` must find it not yet imported
+from . import (benchmark, config, curriculum, dataprep, files, model,
                nnkernel, taxonomy, transfer)
 from .curriculum import (DataBundle, Regime, RunReport, TrainConfig,
                          checkpoint_sweep, run_regime, topk_accuracy,

@@ -2,7 +2,8 @@
 
 A config is a JSON object, checked whole before any work happens. Each
 section is checked against its row of the key table below, or built into
-its dataclass, whose own range checks then run. An unknown key, a missing
+its dataclass, whose own range checks then run; each regime is built into
+its ``curriculum.Regime``, whose recipe checks run. An unknown key, a missing
 required key, a value of the wrong type or out of range exits 2 with a
 message naming its dotted key path. Every seed must be written out
 explicitly; nothing is ever seeded from the clock.
@@ -65,30 +66,29 @@ def build_phase(section: dict, task_level: str) -> cu.TrainConfig:
 
 
 def build_regime(section: dict, graph, labelmap) -> cu.Regime:
-    kind = section["kind"]
-    recipe = cu.RECIPES[kind]
-    given = [k for k in ("pretrain_categories", "pretrain_sample") if k in section]
-    if len(given) > 1:
-        raise ValidationError(
-            "give pretrain_categories or pretrain_sample, not both")
-    if given and recipe.phase_a != "subset":
-        raise ValidationError(f"{kind} takes no {given[0]}")
-    phase_a = None
-    if "phase_a" in section:
-        phase_a = build_phase(section["phase_a"], recipe.phase_a_level)
-    categories: tuple[str, ...] = tuple(section.get("pretrain_categories", ()))
+    """The regime of a checked section; ``pretrain_sample`` draws its
+    categories from the graph's leaves that carry no basic mark."""
+    categories = section.get("pretrain_categories", ())
     if "pretrain_sample" in section:
         sample = section["pretrain_sample"]
         pool = sorted(set(graph.leaf_set) - set(graph.basic_marks))
-        if not 1 <= sample["count"] <= len(pool):
+        if sample["count"] > len(pool):
             raise ValidationError(
                 f"cannot sample {sample['count']} pretrain categories "
                 f"from {len(pool)} unmarked leaves")
         rng = np.random.default_rng(sample["seed"])
         chosen = rng.choice(len(pool), size=sample["count"], replace=False)
-        categories = tuple(pool[i] for i in sorted(chosen))
+        categories = [pool[i] for i in sorted(chosen)]
+    return _regime(section, categories)
+
+
+def _regime(section: dict, categories) -> cu.Regime:
+    kind = section["kind"]
+    phase_a = None
+    if "phase_a" in section:
+        phase_a = build_phase(section["phase_a"], cu.RECIPES[kind].phase_a_level)
     return cu.Regime(kind=kind, phase_b=build_phase(section["phase_b"], "sub"),
-                     phase_a=phase_a, pretrain_categories=categories)
+                     phase_a=phase_a, pretrain_categories=tuple(categories))
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +106,34 @@ def _phase(value, path):
         build_phase(value, "sub")
 
 
+def _check_regime(value, path):
+    """A regime section, checked by building its :class:`cu.Regime` before
+    any data exist; a pretrain sample stands in for the categories it draws."""
+    _section("regime")(value, path)
+    given = [k for k in ("pretrain_categories", "pretrain_sample") if k in value]
+    with strict.at(path):
+        if len(given) > 1:
+            raise ValidationError(
+                "give pretrain_categories or pretrain_sample, not both")
+        if given and cu.RECIPES[value["kind"]].phase_a != "subset":
+            raise ValidationError(f"{value['kind']} takes no {given[0]}")
+        _regime(value, value.get("pretrain_categories", given))
+
+
 # the keys of each section that has no dataclass, and their kinds; any key
 # named seed is required, and so is each key in _REQUIRED
 _SECTIONS = {
     "config": {"output": _section("output"), "taxonomy": _section("taxonomy"),
                "data": _section("data"), "model": _section("model"),
-               "regime": _section("regime"), "regimes": [_section("regime")],
+               "regime": _check_regime, "regimes": [_check_regime],
                "transfer": transfer.ProbeSpec},
     "output": {"directory": "non-empty str"},
     "taxonomy": {"synsets": "str", "marks": "str"},
     "data": {"synthetic": build_synth_spec, "manifest": "str",
              "images_root": "str", "cap": _section("cap"),
              "split": _section("split")},
-    "cap": {"level": ("basic", "sub"), "cap": "int", "seed": "int"},
-    "split": {"n_train_per_class": "int", "max_test_per_class": "int",
+    "cap": {"level": ("basic", "sub"), "cap": "int >= 1", "seed": "int"},
+    "split": {"n_train_per_class": "int >= 1", "max_test_per_class": "int >= 1",
               "seed": "int"},
     "model": {"name": tuple(_NAMED_SPECS), "input_shape": "tuple[int, int, int]",
               "init": md.INITS, "layers": ["object"]},
@@ -129,7 +143,7 @@ _SECTIONS = {
     "phase": {"iterations": "int", "seed": "int", "eval_every": "int",
               "checkpoint_every": "int", "lowered_prefix": "int",
               "lowered_mult": "float", "sgd": nk.SgdConfig},
-    "pretrain_sample": {"count": "int", "seed": "int"},
+    "pretrain_sample": {"count": "int >= 1", "seed": "int"},
 }
 _REQUIRED = {"config": ("data", "model"), "taxonomy": ("synsets", "marks"),
              "data": ("split",), "cap": ("cap",), "split": ("n_train_per_class",),

@@ -31,6 +31,8 @@ class Layer:
     are the descriptor a checkpoint manifest stores under its ``kind``, and
     defines its output-shape rule, its weight shape, and a ``forward`` and a
     ``backward`` that each make exactly one call into :mod:`nnkernel`.
+    ``backward`` returns the input gradient; with ``need_dx`` false a layer
+    may skip computing it, and what it returns in its place is unused.
     """
 
     def _error(self, message: str) -> ValidationError:
@@ -92,8 +94,8 @@ class Conv(Layer):
         return nk.conv2d_forward(x, *self._weights(params), self.stride,
                                  self.pad, self.groups)
 
-    def backward(self, params, grad, cache):
-        return self._set_grads(params, nk.conv2d_backward(grad, cache))
+    def backward(self, params, grad, cache, need_dx):
+        return self._set_grads(params, nk.conv2d_backward(grad, cache, need_dx))
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class MaxPool(Layer):
     def forward(self, params, x, mode, rng):
         return nk.maxpool_forward(x, self.window, self.stride)
 
-    def backward(self, params, grad, cache):
+    def backward(self, params, grad, cache, need_dx):
         return nk.pool_backward(grad, cache)
 
 
@@ -126,7 +128,7 @@ class Relu(Layer):
     def forward(self, params, x, mode, rng):
         return nk.relu_forward(x)
 
-    def backward(self, params, grad, cache):
+    def backward(self, params, grad, cache, need_dx):
         return nk.relu_backward(grad, cache)
 
 
@@ -139,7 +141,7 @@ class Dropout(Layer):
     def forward(self, params, x, mode, rng):
         return nk.dropout_forward(x, self.rate, mode, rng)
 
-    def backward(self, params, grad, cache):
+    def backward(self, params, grad, cache, need_dx):
         return nk.dropout_backward(grad, cache, self.rate)
 
 
@@ -158,7 +160,7 @@ class Fc(Layer):
     def forward(self, params, x, mode, rng):
         return nk.fc_forward(x, *self._weights(params))
 
-    def backward(self, params, grad, cache):
+    def backward(self, params, grad, cache, need_dx):
         return self._set_grads(params, nk.fc_backward(grad, cache))
 
 
@@ -349,15 +351,20 @@ def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
     return act, caches, captured
 
 
-def backward(params: nk.ParamSet, caches, dlogits):
-    """Backpropagate through cached layers, assigning parameter gradients."""
+def backward(params: nk.ParamSet, caches, dlogits) -> None:
+    """Backpropagate through cached layers, assigning parameter gradients.
+
+    Nothing reads the gradient with respect to the network's input, so the
+    first layer is asked not to compute it (a conv layer then skips its
+    input-gradient GEMM and col2im); every parameter gradient is computed.
+    """
     grad = dlogits
-    for layer, cache in reversed(caches):
+    for i in range(len(caches) - 1, -1, -1):
+        layer, cache = caches[i]
         try:
-            grad = layer.backward(params, grad, cache)
+            grad = layer.backward(params, grad, cache, need_dx=i > 0)
         except NumericFault as exc:
             raise NumericFault(f"layer {layer.name!r} backward: {exc}") from exc
-    return grad
 
 
 def forward_eval(ckpt: Checkpoint, batch) -> np.ndarray:

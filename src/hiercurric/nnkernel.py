@@ -90,8 +90,10 @@ class ParamSet:
     def add(self, name: str, weight: np.ndarray, lr_mult: float = 1.0) -> None:
         if name in self._entries:
             raise ValidationError(f"duplicate parameter name {name!r}")
+        # np.zeros leaves the pages unwritten (out of RSS) until first used
         self._entries[name] = ParamEntry(
-            weight, np.zeros_like(weight), np.zeros_like(weight), lr_mult)
+            weight, np.zeros(weight.shape, weight.dtype),
+            np.zeros(weight.shape, weight.dtype), lr_mult)
 
     def __getitem__(self, name: str) -> ParamEntry:
         return self._entries[name]
@@ -189,7 +191,10 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
         raise ValidationError(
             f"kernel {kernels.shape} larger than padded input {x.shape} (pad={pad})")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = x
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
     out = np.matmul(kernels.reshape(groups, k // groups, -1),
@@ -200,8 +205,12 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
     return out, ConvCache(xp, kernels, x.shape, stride, pad, groups)
 
 
-def conv2d_backward(dout, cache: ConvCache):
-    """Gradients for conv2d_forward: returns (dx, dkernels, dbias)."""
+def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
+    """Gradients for conv2d_forward: returns (dx, dkernels, dbias).
+
+    With ``need_dx`` false the input gradient is not computed, and dx is an
+    empty (0, C, H, W) array in dout's dtype.
+    """
     xp, kernels, stride, pad, groups = (
         cache.xp, cache.kernels, cache.stride, cache.pad, cache.groups)
     n, c, h, w = cache.x_shape
@@ -219,6 +228,10 @@ def conv2d_backward(dout, cache: ConvCache):
     dw = (dout_mat @ cols.transpose(0, 2, 1)).reshape(kernels.shape)
     dw = dw.astype(kernels.dtype, copy=False)
     del cols  # freed before dcols, a matrix of the same size, is allocated
+    if not need_dx:
+        dx = np.empty((0, c, h, w), dtype=dout.dtype)
+        _guard(dw, db)
+        return dx, dw, db
     kmat = kernels.reshape(groups, k // groups, -1)
     dcols = (kmat.transpose(0, 2, 1) @ dout_mat).reshape(c, kh, kw, n, out_h, out_w)
     # col2im: window offset (i, j) adds its (c, n, oh, ow) block at a stride
@@ -242,15 +255,37 @@ class PoolCache:
 
 
 def maxpool_forward(x, window: int, stride: int):
-    """Max over (window x window) patches; ties keep the lowest linear index."""
+    """Max over (window x window) patches; ties keep the lowest linear index.
+
+    The max is a running ``np.maximum`` over one strided view of ``x`` per
+    window offset, so no window tensor is copied. On a tie ``np.maximum``
+    returns its second operand, the running max, so the output holds the
+    value at the lowest tied offset, signed zeros included. The argmax
+    counts the leading offsets whose view differs from the max. A window
+    with a NaN gets its first NaN and that offset, as ``np.argmax`` does.
+    """
     n, c, h, w = x.shape
     if window > h or window > w:
         raise ValidationError(
             f"pool window {window} exceeds spatial dims of input {x.shape}")
-    win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(*win.shape[:4], window * window)
-    argmax = flat.argmax(axis=4)
-    out = np.take_along_axis(flat, argmax[..., None], axis=4)[..., 0]
+    out_h, out_w = (h - window) // stride + 1, (w - window) // stride + 1
+    views = [x[:, :, i:i + stride * (out_h - 1) + 1:stride,
+               j:j + stride * (out_w - 1) + 1:stride]
+             for i in range(window) for j in range(window)]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, out, out=out)
+    miss = views[0] != out  # no offset up to this one holds the max
+    argmax = miss.astype(np.intp)
+    for view in views[1:-1]:
+        miss &= view != out
+        argmax += miss
+    nan_out = np.isnan(out)
+    if nan_out.any():
+        for k in range(len(views) - 1, -1, -1):  # the lowest NaN offset wins
+            first = nan_out & np.isnan(views[k])
+            np.copyto(argmax, k, where=first)
+            np.copyto(out, views[k], where=first)
     _guard(out)
     return out, PoolCache(argmax, x.shape, window, stride)
 

@@ -12,6 +12,7 @@ from .errors import ValidationError
 
 # the JSON form of each field annotation a built dataclass may carry
 TYPES = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+         "int >= 1": lambda v: TYPES["int"](v) and v >= 1,
          "float": lambda v: TYPES["int"](v) or isinstance(v, float),
          "str": lambda v: isinstance(v, str),
          "non-empty str": lambda v: isinstance(v, str) and v != "",

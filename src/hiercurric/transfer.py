@@ -113,7 +113,7 @@ def train_softmax_probe(features: FeatureMatrix, labels, cfg: nk.SgdConfig,
     for it, idx in zip(range(iters), batches):
         logits, cache = head.forward(params, X[idx], "train", rng)
         _, dlogits = nk.softmax_xent(logits, labels[idx])
-        head.backward(params, dlogits, cache)
+        head.backward(params, dlogits, cache, need_dx=False)
         nk.sgd_step(params, cfg, it)
     return params["probe.weight"].weight, params["probe.bias"].weight
 

@@ -511,9 +511,12 @@ CONFIG_REJECTIONS = [
           "data.synthetic: noise scale must be >= 0"),
     _case("min-image-size", ("data.synthetic.image_size", [0, 8, 8]),
           "data.synthetic: image dims must be >= 1"),
-    _case("min-split-train", ("data.split.n_train_per_class", 0)),
-    _case("min-split-test", ("data.split.max_test_per_class", 0)),
-    _case("min-cap", ("data.cap", {"cap": 0, "seed": 1})),
+    _case("min-split-train", ("data.split.n_train_per_class", 0),
+          "data.split.n_train_per_class: must be int >= 1"),
+    _case("min-split-test", ("data.split.max_test_per_class", 0),
+          "data.split.max_test_per_class: must be int >= 1"),
+    _case("min-cap", ("data.cap", {"cap": 0, "seed": 1}),
+          "data.cap.cap: must be int >= 1"),
     _case("min-iterations", ("regime.phase_b.iterations", 0),
           "regime.phase_b: max_iterations must be >= 1"),
     _case("min-eval-every", ("regime.phase_b.eval_every", 0),
@@ -537,7 +540,8 @@ CONFIG_REJECTIONS = [
     _case("min-batch-size", ("regime.phase_b.sgd.batch_size", 0),
           "regime.phase_b.sgd: batch_size must be > 0"),
     _case("min-sample-count", [("regime", SUBSET),
-                               ("regime.pretrain_sample.count", 0)]),
+                               ("regime.pretrain_sample.count", 0)],
+          "regime.pretrain_sample.count: must be int >= 1"),
     _case("min-input-shape", ("model.input_shape", [0, 8, 8]),
           "model: input_shape (0, 8, 8) must be >= 1"),
     _case("empty-regime-name", ("regime.name", ""),
@@ -602,6 +606,33 @@ CONFIG_REJECTIONS = [
                                ("regime.pretrain_sample", DELETE),
                                ("regime.pretrain_categories", [])],
           "regime.pretrain_categories: must be a non-empty list"),
+    # a regime that its kind's recipe does not allow (phase A's level comes
+    # from the kind, so a config cannot set it wrong)
+    _case("kind-needs-phase-a", ("regime.kind", "FacilitatedReplicatedHead"),
+          "regime: FacilitatedReplicatedHead needs a phase A config"),
+    _case("kind-takes-no-phase-a", ("regime.phase_a", phase(seed=8)),
+          "regime: Reference takes no phase A"),
+    _case("matrix-kind-needs-phase-a",
+          MATRIX + [("regimes.0.kind", "FacilitatedRandomHead")],
+          "regimes[0]: FacilitatedRandomHead needs a phase A config"),
+    _case("lowered-on-phase-a", [("regime", SUBSET),
+                                 ("regime.phase_a.lowered_prefix", 1)],
+          "regime: lowered_prefix and lowered_mult act only on phase B"),
+    _case("lowered-on-reference", ("regime.phase_b.lowered_mult", 0.5),
+          "regime: Reference lowers no conv layers"),
+    _case("subset-needs-categories", [("regime", SUBSET),
+                                      ("regime.pretrain_sample", DELETE)],
+          "regime: RandomSubsetPretrain needs pretrain categories"),
+    _case("categories-on-facilitated",
+          [("regime", dict(SUBSET, kind="FacilitatedReplicatedHead")),
+           ("regime.pretrain_sample", DELETE),
+           ("regime.pretrain_categories", ["sub_00_00"])],
+          "regime: FacilitatedReplicatedHead takes no pretrain_categories"),
+    _case("sample-on-reference", ("regime.pretrain_sample", {"count": 1, "seed": 3}),
+          "regime: Reference takes no pretrain_sample"),
+    _case("both-pretrain-keys", [("regime", SUBSET),
+                                 ("regime.pretrain_categories", ["sub_00_00"])],
+          "regime: give pretrain_categories or pretrain_sample, not both"),
     # a config that is not an object
     _case("config-list", ("", []), "config: must be object"),
     _case("config-number", ("", 3), "config: must be object"),
@@ -855,3 +886,12 @@ def test_cli_import_leaves_jsonschema_out():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_module_runs_without_warnings():
+    src = Path(cli.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hiercurric.cli",
+         "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -268,6 +268,53 @@ class TestForwardEval:
             md.backward(small_ckpt.params, caches, np.full(logits.shape, np.nan))
 
 
+class TestBackward:
+    def test_grads_equal_a_hand_chain_with_full_first_layer(self):
+        ckpt = md.build_model(md.desk_spec(5), seed=3, init="scaled")
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((4, 3, 32, 32))
+        labels = np.array([0, 1, 2, 4])
+        logits, caches, _ = md.forward(ckpt.spec, ckpt.params, x, "train",
+                                       np.random.default_rng(5))
+        _, dlogits = nk.softmax_xent(logits, labels)
+        assert md.backward(ckpt.params, caches, dlogits) is None
+        got = {n: ckpt.params[n].grad.copy() for n in ckpt.params.names()}
+
+        grad = dlogits
+        for layer, cache in reversed(caches):  # every layer's dx computed
+            grad = layer.backward(ckpt.params, grad, cache, need_dx=True)
+        assert grad.shape == x.shape
+        for name in ckpt.params.names():
+            assert got[name].tobytes() == ckpt.params[name].grad.tobytes(), name
+
+    @pytest.mark.parametrize("first", [md.Relu("relu0"), md.Fc("fc0", 6)],
+                             ids=["relu", "fc"])
+    def test_spec_without_a_first_conv_trains(self, first):
+        spec = md.ModelSpec((2, 5, 5), (
+            first,
+            md.Fc("fc1", 8),
+            md.Relu("relu1"),
+            md.Fc("out", 3),
+        ))
+        ckpt = md.build_model(spec, seed=6, init="scaled")
+        before = {n: ckpt.params[n].weight.copy() for n in ckpt.params.names()}
+        cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
+                           lr_gamma=1.0, lr_step=10, batch_size=6)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((6, 2, 5, 5))
+        labels = np.arange(6) % 3
+        losses = []
+        for it in range(20):
+            logits, caches, _ = md.forward(spec, ckpt.params, x, "train", rng)
+            loss, dlogits = nk.softmax_xent(logits, labels)
+            md.backward(ckpt.params, caches, dlogits)
+            nk.sgd_step(ckpt.params, cfg, it)
+            losses.append(loss)
+        assert losses[-1] < losses[0]
+        for name in ckpt.params.names():
+            assert not np.array_equal(ckpt.params[name].weight, before[name]), name
+
+
 class TestCheckpointIO:
     def test_round_trip_byte_identical(self, small_ckpt, tmp_path):
         small_ckpt.rng_state = np.random.default_rng(3).bit_generator.state

@@ -52,18 +52,35 @@ def naive_conv2d_backward(dout, x, kernels, stride, pad, groups=1):
 
 
 def naive_maxpool(x, window, stride):
+    """(out, argmax) by loops: the argmax is the lowest flat offset holding
+    the window's max, or its first NaN; out is the value at that offset."""
     n, c, h, w = x.shape
     out_h = (h - window) // stride + 1
     out_w = (w - window) // stride + 1
-    out = np.zeros((n, c, out_h, out_w))
+    out = np.zeros((n, c, out_h, out_w), dtype=x.dtype)
+    argmax = np.zeros((n, c, out_h, out_w), dtype=np.intp)
     for ni in range(n):
         for ci in range(c):
             for y in range(out_h):
                 for xo in range(out_w):
                     patch = x[ni, ci, y * stride:y * stride + window,
-                              xo * stride:xo * stride + window]
-                    out[ni, ci, y, xo] = patch.max()
-    return out
+                              xo * stride:xo * stride + window].ravel()
+                    best = 0
+                    for k in range(1, patch.size):
+                        if math.isnan(patch[best]):
+                            break
+                        if math.isnan(patch[k]) or patch[k] > patch[best]:
+                            best = k
+                    out[ni, ci, y, xo] = patch[best]
+                    argmax[ni, ci, y, xo] = best
+    return out, argmax
+
+
+@pytest.fixture
+def unchecked():
+    prev = nk.set_checked(False)
+    yield
+    nk.set_checked(prev)
 
 
 class TestConvForward:
@@ -180,6 +197,24 @@ class TestConvBackward:
         dx, dw, _ = nk.conv2d_backward(np.ones_like(out), cache)
         assert (out.dtype, dx.dtype, dw.dtype) == (np.float32,) * 3
 
+    @pytest.mark.parametrize("x_shape,k_shape,stride,pad,groups", [
+        ((2, 3, 27, 27), (4, 3, 11, 11), 4, 0, 1),
+        ((2, 2, 8, 9), (3, 2, 3, 3), 3, 1, 1),
+        ((2, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),
+    ])
+    def test_no_dx_keeps_weight_gradients(self, x_shape, k_shape, stride, pad,
+                                          groups):
+        rng = np.random.default_rng(sum(k_shape))
+        x = rng.standard_normal(x_shape)
+        out, cache = nk.conv2d_forward(x, rng.standard_normal(k_shape),
+                                       np.zeros(k_shape[0]), stride, pad, groups)
+        dout = rng.standard_normal(out.shape)
+        _, dw, db = nk.conv2d_backward(dout, cache)
+        dx, dw_only, db_only = nk.conv2d_backward(dout, cache, need_dx=False)
+        assert dw_only.tobytes() == dw.tobytes()
+        assert db_only.tobytes() == db.tobytes()
+        assert dx.shape == (0,) + x_shape[1:] and dx.dtype == dout.dtype
+
     def test_backward_twice_byte_identical(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 4, 9, 9))
@@ -206,8 +241,36 @@ class TestMaxPool:
     def test_random_matches_naive(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 7, 7))
-        out, _ = nk.maxpool_forward(x, 3, 2)
-        np.testing.assert_array_equal(out, naive_maxpool(x, 3, 2))
+        out, cache = nk.maxpool_forward(x, 3, 2)
+        ref_out, ref_argmax = naive_maxpool(x, 3, 2)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(cache.argmax, ref_argmax)
+
+    @pytest.mark.parametrize("values", [
+        (0.0, -0.0),                                     # signed zeros tie
+        (-1.0, 0.0, 1.0),                                # many ties
+        (0.0, -0.0, np.inf, -np.inf, 1.0, -1.0),
+        (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0),
+    ], ids=["signed-zeros", "ties", "infinities", "nans"])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
+    @pytest.mark.parametrize("layout", ["nchw", "k-major"])
+    def test_bytes_and_argmax_match_naive(self, unchecked, values, window,
+                                          stride, layout):
+        rng = np.random.default_rng([window, stride, len(values)])
+        x = rng.choice(np.array(values), size=(2, 3, 9, 8))
+        if layout == "k-major":  # a conv output: (K, N, H, W) memory, seen as NCHW
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        out, cache = nk.maxpool_forward(x, window, stride)
+        ref_out, ref_argmax = naive_maxpool(x, window, stride)
+        assert out.tobytes() == ref_out.tobytes()
+        np.testing.assert_array_equal(cache.argmax, ref_argmax)
+
+    def test_float32_stays_float32(self):
+        x = np.random.default_rng(4).standard_normal((2, 2, 6, 6)).astype(np.float32)
+        out, cache = nk.maxpool_forward(x, 3, 2)
+        ref_out, ref_argmax = naive_maxpool(x, 3, 2)
+        assert out.dtype == np.float32 and out.tobytes() == ref_out.tobytes()
+        np.testing.assert_array_equal(cache.argmax, ref_argmax)
 
     def test_window_too_large(self):
         with pytest.raises(ValidationError, match="window"):
