@@ -8,7 +8,6 @@ validation accuracy curves plus final metrics.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,8 +20,6 @@ from . import nnkernel as nk
 from . import transfer
 from .errors import NumericFault, ValidationError
 from .taxonomy import LabelMap, SynsetGraph, first_marked_ancestor
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -199,8 +196,8 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     batches = dp.epoch_batches(rng, len(X), bs)
     for it, batch_idx in zip(range(cfg.max_iterations), batches):
         try:
-            logits, caches, _ = md.forward(work.spec, work.params, X[batch_idx],
-                                           mode="train", rng=rng)
+            logits, caches = md.forward(work.spec, work.params, X[batch_idx],
+                                        mode="train", rng=rng)
             loss, dlogits = nk.softmax_xent(logits, train_labels[batch_idx])
             md.backward(work.params, caches, dlogits)
             nk.sgd_step(work.params, cfg.sgd, it)
@@ -321,17 +318,15 @@ def run_regime(regime: Regime, bundle: DataBundle,
 
 def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest, store,
                      probe, labelmap: LabelMap | None = None) -> RunReport:
-    """Probe each checkpoint of a run; series keyed by stored iteration."""
-    loaded = [md.load_checkpoint(c) if not isinstance(c, md.Checkpoint) else c
-              for c in checkpoints]
-    if not loaded:
+    """Probe each loaded checkpoint of a run; series keyed by stored iteration."""
+    if not checkpoints:
         raise ValidationError("no checkpoints given")
-    iterations = [c.iteration for c in loaded]
+    iterations = [c.iteration for c in checkpoints]
     if any(b <= a for a, b in zip(iterations, iterations[1:])):
         raise ValidationError(
             f"checkpoint iterations must ascend, got {iterations}")
     report = RunReport()
-    for ckpt in loaded:
+    for ckpt in checkpoints:
         result = transfer.evaluate_probe(ckpt, manifest, store, probe, labelmap)
         report.curves.append((ckpt.iteration, "transfer", "mean_class_recall",
                               result.aggregate["mean"]))

@@ -328,27 +328,22 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
 # ---------------------------------------------------------------------------
 # forward / backward over a spec
 
-def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
-            rng: np.random.Generator | None = None, capture: str | None = None):
-    """Run the layer chain; returns (logits, caches, captured activation).
+def _layer_forward(layer: Layer, params: nk.ParamSet, x, mode: str, rng):
+    try:
+        return layer.forward(params, x, mode, rng)
+    except NumericFault as exc:
+        raise NumericFault(f"layer {layer.name!r} forward: {exc}") from exc
 
-    ``caches`` supports :func:`backward`; ``capture`` names a layer whose
-    output is returned flattened per sample (None to skip).
-    """
+
+def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
+            rng: np.random.Generator | None = None):
+    """Run the layer chain; returns (logits, caches) for :func:`backward`."""
     act = x
     caches = []
-    captured = None
     for layer in spec.layers:
-        try:
-            act, cache = layer.forward(params, act, mode, rng)
-        except NumericFault as exc:
-            raise NumericFault(f"layer {layer.name!r} forward: {exc}") from exc
+        act, cache = _layer_forward(layer, params, act, mode, rng)
         caches.append((layer, cache))
-        if capture is not None and layer.name == capture:
-            captured = act.reshape(act.shape[0], -1).copy()
-    if capture is not None and captured is None:
-        raise ValidationError(f"no layer named {capture!r}")
-    return act, caches, captured
+    return act, caches
 
 
 def backward(params: nk.ParamSet, caches, dlogits) -> None:
@@ -367,13 +362,24 @@ def backward(params: nk.ParamSet, caches, dlogits) -> None:
             raise NumericFault(f"layer {layer.name!r} backward: {exc}") from exc
 
 
-def forward_eval(ckpt: Checkpoint, batch) -> np.ndarray:
-    """Deterministic logits: dropout in eval mode, no generator consumed."""
+def forward_eval(ckpt: Checkpoint, batch, layer: str | None = None) -> np.ndarray:
+    """Deterministic output of ``layer`` (the logits when None).
+
+    Dropout runs in eval mode and no generator is consumed. Each layer's
+    cache is dropped as soon as it is made and the layers after ``layer``
+    do not run, so only the running activation stays alive.
+    """
     expected = (batch.shape[0],) + tuple(ckpt.spec.input_shape)
     if tuple(batch.shape) != expected:
         raise ValidationError(f"batch shape {batch.shape} != {expected}")
-    logits, _, _ = forward(ckpt.spec, ckpt.params, batch, mode="eval")
-    return logits
+    names = [l.name for l in ckpt.spec.layers]
+    if layer is not None and layer not in names:
+        raise ValidationError(f"no layer named {layer!r}")
+    stop = len(names) if layer is None else names.index(layer) + 1
+    act = batch
+    for step in ckpt.spec.layers[:stop]:
+        act = _layer_forward(step, ckpt.params, act, "eval", None)[0]
+    return act
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,10 @@ class ParamEntry:
     lr_mult: float = 1.0
 
     def copy(self) -> "ParamEntry":
-        return ParamEntry(self.weight.copy(), self.grad.copy(),
+        """Weight, momentum and lr_mult copied; the grad starts at zero,
+        since every backward overwrites it before anything reads it."""
+        return ParamEntry(self.weight.copy(),
+                          np.zeros(self.weight.shape, self.weight.dtype),
                           self.momentum.copy(), self.lr_mult)
 
 

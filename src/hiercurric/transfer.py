@@ -75,19 +75,22 @@ def _feature_layer(spec: md.ModelSpec, layer: str | None) -> str:
     return layer
 
 
+def _feature_rows(ckpt: md.Checkpoint, X: np.ndarray, name: str,
+                  batch_size: int = 256) -> np.ndarray:
+    """Eval-mode outputs of layer ``name``, flattened to one row per image."""
+    batches = (X[i:i + batch_size] for i in range(0, len(X), batch_size))
+    return np.concatenate([md.forward_eval(ckpt, batch, name).reshape(len(batch), -1)
+                           for batch in batches])
+
+
 def extract_features(ckpt: md.Checkpoint, manifest: dp.DatasetManifest,
                      layer: str | None, store,
                      batch_size: int = 256) -> FeatureMatrix:
     """Eval-mode activations at the named layer, one row per sample."""
     name = _feature_layer(ckpt.spec, layer)
-    rows = []
-    samples = manifest.samples
-    for i in range(0, len(samples), batch_size):
-        batch = dp.load_batch(store, samples[i:i + batch_size])
-        _, _, captured = md.forward(ckpt.spec, ckpt.params, batch,
-                                    mode="eval", capture=name)
-        rows.append(captured)
-    return FeatureMatrix(np.concatenate(rows), tuple(s.sample_id for s in samples),
+    X = dp.load_batch(store, manifest.samples)
+    return FeatureMatrix(_feature_rows(ckpt, X, name, batch_size),
+                         tuple(s.sample_id for s in manifest.samples),
                          source_layer=name)
 
 
@@ -151,21 +154,6 @@ def _class_labels(manifest: dp.DatasetManifest, labelmap: LabelMap | None):
     return np.array([index[l] for l in manifest.leaf_ids()]), len(classes)
 
 
-def _refuse_cross_split_duplicates(train, test, store):
-    def digests(manifest):
-        out = {}
-        for s in manifest.samples:
-            out[hashlib.sha256(
-                np.ascontiguousarray(store.load(s)).tobytes()).hexdigest()] = s
-        return out
-
-    shared = digests(train).keys() & digests(test).keys()
-    if shared:
-        raise ValidationError(
-            "exact-duplicate images span train and test within a split; "
-            "run overlap removal first")
-
-
 def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest, store,
                    probe: ProbeSpec,
                    labelmap: LabelMap | None = None) -> ProbeResult:
@@ -177,32 +165,32 @@ def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest, store,
     ids when no map is given (external datasets).
     """
     backbone_before = md.body_hash(ckpt)
-    all_labels, n_classes = _class_labels(manifest, labelmap)
-    label_of = dict(zip((s.sample_id for s in manifest.samples), all_labels))
-    features = extract_features(ckpt, manifest, probe.layer, store)
-    row_of = {sid: i for i, sid in enumerate(features.sample_ids)}
+    labels, n_classes = _class_labels(manifest, labelmap)
+    name = _feature_layer(ckpt.spec, probe.layer)
+    X = dp.load_batch(store, manifest.samples)
+    digests = [hashlib.sha256(row.tobytes()).hexdigest() for row in X]
+    ids = tuple(s.sample_id for s in manifest.samples)
+    features = FeatureMatrix(_feature_rows(ckpt, X, name), ids, name)
+    position = {sid: i for i, sid in enumerate(ids)}
 
     splits = dp.random_class_splits(manifest, probe.n_train_per_class,
                                     probe.max_test_per_class,
                                     probe.n_splits, probe.seed)
     per_split = []
     for split_i, (train, test) in enumerate(splits):
-        _refuse_cross_split_duplicates(train, test, store)
-
-        def rows_and_labels(part):
-            idx = [row_of[s.sample_id] for s in part.samples]
-            labels = np.array([label_of[s.sample_id] for s in part.samples])
-            return FeatureMatrix(features.rows[idx],
-                                 tuple(s.sample_id for s in part.samples),
-                                 features.source_layer), labels
-
-        train_feats, train_labels = rows_and_labels(train)
-        test_feats, test_labels = rows_and_labels(test)
-        w, b = train_softmax_probe(train_feats, train_labels, probe.sgd,
+        train_idx = [position[s.sample_id] for s in train.samples]
+        test_idx = [position[s.sample_id] for s in test.samples]
+        if {digests[i] for i in train_idx} & {digests[i] for i in test_idx}:
+            raise ValidationError(
+                "exact-duplicate images span train and test within a split; "
+                "run overlap removal first")
+        train_feats = FeatureMatrix(features.rows[train_idx],
+                                    tuple(ids[i] for i in train_idx), name)
+        w, b = train_softmax_probe(train_feats, labels[train_idx], probe.sgd,
                                    probe.iters, probe.seed + split_i)
-        logits = test_feats.rows @ w.T + b
-        predictions = logits.argmax(axis=1)
-        mean, per_class = mean_class_recall(predictions, test_labels, n_classes)
+        logits = features.rows[test_idx] @ w.T + b
+        mean, per_class = mean_class_recall(logits.argmax(axis=1),
+                                            labels[test_idx], n_classes)
         per_split.append((split_i, mean, per_class))
 
     means = np.array([m for _, m, _ in per_split])

@@ -192,10 +192,10 @@ def test_composed_desk_network_gradients():
     spec, ckpt, batch, labels, rng = composed_test_point(seed=0)
 
     def loss():
-        logits, _, _ = md.forward(spec, ckpt.params, batch, mode="eval")
+        logits, _ = md.forward(spec, ckpt.params, batch, mode="eval")
         return nk.softmax_xent(logits, labels)[0]
 
-    logits, caches, _ = md.forward(spec, ckpt.params, batch, mode="eval")
+    logits, caches = md.forward(spec, ckpt.params, batch, mode="eval")
     _, dlogits = nk.softmax_xent(logits, labels)
     md.backward(ckpt.params, caches, dlogits)
 

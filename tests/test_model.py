@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ class TestLrMults:
         batch = rng.random((2, 3, 8, 8))
         labels = np.array([0, 1])
         for it in range(3):
-            logits, caches, _ = md.forward(ckpt.spec, ckpt.params, batch, "train", rng)
+            logits, caches = md.forward(ckpt.spec, ckpt.params, batch, "train", rng)
             _, dlogits = nk.softmax_xent(logits, labels)
             md.backward(ckpt.params, caches, dlogits)
             nk.sgd_step(ckpt.params, cfg, it)
@@ -252,8 +253,8 @@ class TestForwardEval:
         ))
         ckpt = md.build_model(spec, seed=4)
         batch = np.random.default_rng(5).random((2, 1, 6, 6))
-        train_logits, _, _ = md.forward(spec, ckpt.params, batch, "train",
-                                        np.random.default_rng(0))
+        train_logits, _ = md.forward(spec, ckpt.params, batch, "train",
+                                     np.random.default_rng(0))
         np.testing.assert_array_equal(train_logits, md.forward_eval(ckpt, batch))
 
     def test_batch_shape_checked(self):
@@ -263,9 +264,82 @@ class TestForwardEval:
 
     def test_backward_fault_names_layer_and_direction(self, small_ckpt):
         x = np.zeros((2,) + small_ckpt.spec.input_shape)
-        logits, caches, _ = md.forward(small_ckpt.spec, small_ckpt.params, x)
+        logits, caches = md.forward(small_ckpt.spec, small_ckpt.params, x)
         with pytest.raises(NumericFault, match=r"layer 'fc2' backward: non-finite"):
             md.backward(small_ckpt.params, caches, np.full(logits.shape, np.nan))
+
+    @pytest.mark.parametrize("stop", [l.name for l in md.desk_spec(5).layers])
+    def test_layer_output_equals_a_hand_chain(self, stop):
+        ckpt = md.build_model(md.desk_spec(5), seed=6, init="scaled")
+        x = np.random.default_rng(7).standard_normal((3, 3, 32, 32))
+        act = x
+        for layer in ckpt.spec.layers:
+            act, _ = layer.forward(ckpt.params, act, "eval", None)
+            if layer.name == stop:
+                break
+        got = md.forward_eval(ckpt, x, stop)
+        assert got.shape == act.shape
+        assert got.tobytes() == act.tobytes()
+
+    def test_default_is_forward_logits(self):
+        ckpt = md.build_model(md.desk_spec(5), seed=6, init="scaled")
+        x = np.random.default_rng(8).standard_normal((3, 3, 32, 32))
+        logits, _ = md.forward(ckpt.spec, ckpt.params, x, "eval")
+        assert md.forward_eval(ckpt, x).tobytes() == logits.tobytes()
+
+    def test_unknown_layer_rejected(self, small_ckpt):
+        x = np.zeros((2,) + small_ckpt.spec.input_shape)
+        with pytest.raises(ValidationError, match="no layer named 'nope'"):
+            md.forward_eval(small_ckpt, x, "nope")
+
+    def test_forward_fault_names_layer(self):
+        ckpt = md.build_model(md.desk_spec(4, input_shape=(3, 8, 8)), seed=1)
+        ckpt.params["conv2.weight"].weight[0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericFault, match=r"layer 'conv2' forward: non-finite"):
+            md.forward_eval(ckpt, np.ones((2, 3, 8, 8)), "relu3")
+
+    def test_holds_no_caches(self):
+        """Peak traced memory over one desk batch of 64 stays below the
+        training forward's, which keeps every layer's cache until it returns."""
+        ckpt = md.build_model(md.desk_spec(5), seed=6, init="scaled")
+        x = np.random.default_rng(9).standard_normal((64, 3, 32, 32))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        eval_peak = peak(lambda: md.forward_eval(ckpt, x))
+        train_peak = peak(lambda: md.forward(ckpt.spec, ckpt.params, x, "eval"))
+        assert eval_peak < train_peak
+
+
+class TestParamCopy:
+    def test_copy_after_backward_has_zero_grads(self):
+        ckpt = md.build_model(md.desk_spec(4, input_shape=(3, 8, 8)), seed=2,
+                              init="scaled")
+        cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
+                           lr_gamma=1.0, lr_step=10, batch_size=2)
+        rng = np.random.default_rng(3)
+        x = rng.random((2, 3, 8, 8))
+        for it in range(2):
+            logits, caches = md.forward(ckpt.spec, ckpt.params, x, "train", rng)
+            _, dlogits = nk.softmax_xent(logits, np.array([0, 3]))
+            md.backward(ckpt.params, caches, dlogits)
+            nk.sgd_step(ckpt.params, cfg, it)
+        out = ckpt.copy()
+        for name in ckpt.params.names():
+            src, dst = ckpt.params[name], out.params[name]
+            assert src.grad.any() and src.momentum.any(), name
+            assert not dst.grad.any(), name
+            assert dst.grad.shape == src.grad.shape
+            assert dst.grad.dtype == src.grad.dtype
+            assert dst.weight.tobytes() == src.weight.tobytes(), name
+            assert dst.momentum.tobytes() == src.momentum.tobytes(), name
+            assert dst.weight is not src.weight and dst.momentum is not src.momentum
 
 
 class TestBackward:
@@ -274,8 +348,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 3, 32, 32))
         labels = np.array([0, 1, 2, 4])
-        logits, caches, _ = md.forward(ckpt.spec, ckpt.params, x, "train",
-                                       np.random.default_rng(5))
+        logits, caches = md.forward(ckpt.spec, ckpt.params, x, "train",
+                                    np.random.default_rng(5))
         _, dlogits = nk.softmax_xent(logits, labels)
         assert md.backward(ckpt.params, caches, dlogits) is None
         got = {n: ckpt.params[n].grad.copy() for n in ckpt.params.names()}
@@ -305,7 +379,7 @@ class TestBackward:
         labels = np.arange(6) % 3
         losses = []
         for it in range(20):
-            logits, caches, _ = md.forward(spec, ckpt.params, x, "train", rng)
+            logits, caches = md.forward(spec, ckpt.params, x, "train", rng)
             loss, dlogits = nk.softmax_xent(logits, labels)
             md.backward(ckpt.params, caches, dlogits)
             nk.sgd_step(ckpt.params, cfg, it)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,27 @@ class TestEvaluateProbe:
         with pytest.raises(ValidationError, match="duplicate"):
             transfer.evaluate_probe(ckpt, manifest, dp.InMemoryStore(base),
                                     probe, labelmap=None)
+
+    def test_each_image_loaded_once(self, bundle_pair):
+        data, bundle = bundle_pair
+        loads = Counter()
+
+        class CountingStore:
+            def load(self, sample):
+                loads[sample.sample_id] += 1
+                return bundle.store.load(sample)
+
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
+                              init="scaled")
+        manifest = small_manifest(data, per_class=8)
+        probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
+                                   n_splits=3, seed=3, iters=10)
+        counted = transfer.evaluate_probe(ckpt, manifest, CountingStore(), probe,
+                                          bundle.labelmap)
+        assert loads == Counter(s.sample_id for s in manifest.samples)
+        plain = transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
+                                        bundle.labelmap)
+        assert counted.aggregate == plain.aggregate
 
     def test_save_probe_result_files(self, bundle_pair, tmp_path):
         data, bundle = bundle_pair
