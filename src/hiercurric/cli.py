@@ -115,9 +115,11 @@ def cmd_dedup(args) -> int:
     man_a = dp.load_manifest(args.manifest_a)
     man_b = dp.load_manifest(args.manifest_b or args.manifest_a)
     store_a = dp.RawFileStore(args.images_a)
-    store_b = dp.RawFileStore(args.images_b or args.images_a)
     images_a = {s.sample_id: store_a.load(s) for s in man_a.samples}
-    images_b = {s.sample_id: store_b.load(s) for s in man_b.samples}
+    images_b = images_a
+    if args.manifest_b or args.images_b:
+        store_b = dp.RawFileStore(args.images_b or args.images_a)
+        images_b = {s.sample_id: store_b.load(s) for s in man_b.samples}
     matches, filtered = dp.find_overlaps(man_a, man_b, args.threshold,
                                          images_a, images_b)
     out = resolve_out(args.out)
@@ -226,8 +228,9 @@ def cmd_train(args) -> int:
 
         if "transfer" in config:
             probe = transfer.ProbeSpec(**config["transfer"])
+            images = dp.load_batch(store, manifest.samples)
             for name, ckpt in final_ckpts.items():
-                result = transfer.evaluate_probe(ckpt, manifest, store, probe,
+                result = transfer.evaluate_probe(ckpt, manifest, images, probe,
                                                  labelmap)
                 transfer.save_probe_result(
                     result, (out if single else out / name) / "transfer")
@@ -244,26 +247,29 @@ def _missing_out():
 
 
 def _probe_inputs(args):
-    """Manifest, image store, label map (None if not given) and one probe
-    spec per ``--n-train`` value, shared by probe and sweep."""
+    """Manifest, its images loaded once, label map (None if not given) and
+    one probe spec per ``--n-train`` value, shared by probe and sweep."""
     labelmap = (taxonomy.labelmap_from_csv(args.labelmap)
                 if args.labelmap else None)
     specs = [transfer.ProbeSpec(
         n_train_per_class=n_train, max_test_per_class=args.max_test,
         n_splits=args.splits, seed=args.seed, iters=args.iters,
         layer=args.layer) for n_train in args.n_train]
-    return (dp.load_manifest(args.manifest), dp.RawFileStore(args.images),
-            labelmap, specs)
+    manifest = dp.load_manifest(args.manifest)
+    images = dp.load_batch(dp.RawFileStore(args.images), manifest.samples)
+    return manifest, images, labelmap, specs
 
 
 def cmd_probe(args) -> int:
+    if len(set(args.n_train)) < len(args.n_train):
+        raise ValidationError(f"--n-train values repeat: {args.n_train}")
     ckpt = md.load_checkpoint(args.checkpoint)
-    manifest, store, labelmap, specs = _probe_inputs(args)
+    manifest, images, labelmap, specs = _probe_inputs(args)
     out = resolve_out(args.out)
     rows = []
     for spec in specs:
         n_train = spec.n_train_per_class
-        result = transfer.evaluate_probe(ckpt, manifest, store, spec, labelmap)
+        result = transfer.evaluate_probe(ckpt, manifest, images, spec, labelmap)
         transfer.save_probe_result(result, out / f"n{n_train}")
         rows.append((n_train, repr(result.aggregate["mean"]),
                      repr(result.aggregate["std"])))
@@ -279,8 +285,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep takes one --n-train")
     loaded = [md.load_checkpoint(p) for p in args.checkpoints]
     loaded.sort(key=lambda c: c.iteration)
-    manifest, store, labelmap, (spec,) = _probe_inputs(args)
-    report = cu.checkpoint_sweep(loaded, manifest, store, spec, labelmap)
+    manifest, images, labelmap, (spec,) = _probe_inputs(args)
+    report = cu.checkpoint_sweep(loaded, manifest, images, spec, labelmap)
     out = resolve_out(args.out)
     cu.save_run_report(report, out)
     print(f"swept {len(loaded)} checkpoints -> {out / 'curves.csv'}")

@@ -147,15 +147,6 @@ def topk_accuracy(logits, labels, k: int) -> float:
     return float((ranked == labels[:, None]).any(axis=1).mean())
 
 
-def _labels_for(manifest: dp.DatasetManifest, labelmap: LabelMap,
-                task_level: str) -> np.ndarray:
-    picker = labelmap.basic_index if task_level == "basic" else labelmap.sub_index
-    try:
-        return np.array([picker(leaf) for leaf in manifest.leaf_ids()])
-    except KeyError as exc:
-        raise ValidationError(f"manifest leaf {exc.args[0]!r} not in label map")
-
-
 def _eval_metrics(ckpt, X, labels, batch_size):
     logits = np.concatenate([
         md.forward_eval(ckpt, X[i:i + batch_size])
@@ -176,8 +167,8 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     shuffle per epoch with the last partial batch kept; the learning-rate
     schedule restarts at iteration 0 for the phase.
     """
-    train_labels = _labels_for(train, labelmap, cfg.task_level)
-    val_labels = _labels_for(val, labelmap, cfg.task_level)
+    train_labels = np.array(labelmap.indices(train.leaf_ids(), cfg.task_level))
+    val_labels = np.array(labelmap.indices(val.leaf_ids(), cfg.task_level))
     if len(train) == 0:
         raise ValidationError("empty training manifest")
     n_out = ckpt.spec.n_outputs
@@ -316,9 +307,11 @@ def run_regime(regime: Regime, bundle: DataBundle,
     return final, report
 
 
-def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest, store,
-                     probe, labelmap: LabelMap | None = None) -> RunReport:
-    """Probe each loaded checkpoint of a run; series keyed by stored iteration."""
+def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest,
+                     images: np.ndarray, probe,
+                     labelmap: LabelMap | None = None) -> RunReport:
+    """Probe each loaded checkpoint of a run on the manifest's ``images``
+    array; series keyed by stored iteration."""
     if not checkpoints:
         raise ValidationError("no checkpoints given")
     iterations = [c.iteration for c in checkpoints]
@@ -327,7 +320,7 @@ def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest, store,
             f"checkpoint iterations must ascend, got {iterations}")
     report = RunReport()
     for ckpt in checkpoints:
-        result = transfer.evaluate_probe(ckpt, manifest, store, probe, labelmap)
+        result = transfer.evaluate_probe(ckpt, manifest, images, probe, labelmap)
         report.curves.append((ckpt.iteration, "transfer", "mean_class_recall",
                               result.aggregate["mean"]))
     report.final["last_mean_class_recall"] = report.curves[-1][3]

@@ -22,7 +22,6 @@ from .taxonomy import LabelMap, SynsetGraph, build_graph
 
 log = logging.getLogger(__name__)
 
-SPLIT_TAGS = ("train", "val", "test")
 MANIFEST_COLUMNS = ("sample_id", "path", "leaf_id")
 
 
@@ -36,11 +35,8 @@ class Sample:
 @dataclass(frozen=True)
 class DatasetManifest:
     samples: tuple[Sample, ...]
-    split_tag: str = "train"
 
     def __post_init__(self):
-        if self.split_tag not in SPLIT_TAGS:
-            raise ValidationError(f"unknown split tag {self.split_tag!r}")
         ids = [s.sample_id for s in self.samples]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate sample ids in manifest")
@@ -199,9 +195,9 @@ def random_class_splits(manifest: DatasetManifest, n_train_per_class: int,
             rest = order[n_train_per_class:n_train_per_class + max_test_per_class]
             test_pos.extend(positions[i] for i in rest)
         train = replace(manifest, samples=tuple(
-            manifest.samples[i] for i in sorted(train_pos)), split_tag="train")
+            manifest.samples[i] for i in sorted(train_pos)))
         test = replace(manifest, samples=tuple(
-            manifest.samples[i] for i in sorted(test_pos)), split_tag="test")
+            manifest.samples[i] for i in sorted(test_pos)))
         splits.append((train, test))
     return splits
 
@@ -341,6 +337,9 @@ class RawFileStore:
 
 
 def load_batch(store, samples) -> np.ndarray:
+    """The samples' images stacked into one ``(N, C, H, W)`` array."""
+    if not samples:
+        raise ValidationError("no samples to load: the manifest is empty")
     return np.stack([store.load(s) for s in samples])
 
 
@@ -361,10 +360,9 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
                     [(s.sample_id, s.source, s.leaf_id) for s in manifest.samples])
 
 
-def load_manifest(path, split_tag: str = "train") -> DatasetManifest:
-    samples = tuple(Sample(row["sample_id"], row["path"], row["leaf_id"])
-                    for _, row in files.read_csv(path, MANIFEST_COLUMNS))
-    return DatasetManifest(samples, split_tag=split_tag)
+def load_manifest(path) -> DatasetManifest:
+    return DatasetManifest(tuple(Sample(row["sample_id"], row["path"], row["leaf_id"])
+                                 for _, row in files.read_csv(path, MANIFEST_COLUMNS)))
 
 
 def save_dataset(data: SyntheticData, out_dir) -> None:

@@ -65,8 +65,14 @@ class LabelMap:
     def n_basic(self) -> int:
         return len(self.basic_names)
 
-    def sub_index(self, leaf_id: str) -> int:
-        return self.entries[leaf_id][0]
+    def indices(self, leaf_ids, level: str) -> list[int]:
+        """The ``"sub"`` or ``"basic"`` index of each leaf, in order."""
+        column = 0 if level == "sub" else 1
+        try:
+            return [self.entries[leaf][column] for leaf in leaf_ids]
+        except KeyError as exc:
+            raise ValidationError(
+                f"manifest leaf {exc.args[0]!r} not in label map") from None
 
     def basic_index(self, leaf_id: str) -> int:
         return self.entries[leaf_id][1]

@@ -25,19 +25,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    rows: np.ndarray               # (N, D)
-    sample_ids: tuple[str, ...]
-    source_layer: str
-
-    def __post_init__(self):
-        if self.rows.shape[0] != len(self.sample_ids):
-            raise ValidationError("row count != sample id count")
-        if not np.all(np.isfinite(self.rows)):
-            raise ValidationError("non-finite feature values")
-
-
-@dataclass(frozen=True)
 class ProbeSpec:
     """Settings for one probe evaluation run."""
     n_train_per_class: int
@@ -67,38 +54,29 @@ class ProbeResult:
 def _feature_layer(spec: md.ModelSpec, layer: str | None) -> str:
     if layer is None:
         return spec.layers[-2].name
-    names = [l.name for l in spec.layers]
-    if layer not in names:
-        raise ValidationError(f"no layer named {layer!r}")
-    if names.index(layer) >= len(names) - 1:
+    if layer == spec.layers[-1].name:
         raise ValidationError("feature layer must precede the output head")
     return layer
 
 
-def _feature_rows(ckpt: md.Checkpoint, X: np.ndarray, name: str,
-                  batch_size: int = 256) -> np.ndarray:
-    """Eval-mode outputs of layer ``name``, flattened to one row per image."""
-    batches = (X[i:i + batch_size] for i in range(0, len(X), batch_size))
-    return np.concatenate([md.forward_eval(ckpt, batch, name).reshape(len(batch), -1)
-                           for batch in batches])
-
-
-def extract_features(ckpt: md.Checkpoint, manifest: dp.DatasetManifest,
-                     layer: str | None, store,
-                     batch_size: int = 256) -> FeatureMatrix:
-    """Eval-mode activations at the named layer, one row per sample."""
+def extract_features(ckpt: md.Checkpoint, images: np.ndarray,
+                     layer: str | None = None) -> np.ndarray:
+    """Eval-mode outputs of ``layer`` (default: the output head's input),
+    flattened to one row per image of the ``(N, C, H, W)`` array."""
     name = _feature_layer(ckpt.spec, layer)
-    X = dp.load_batch(store, manifest.samples)
-    return FeatureMatrix(_feature_rows(ckpt, X, name, batch_size),
-                         tuple(s.sample_id for s in manifest.samples),
-                         source_layer=name)
+    batches = (images[i:i + 256] for i in range(0, len(images), 256))
+    rows = np.concatenate([md.forward_eval(ckpt, batch, name).reshape(len(batch), -1)
+                           for batch in batches])
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("non-finite feature values")
+    return rows
 
 
-def train_softmax_probe(features: FeatureMatrix, labels, cfg: nk.SgdConfig,
+def train_softmax_probe(rows: np.ndarray, labels, cfg: nk.SgdConfig,
                         iters: int, seed: int):
     """Train a single fc + softmax head on frozen rows; returns (W, b)."""
     labels = np.asarray(labels)
-    if labels.shape[0] != features.rows.shape[0]:
+    if labels.shape[0] != rows.shape[0]:
         raise ValidationError("labels not aligned to feature rows")
     n_classes = int(labels.max()) + 1
     if len(np.unique(labels)) < 2:
@@ -107,14 +85,12 @@ def train_softmax_probe(features: FeatureMatrix, labels, cfg: nk.SgdConfig,
     rng = np.random.default_rng(seed)
     head = md.Fc("probe", n_classes)
     params = nk.ParamSet()
-    params.add("probe.weight",
-               nk.default_init((n_classes, features.rows.shape[1]), rng))
+    params.add("probe.weight", nk.default_init((n_classes, rows.shape[1]), rng))
     params.add("probe.bias", np.zeros(n_classes))
 
-    X = features.rows
-    batches = dp.epoch_batches(rng, len(X), cfg.batch_size)
+    batches = dp.epoch_batches(rng, len(rows), cfg.batch_size)
     for it, idx in zip(range(iters), batches):
-        logits, cache = head.forward(params, X[idx], "train", rng)
+        logits, cache = head.forward(params, rows[idx], "train", rng)
         _, dlogits = nk.softmax_xent(logits, labels[idx])
         head.backward(params, dlogits, cache, need_dx=False)
         nk.sgd_step(params, cfg, it)
@@ -147,31 +123,31 @@ def mean_class_recall(predictions, labels, n_classes: int):
 
 def _class_labels(manifest: dp.DatasetManifest, labelmap: LabelMap | None):
     if labelmap is not None:
-        return (np.array([labelmap.sub_index(l) for l in manifest.leaf_ids()]),
-                labelmap.n_sub)
+        return np.array(labelmap.indices(manifest.leaf_ids(), "sub")), labelmap.n_sub
     classes = sorted(set(manifest.leaf_ids()))
     index = {c: i for i, c in enumerate(classes)}
     return np.array([index[l] for l in manifest.leaf_ids()]), len(classes)
 
 
-def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest, store,
-                   probe: ProbeSpec,
+def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest,
+                   images: np.ndarray, probe: ProbeSpec,
                    labelmap: LabelMap | None = None) -> ProbeResult:
     """Random-split probe protocol on frozen backbone features.
 
-    Per split: train a softmax head on n_train_per_class features per class,
-    evaluate mean class recall on up to max_test_per_class held-out samples.
-    Classes come from the label map's subordinate index, or from sorted leaf
-    ids when no map is given (external datasets).
+    ``images`` is the ``(N, C, H, W)`` array of ``manifest.samples``, in
+    order. Per split: train a softmax head on n_train_per_class features per
+    class, evaluate mean class recall on up to max_test_per_class held-out
+    samples. Classes come from the label map's subordinate index, or from
+    sorted leaf ids when no map is given (external datasets).
     """
     backbone_before = md.body_hash(ckpt)
     labels, n_classes = _class_labels(manifest, labelmap)
-    name = _feature_layer(ckpt.spec, probe.layer)
-    X = dp.load_batch(store, manifest.samples)
-    digests = [hashlib.sha256(row.tobytes()).hexdigest() for row in X]
-    ids = tuple(s.sample_id for s in manifest.samples)
-    features = FeatureMatrix(_feature_rows(ckpt, X, name), ids, name)
-    position = {sid: i for i, sid in enumerate(ids)}
+    if len(images) != len(manifest):
+        raise ValidationError(
+            f"{len(images)} images for {len(manifest)} manifest samples")
+    features = extract_features(ckpt, images, probe.layer)
+    digests = [hashlib.sha256(image.tobytes()).hexdigest() for image in images]
+    position = {s.sample_id: i for i, s in enumerate(manifest.samples)}
 
     splits = dp.random_class_splits(manifest, probe.n_train_per_class,
                                     probe.max_test_per_class,
@@ -184,11 +160,9 @@ def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest, store,
             raise ValidationError(
                 "exact-duplicate images span train and test within a split; "
                 "run overlap removal first")
-        train_feats = FeatureMatrix(features.rows[train_idx],
-                                    tuple(ids[i] for i in train_idx), name)
-        w, b = train_softmax_probe(train_feats, labels[train_idx], probe.sgd,
-                                   probe.iters, probe.seed + split_i)
-        logits = features.rows[test_idx] @ w.T + b
+        w, b = train_softmax_probe(features[train_idx], labels[train_idx],
+                                   probe.sgd, probe.iters, probe.seed + split_i)
+        logits = features[test_idx] @ w.T + b
         mean, per_class = mean_class_recall(logits.argmax(axis=1),
                                             labels[test_idx], n_classes)
         per_split.append((split_i, mean, per_class))

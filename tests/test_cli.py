@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -739,6 +740,50 @@ class TestProbeCmd:
         assert "checkpoint" in capsys.readouterr().err
 
 
+    def test_repeated_n_train_exits_2(self, probe_fixtures, tmp_path, capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--n-train", "2", "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "--n-train values repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_labelmap_missing_a_leaf_exits_2(self, probe_fixtures, tmp_path,
+                                             capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        lm_dir = tmp_path / "tax"
+        assert cli.main(["taxonomy", "--synsets", str(data_dir / "synsets.txt"),
+                         "--marks", str(data_dir / "basic_marks.txt"),
+                         "--out", str(lm_dir)]) == EXIT_OK
+        lm_path = lm_dir / "labelmap.csv"
+        lm_path.write_text(lm_path.read_text().replace("sub_01_01", "sub_01_09"))
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--labelmap", str(lm_path),
+                         "--n-train", "2", "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert ("error: manifest leaf 'sub_01_01' not in label map"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_header_only_manifest_exits_2(self, probe_fixtures, tmp_path,
+                                          capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        (tmp_path / "empty.csv").write_text("sample_id,path,leaf_id\n")
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(tmp_path / "empty.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "the manifest is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCmd:
     def test_three_checkpoints_three_rows(self, probe_fixtures, tmp_path):
         data_dir, _, model_spec = probe_fixtures
@@ -765,6 +810,53 @@ class TestSweepCmd:
                 "--images", str(data_dir), "--n-train", "2", "--n-train", "3",
                 "--seed", "44", "--out", str(tmp_path / "sweep2")]
         assert cli.main(argv) == EXIT_VALIDATION
+
+    def test_header_only_manifest_exits_2(self, probe_fixtures, tmp_path,
+                                          capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        (tmp_path / "empty.csv").write_text("sample_id,path,leaf_id\n")
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--checkpoints", str(ckpt_path),
+                         "--manifest", str(tmp_path / "empty.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "44", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "the manifest is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestImageLoads:
+    def test_each_command_loads_each_image_once(self, probe_fixtures, tmp_path,
+                                                monkeypatch):
+        data_dir, ckpt_path, model_spec = probe_fixtures
+        manifest = str(data_dir / "manifest.csv")
+        later = md.build_model(model_spec, seed=50, init="scaled")
+        later.iteration = 10
+        md.save_checkpoint(later, tmp_path / "later.ckpt")
+        loads = Counter()
+        load = dp.RawFileStore.load
+
+        def counting_load(store, sample):
+            loads[sample.sample_id] += 1
+            return load(store, sample)
+
+        monkeypatch.setattr(dp.RawFileStore, "load", counting_load)
+        probing = ["--manifest", manifest, "--images", str(data_dir),
+                   "--max-test", "4", "--splits", "2", "--seed", "33",
+                   "--iters", "10"]
+        commands = {
+            "probe": ["probe", "--checkpoint", str(ckpt_path), *probing,
+                      "--n-train", "2", "--n-train", "3"],
+            "sweep": ["sweep", "--checkpoints", str(ckpt_path),
+                      str(tmp_path / "later.ckpt"), *probing, "--n-train", "2"],
+            "dedup": ["dedup", "--manifest-a", manifest,
+                      "--images-a", str(data_dir)],
+        }
+        every_image = Counter(s.sample_id for s in dp.load_manifest(manifest).samples)
+        for name, argv in commands.items():
+            loads.clear()
+            assert cli.main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
+            assert loads == every_image, name
 
 
 class TestCsvQuoting:

@@ -282,8 +282,9 @@ class TestCheckpointSweep:
                               init="scaled")
         ckpt.iteration = 640
         probe = bm.probe_spec(seed=1)
-        report = cu.checkpoint_sweep([ckpt], data.manifest, bundle.store,
-                                     probe, bundle.labelmap)
+        images = dp.load_batch(bundle.store, data.manifest.samples)
+        report = cu.checkpoint_sweep([ckpt], data.manifest, images, probe,
+                                     bundle.labelmap)
         assert len(report.curves) == 1
         assert report.curves[0][0] == 640
         assert report.curves[0][1:3] == ("transfer", "mean_class_recall")
@@ -294,7 +295,8 @@ class TestCheckpointSweep:
         b = md.build_model(bundle.model_spec.with_outputs(12), seed=2)
         a.iteration, b.iteration = 10, 5
         with pytest.raises(ValidationError, match="ascend"):
-            cu.checkpoint_sweep([a, b], data.manifest, bundle.store,
+            cu.checkpoint_sweep([a, b], data.manifest,
+                                dp.load_batch(bundle.store, data.manifest.samples),
                                 bm.probe_spec(seed=1), bundle.labelmap)
 
     def test_trained_point_above_untrained(self, bundle_pair):
@@ -305,8 +307,9 @@ class TestCheckpointSweep:
                            phase_b=bm.train_config(300, 82, "sub"))
         trained, _ = cu.run_regime(regime, bundle)
         trained.iteration = 300
+        images = dp.load_batch(bundle.store, data.manifest.samples)
         report = cu.checkpoint_sweep([untrained, trained], data.manifest,
-                                     bundle.store, bm.probe_spec(seed=2),
+                                     images, bm.probe_spec(seed=2),
                                      bundle.labelmap)
         assert report.curves[1][3] > report.curves[0][3]
 

@@ -118,6 +118,20 @@ class TestAllocate:
             basic = labelmap.basic_names[bi]
             assert basic == leaf or basic in _ancestor_closure(animal_marked, leaf)
 
+    def test_indices_follow_leaf_order(self, animal_marked):
+        labelmap = taxonomy.allocate_descendants(animal_marked)
+        leaves = ["suv", "beagle", "suv"]
+        assert labelmap.indices(leaves, "sub") == [
+            labelmap.entries[l][0] for l in leaves]
+        assert labelmap.indices(leaves, "basic") == [
+            labelmap.basic_index(l) for l in leaves]
+
+    def test_indices_reject_unknown_leaf(self, animal_marked):
+        labelmap = taxonomy.allocate_descendants(animal_marked)
+        with pytest.raises(ValidationError,
+                           match="manifest leaf 'cat' not in label map"):
+            labelmap.indices(["beagle", "cat"], "sub")
+
     def test_determinism_byte_identical_csv(self, animal_file, tmp_path):
         outs = []
         for i in range(2):

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -34,46 +32,41 @@ def small_manifest(data, per_class=6):
 
 class TestExtractFeatures:
     def test_desk_default_layer_is_head_input_width(self, desk_ckpt):
-        images = {f"s{i}": np.random.default_rng(i).random((3, 32, 32))
-                  for i in range(5)}
-        manifest = dp.DatasetManifest(tuple(
-            dp.Sample(k, k, "leaf") for k in sorted(images)))
-        feats = transfer.extract_features(desk_ckpt, manifest, None,
-                                          dp.InMemoryStore(images))
-        assert feats.rows.shape == (5, 256)
-        assert feats.source_layer == "drop1"
-        assert feats.sample_ids == tuple(sorted(images))
+        images = np.random.default_rng(0).random((5, 3, 32, 32))
+        rows = transfer.extract_features(desk_ckpt, images)
+        assert rows.shape == (5, 256)
+        np.testing.assert_array_equal(
+            rows, md.forward_eval(desk_ckpt, images, "drop1"))
 
     def test_bit_identical_on_rerun(self, desk_ckpt):
-        images = {f"s{i}": np.random.default_rng(10 + i).random((3, 32, 32))
-                  for i in range(4)}
-        manifest = dp.DatasetManifest(tuple(
-            dp.Sample(k, k, "leaf") for k in sorted(images)))
-        store = dp.InMemoryStore(images)
-        a = transfer.extract_features(desk_ckpt, manifest, None, store)
-        b = transfer.extract_features(desk_ckpt, manifest, None, store)
-        np.testing.assert_array_equal(a.rows, b.rows)
+        images = np.random.default_rng(10).random((4, 3, 32, 32))
+        a = transfer.extract_features(desk_ckpt, images)
+        b = transfer.extract_features(desk_ckpt, images)
+        np.testing.assert_array_equal(a, b)
 
     def test_post_relu_layer_nonnegative(self, desk_ckpt):
-        images = {f"s{i}": np.random.default_rng(20 + i).random((3, 32, 32))
-                  for i in range(3)}
-        manifest = dp.DatasetManifest(tuple(
-            dp.Sample(k, k, "leaf") for k in sorted(images)))
-        feats = transfer.extract_features(desk_ckpt, manifest, "relu3",
-                                          dp.InMemoryStore(images))
-        assert feats.rows.min() >= 0.0
+        images = np.random.default_rng(20).random((3, 3, 32, 32))
+        rows = transfer.extract_features(desk_ckpt, images, "relu3")
+        assert rows.min() >= 0.0
 
     def test_unknown_layer(self, desk_ckpt):
-        manifest = dp.DatasetManifest((dp.Sample("a", "a", "leaf"),))
         with pytest.raises(ValidationError, match="nope"):
-            transfer.extract_features(desk_ckpt, manifest, "nope",
-                                      dp.InMemoryStore({"a": np.zeros((3, 32, 32))}))
+            transfer.extract_features(desk_ckpt, np.zeros((1, 3, 32, 32)), "nope")
 
     def test_head_not_a_feature_layer(self, desk_ckpt):
-        manifest = dp.DatasetManifest((dp.Sample("a", "a", "leaf"),))
         with pytest.raises(ValidationError, match="precede"):
-            transfer.extract_features(desk_ckpt, manifest, "fc2",
-                                      dp.InMemoryStore({"a": np.zeros((3, 32, 32))}))
+            transfer.extract_features(desk_ckpt, np.zeros((1, 3, 32, 32)), "fc2")
+
+    def test_non_finite_features_rejected(self, desk_ckpt):
+        ckpt = desk_ckpt.copy()
+        ckpt.params["fc1.weight"].weight[0, 0] = np.nan
+        images = np.random.default_rng(30).random((2, 3, 32, 32))
+        prev = nk.set_checked(False)
+        try:
+            with pytest.raises(ValidationError, match="non-finite"):
+                transfer.extract_features(ckpt, images, "fc1")
+        finally:
+            nk.set_checked(prev)
 
 
 def separable_features(n_per_class=40, seed=0):
@@ -82,8 +75,7 @@ def separable_features(n_per_class=40, seed=0):
     b = rng.normal((-2.0, 0.0), 0.3, size=(n_per_class, 2))
     rows = np.concatenate([a, b])
     labels = np.array([0] * n_per_class + [1] * n_per_class)
-    ids = tuple(f"f{i}" for i in range(len(rows)))
-    return transfer.FeatureMatrix(rows, ids, "synthetic"), labels
+    return rows, labels
 
 
 class TestProbeTraining:
@@ -92,7 +84,7 @@ class TestProbeTraining:
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1000, batch_size=16)
         w, b = transfer.train_softmax_probe(feats, labels, cfg, iters=500, seed=0)
-        predictions = (feats.rows @ w.T + b).argmax(axis=1)
+        predictions = (feats @ w.T + b).argmax(axis=1)
         assert (predictions == labels).mean() == 1.0
 
     def test_zero_lr_leaves_weights_at_init(self):
@@ -115,10 +107,16 @@ class TestProbeTraining:
 
     def test_single_class_rejected(self):
         feats, _ = separable_features(seed=3)
-        labels = np.zeros(len(feats.rows), dtype=int)
+        labels = np.zeros(len(feats), dtype=int)
         cfg = nk.SgdConfig(base_lr=0.1)
         with pytest.raises(ValidationError, match="two classes"):
             transfer.train_softmax_probe(feats, labels, cfg, 10, seed=0)
+
+    def test_misaligned_labels_rejected(self):
+        feats, labels = separable_features(seed=4)
+        cfg = nk.SgdConfig(base_lr=0.1)
+        with pytest.raises(ValidationError, match="not aligned"):
+            transfer.train_softmax_probe(feats, labels[:-1], cfg, 10, seed=0)
 
 
 class TestMeanClassRecall:
@@ -154,11 +152,12 @@ class TestEvaluateProbe:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
+        images = dp.load_batch(bundle.store, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=3, iters=60)
-        a = transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
+        a = transfer.evaluate_probe(ckpt, manifest, images, probe,
                                     bundle.labelmap)
-        b = transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
+        b = transfer.evaluate_probe(ckpt, manifest, images, probe,
                                     bundle.labelmap)
         assert a.aggregate == b.aggregate
         assert a.per_split[0][1] == b.per_split[0][1]
@@ -168,9 +167,10 @@ class TestEvaluateProbe:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
+        images = dp.load_batch(bundle.store, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=4, iters=60)
-        result = transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
+        result = transfer.evaluate_probe(ckpt, manifest, images, probe,
                                          bundle.labelmap)
         means = np.array([m for _, m, _ in result.per_split])
         assert abs(result.aggregate["mean"] - means.mean()) <= 1e-12
@@ -183,9 +183,10 @@ class TestEvaluateProbe:
                               init="scaled")
         before = md.body_hash(ckpt)
         manifest = small_manifest(data, per_class=8)
+        images = dp.load_batch(bundle.store, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=5, iters=40)
-        transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
+        transfer.evaluate_probe(ckpt, manifest, images, probe,
                                 bundle.labelmap)
         assert md.body_hash(ckpt) == before
 
@@ -194,9 +195,10 @@ class TestEvaluateProbe:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
+        images = dp.load_batch(bundle.store, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
-        result = transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
+        result = transfer.evaluate_probe(ckpt, manifest, images, probe,
                                          labelmap=None)
         assert 0 <= result.aggregate["mean"] <= 1
 
@@ -205,12 +207,13 @@ class TestEvaluateProbe:
         regime = cu.Regime(kind="Reference",
                            phase_b=bm.train_config(300, 99, "sub"))
         trained, _ = cu.run_regime(regime, bundle)
+        images = dp.load_batch(bundle.store, data.manifest.samples)
         random_ckpt = md.build_model(bundle.model_spec.with_outputs(12),
                                      seed=100, init="scaled")
         probe = bm.probe_spec(seed=7)
-        t = transfer.evaluate_probe(trained, data.manifest, bundle.store,
+        t = transfer.evaluate_probe(trained, data.manifest, images,
                                     probe, bundle.labelmap)
-        r = transfer.evaluate_probe(random_ckpt, data.manifest, bundle.store,
+        r = transfer.evaluate_probe(random_ckpt, data.manifest, images,
                                     probe, bundle.labelmap)
         assert t.aggregate["mean"] > r.aggregate["mean"]
 
@@ -219,12 +222,13 @@ class TestEvaluateProbe:
         regime = cu.Regime(kind="Reference",
                            phase_b=bm.train_config(200, 101, "sub"))
         ckpt, _ = cu.run_regime(regime, bundle)
+        images = dp.load_batch(bundle.store, data.manifest.samples)
         medians = []
         for n_train in (5, 10, 15):
             probe = transfer.ProbeSpec(n_train_per_class=n_train,
                                        max_test_per_class=20, n_splits=3,
                                        seed=8, iters=200)
-            result = transfer.evaluate_probe(ckpt, data.manifest, bundle.store,
+            result = transfer.evaluate_probe(ckpt, data.manifest, images,
                                              probe, bundle.labelmap)
             medians.append(float(np.median([m for _, m, _ in result.per_split])))
         assert medians[0] <= medians[1] + 1e-9
@@ -238,42 +242,33 @@ class TestEvaluateProbe:
         base["c0_4"] = base["c0_0"].copy()  # exact duplicate pair in class 0
         manifest = dp.DatasetManifest(tuple(
             dp.Sample(k, k, f"leaf{k.split('_')[0][1]}") for k in sorted(base)))
+        images = np.stack([base[s.sample_id] for s in manifest.samples])
         ckpt = md.build_model(bm.model_spec(2), seed=1)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=1,
                                    n_splits=3, seed=2, iters=10)
         with pytest.raises(ValidationError, match="duplicate"):
-            transfer.evaluate_probe(ckpt, manifest, dp.InMemoryStore(base),
-                                    probe, labelmap=None)
+            transfer.evaluate_probe(ckpt, manifest, images, probe,
+                                    labelmap=None)
 
-    def test_each_image_loaded_once(self, bundle_pair):
+    def test_images_not_aligned_to_manifest_rejected(self, bundle_pair):
         data, bundle = bundle_pair
-        loads = Counter()
-
-        class CountingStore:
-            def load(self, sample):
-                loads[sample.sample_id] += 1
-                return bundle.store.load(sample)
-
-        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
-                              init="scaled")
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9)
         manifest = small_manifest(data, per_class=8)
-        probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
-                                   n_splits=3, seed=3, iters=10)
-        counted = transfer.evaluate_probe(ckpt, manifest, CountingStore(), probe,
-                                          bundle.labelmap)
-        assert loads == Counter(s.sample_id for s in manifest.samples)
-        plain = transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
-                                        bundle.labelmap)
-        assert counted.aggregate == plain.aggregate
+        images = dp.load_batch(bundle.store, manifest.samples[1:])
+        probe = transfer.ProbeSpec(n_train_per_class=4)
+        with pytest.raises(ValidationError, match="manifest samples"):
+            transfer.evaluate_probe(ckpt, manifest, images, probe,
+                                    bundle.labelmap)
 
     def test_save_probe_result_files(self, bundle_pair, tmp_path):
         data, bundle = bundle_pair
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
+        images = dp.load_batch(bundle.store, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
-        result = transfer.evaluate_probe(ckpt, manifest, bundle.store, probe,
+        result = transfer.evaluate_probe(ckpt, manifest, images, probe,
                                          bundle.labelmap)
         transfer.save_probe_result(result, tmp_path)
         assert (tmp_path / "probe.json").exists()
