@@ -246,9 +246,12 @@ def _missing_out():
                           "output.directory in the config")
 
 
-def _probe_inputs(args):
+def _probe_inputs(args, checkpoints):
     """Manifest, its images loaded once, label map (None if not given) and
-    one probe spec per ``--n-train`` value, shared by probe and sweep."""
+    one probe spec per ``--n-train`` value, shared by probe and sweep.
+    ``--layer`` is checked against every checkpoint before any image loads."""
+    for ckpt in checkpoints:
+        transfer.feature_layer(ckpt.spec, args.layer)
     labelmap = (taxonomy.labelmap_from_csv(args.labelmap)
                 if args.labelmap else None)
     specs = [transfer.ProbeSpec(
@@ -264,7 +267,7 @@ def cmd_probe(args) -> int:
     if len(set(args.n_train)) < len(args.n_train):
         raise ValidationError(f"--n-train values repeat: {args.n_train}")
     ckpt = md.load_checkpoint(args.checkpoint)
-    manifest, images, labelmap, specs = _probe_inputs(args)
+    manifest, images, labelmap, specs = _probe_inputs(args, [ckpt])
     out = resolve_out(args.out)
     rows = []
     for spec in specs:
@@ -285,7 +288,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep takes one --n-train")
     loaded = [md.load_checkpoint(p) for p in args.checkpoints]
     loaded.sort(key=lambda c: c.iteration)
-    manifest, images, labelmap, (spec,) = _probe_inputs(args)
+    manifest, images, labelmap, (spec,) = _probe_inputs(args, loaded)
     report = cu.checkpoint_sweep(loaded, manifest, images, spec, labelmap)
     out = resolve_out(args.out)
     cu.save_run_report(report, out)

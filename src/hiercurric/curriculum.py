@@ -157,6 +157,15 @@ def _eval_metrics(ckpt, X, labels, batch_size):
     return metrics
 
 
+def _step(work, sgd, batch, labels, rng, iteration: int) -> float:
+    """One SGD iteration; returns its loss. Its logits, caches and gradients
+    are freed on return, before the next forward or an evaluation runs."""
+    logits, caches = md.forward(work.spec, work.params, batch, mode="train", rng=rng)
+    loss, dlogits = nk.softmax_xent(logits, labels)
+    nk.sgd_step(work.params, md.backward(work.params, caches, dlogits), sgd, iteration)
+    return loss
+
+
 def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
                 train: dp.DatasetManifest, val: dp.DatasetManifest,
                 labelmap: LabelMap, store,
@@ -187,11 +196,8 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     batches = dp.epoch_batches(rng, len(X), bs)
     for it, batch_idx in zip(range(cfg.max_iterations), batches):
         try:
-            logits, caches = md.forward(work.spec, work.params, X[batch_idx],
-                                        mode="train", rng=rng)
-            loss, dlogits = nk.softmax_xent(logits, train_labels[batch_idx])
-            md.backward(work.params, caches, dlogits)
-            nk.sgd_step(work.params, cfg.sgd, it)
+            loss = _step(work, cfg.sgd, X[batch_idx], train_labels[batch_idx],
+                         rng, it)
         except NumericFault as exc:
             raise NumericFault(f"iteration {it}: {exc}") from exc
         report.curves.append((it, "train", "loss", loss))

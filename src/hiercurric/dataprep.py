@@ -144,11 +144,7 @@ def cap_per_category(manifest: DatasetManifest, labelmap: LabelMap,
         raise ValidationError(f"unknown level {level!r}")
 
     groups: dict[int, list[int]] = {}
-    for pos, sample in enumerate(manifest.samples):
-        if sample.leaf_id not in labelmap.entries:
-            raise ValidationError(f"unknown leaf id {sample.leaf_id!r} in manifest")
-        sub_i, basic_i = labelmap.entries[sample.leaf_id]
-        key = basic_i if level == "basic" else sub_i
+    for pos, key in enumerate(labelmap.indices(manifest.leaf_ids(), level)):
         groups.setdefault(key, []).append(pos)
 
     rng = np.random.default_rng(seed)
@@ -226,8 +222,7 @@ def _resize_bilinear(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
-def comparison_form(image: np.ndarray,
-                    resolution: int = COMPARISON_RESOLUTION) -> np.ndarray:
+def comparison_form(image: np.ndarray) -> np.ndarray:
     """Mean over channels, then bilinear resample to the comparison square."""
     if image.ndim == 2:
         gray = image
@@ -235,7 +230,7 @@ def comparison_form(image: np.ndarray,
         gray = image.mean(axis=0)
     else:
         raise ValidationError(f"expected CHW or HW image, got shape {image.shape}")
-    return _resize_bilinear(gray, resolution, resolution)
+    return _resize_bilinear(gray, COMPARISON_RESOLUTION, COMPARISON_RESOLUTION)
 
 
 def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -259,8 +254,7 @@ def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
                   threshold: float, images_a: Mapping[str, np.ndarray],
-                  images_b: Mapping[str, np.ndarray],
-                  resolution: int = COMPARISON_RESOLUTION):
+                  images_b: Mapping[str, np.ndarray]):
     """All cross-set pairs whose correlation reaches ``threshold``.
 
     Returns (matches, filtered_set_a): matches are (id_a, id_b, score)
@@ -274,8 +268,7 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
     def standardize(manifest, images):
         ids, rows, exact = [], [], []
         for s in manifest.samples:
-            form = comparison_form(np.asarray(images[s.sample_id], dtype=np.float64),
-                                   resolution)
+            form = comparison_form(np.asarray(images[s.sample_id], dtype=np.float64))
             v = form.ravel() - form.mean()
             norm = np.sqrt(v @ v)
             if norm == 0.0:

@@ -31,8 +31,9 @@ class Layer:
     are the descriptor a checkpoint manifest stores under its ``kind``, and
     defines its output-shape rule, its weight shape, and a ``forward`` and a
     ``backward`` that each make exactly one call into :mod:`nnkernel`.
-    ``backward`` returns the input gradient; with ``need_dx`` false a layer
-    may skip computing it, and what it returns in its place is unused.
+    ``backward`` returns the input gradient and the layer's parameter
+    gradients by entry name; with ``need_dx`` false a layer may skip the
+    input gradient, and what it returns in its place is unused.
     """
 
     def _error(self, message: str) -> ValidationError:
@@ -55,11 +56,8 @@ class Layer:
         return (params[f"{self.name}.weight"].weight,
                 params[f"{self.name}.bias"].weight)
 
-    def _set_grads(self, params: nk.ParamSet, grads) -> np.ndarray:
-        grad, dw, db = grads
-        params[f"{self.name}.weight"].grad[...] = dw
-        params[f"{self.name}.bias"].grad[...] = db
-        return grad
+    def _grads(self, dx, dw, db) -> tuple:
+        return dx, {f"{self.name}.weight": dw, f"{self.name}.bias": db}
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,8 @@ class Conv(Layer):
         return nk.conv2d_forward(x, *self._weights(params), self.stride,
                                  self.pad, self.groups)
 
-    def backward(self, params, grad, cache, need_dx):
-        return self._set_grads(params, nk.conv2d_backward(grad, cache, need_dx))
+    def backward(self, grad, cache, need_dx):
+        return self._grads(*nk.conv2d_backward(grad, cache, need_dx))
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ class MaxPool(Layer):
     def forward(self, params, x, mode, rng):
         return nk.maxpool_forward(x, self.window, self.stride)
 
-    def backward(self, params, grad, cache, need_dx):
-        return nk.pool_backward(grad, cache)
+    def backward(self, grad, cache, need_dx):
+        return nk.pool_backward(grad, cache), {}
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,8 @@ class Relu(Layer):
     def forward(self, params, x, mode, rng):
         return nk.relu_forward(x)
 
-    def backward(self, params, grad, cache, need_dx):
-        return nk.relu_backward(grad, cache)
+    def backward(self, grad, cache, need_dx):
+        return nk.relu_backward(grad, cache), {}
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,8 @@ class Dropout(Layer):
     def forward(self, params, x, mode, rng):
         return nk.dropout_forward(x, self.rate, mode, rng)
 
-    def backward(self, params, grad, cache, need_dx):
-        return nk.dropout_backward(grad, cache, self.rate)
+    def backward(self, grad, cache, need_dx):
+        return nk.dropout_backward(grad, cache, self.rate), {}
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,8 @@ class Fc(Layer):
     def forward(self, params, x, mode, rng):
         return nk.fc_forward(x, *self._weights(params))
 
-    def backward(self, params, grad, cache, need_dx):
-        return self._set_grads(params, nk.fc_backward(grad, cache))
+    def backward(self, grad, cache, need_dx):
+        return self._grads(*nk.fc_backward(grad, cache))
 
 
 _LAYERS = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Dropout, Fc)}
@@ -192,6 +190,13 @@ class ModelSpec:
     @property
     def head_name(self) -> str:
         return self.layers[-1].name
+
+    def layer_index(self, name: str) -> int:
+        """Position of the layer called ``name``; raises if there is none."""
+        for i, layer in enumerate(self.layers):
+            if layer.name == name:
+                return i
+        raise ValidationError(f"no layer named {name!r}")
 
     def conv_names(self) -> list[str]:
         return [l.name for l in self.layers if l.kind == "conv"]
@@ -346,20 +351,24 @@ def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
     return act, caches
 
 
-def backward(params: nk.ParamSet, caches, dlogits) -> None:
-    """Backpropagate through cached layers, assigning parameter gradients.
+def backward(params: nk.ParamSet, caches, dlogits) -> dict:
+    """Backpropagate through cached layers; returns every parameter's
+    gradient by entry name, in that parameter's dtype.
 
     Nothing reads the gradient with respect to the network's input, so the
     first layer is asked not to compute it (a conv layer then skips its
-    input-gradient GEMM and col2im); every parameter gradient is computed.
+    input-gradient GEMM and col2im).
     """
-    grad = dlogits
+    grad, grads = dlogits, {}
     for i in range(len(caches) - 1, -1, -1):
         layer, cache = caches[i]
         try:
-            grad = layer.backward(params, grad, cache, need_dx=i > 0)
+            grad, layer_grads = layer.backward(grad, cache, need_dx=i > 0)
         except NumericFault as exc:
             raise NumericFault(f"layer {layer.name!r} backward: {exc}") from exc
+        for name, g in layer_grads.items():
+            grads[name] = g.astype(params[name].weight.dtype, copy=False)
+    return grads
 
 
 def forward_eval(ckpt: Checkpoint, batch, layer: str | None = None) -> np.ndarray:
@@ -372,10 +381,7 @@ def forward_eval(ckpt: Checkpoint, batch, layer: str | None = None) -> np.ndarra
     expected = (batch.shape[0],) + tuple(ckpt.spec.input_shape)
     if tuple(batch.shape) != expected:
         raise ValidationError(f"batch shape {batch.shape} != {expected}")
-    names = [l.name for l in ckpt.spec.layers]
-    if layer is not None and layer not in names:
-        raise ValidationError(f"no layer named {layer!r}")
-    stop = len(names) if layer is None else names.index(layer) + 1
+    stop = len(ckpt.spec.layers) if layer is None else ckpt.spec.layer_index(layer) + 1
     act = batch
     for step in ckpt.spec.layers[:stop]:
         act = _layer_forward(step, ckpt.params, act, "eval", None)[0]
@@ -458,6 +464,19 @@ def set_layer_lr_mults(ckpt: Checkpoint, prefix_count: int, mult: float) -> Chec
 
 _CKPT_MAGIC = b"HCCK"
 _CKPT_VERSION = 1
+# the manifest's keys and their kinds (see strict.check); all are required
+_MANIFEST = {
+    "version": "int",
+    "spec": lambda v, path: strict.check(
+        v, path, {"input_shape": "tuple[int, int, int]", "layers": ["object"]},
+        ("input_shape", "layers")),
+    "iteration": "int >= 0",
+    "phase_tag": PHASE_TAGS,
+    "rng_state": "object | None",
+    "entries": [lambda v, path: strict.check(
+        v, path, {"name": "str", "lr_mult": "float in [0, 1]"},
+        ("name", "lr_mult"))],
+}
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
@@ -482,7 +501,9 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 
 def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
     """Inverse of checkpoint_to_bytes; rejects truncated, corrupt or
-    trailing bytes with ValidationError."""
+    trailing bytes with ValidationError, and so a manifest whose entries
+    are not the spec's ``<layer>.weight``, ``<layer>.bias`` in layer order,
+    or a tensor whose shape is not the spec's."""
     if buf[:4] != _CKPT_MAGIC:
         raise ValidationError("bad checkpoint magic")
     if len(buf) < 16:
@@ -494,29 +515,38 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
         raise ValidationError("truncated checkpoint manifest")
     try:
         manifest = json.loads(buf[16:16 + length].decode("utf-8"))
-        spec = ModelSpec.from_dict(manifest["spec"])
-        entries = [(e["name"], e["lr_mult"]) for e in manifest["entries"]]
-        iteration, phase_tag, rng_state = (
-            manifest["iteration"], manifest["phase_tag"], manifest["rng_state"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"corrupt checkpoint manifest: {exc}") from exc
+    strict.check(manifest, "checkpoint", _MANIFEST, tuple(_MANIFEST))
+    spec = ModelSpec.from_dict(manifest["spec"], "checkpoint.spec")
+    shapes = {}
+    for layer, shape in spec.param_shapes().items():
+        shapes[f"{layer}.weight"], shapes[f"{layer}.bias"] = shape, shape[:1]
+    names = [e["name"] for e in manifest["entries"]]
+    if names != list(shapes):
+        raise ValidationError(f"checkpoint entries {names} do not match the "
+                              f"spec's {list(shapes)}")
     params = nk.ParamSet()
     offset = 16 + length
-    for name, lr_mult in entries:
+    for entry in manifest["entries"]:
+        name = entry["name"]
         weight, used = nk.tensor_from_bytes(buf, offset)
         offset += used
         momentum, used = nk.tensor_from_bytes(buf, offset)
         offset += used
-        if momentum.shape != weight.shape:
-            raise ValidationError(f"checkpoint entry {name!r}: momentum shape "
-                                  f"{momentum.shape} != weight shape {weight.shape}")
-        params.add(name, weight, lr_mult)
+        for what, arr in (("weight", weight), ("momentum", momentum)):
+            if arr.shape != shapes[name]:
+                raise ValidationError(
+                    f"checkpoint entry {name!r}: {what} shape {arr.shape} "
+                    f"!= {shapes[name]} of the spec")
+        params.add(name, weight, entry["lr_mult"])
         params[name].momentum[...] = momentum
     if offset != len(buf):
         raise ValidationError(
             f"{len(buf) - offset} trailing bytes after the last checkpoint tensor")
-    return Checkpoint(spec=spec, params=params, iteration=iteration,
-                      phase_tag=phase_tag, rng_state=rng_state)
+    return Checkpoint(spec=spec, params=params, iteration=manifest["iteration"],
+                      phase_tag=manifest["phase_tag"],
+                      rng_state=manifest["rng_state"])
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

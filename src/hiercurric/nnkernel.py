@@ -72,20 +72,15 @@ class SgdConfig:
 @dataclass
 class ParamEntry:
     weight: np.ndarray
-    grad: np.ndarray
     momentum: np.ndarray
     lr_mult: float = 1.0
 
     def copy(self) -> "ParamEntry":
-        """Weight, momentum and lr_mult copied; the grad starts at zero,
-        since every backward overwrites it before anything reads it."""
-        return ParamEntry(self.weight.copy(),
-                          np.zeros(self.weight.shape, self.weight.dtype),
-                          self.momentum.copy(), self.lr_mult)
+        return ParamEntry(self.weight.copy(), self.momentum.copy(), self.lr_mult)
 
 
 class ParamSet:
-    """Named trainable tensors with their gradient and momentum buffers."""
+    """Named trainable tensors with their momentum buffers."""
 
     def __init__(self):
         self._entries: dict[str, ParamEntry] = {}
@@ -95,20 +90,13 @@ class ParamSet:
             raise ValidationError(f"duplicate parameter name {name!r}")
         # np.zeros leaves the pages unwritten (out of RSS) until first used
         self._entries[name] = ParamEntry(
-            weight, np.zeros(weight.shape, weight.dtype),
-            np.zeros(weight.shape, weight.dtype), lr_mult)
+            weight, np.zeros(weight.shape, weight.dtype), lr_mult)
 
     def __getitem__(self, name: str) -> ParamEntry:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def names(self) -> list[str]:
         return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def copy(self) -> "ParamSet":
         out = ParamSet()
@@ -132,8 +120,10 @@ def lr_schedule(cfg: SgdConfig, iteration: int) -> float:
     return cfg.base_lr * cfg.lr_gamma ** (iteration // cfg.lr_step)
 
 
-def sgd_step(params: ParamSet, cfg: SgdConfig, iteration: int) -> None:
-    """One momentum-SGD update, in place.
+def sgd_step(params: ParamSet, grads: dict, cfg: SgdConfig,
+             iteration: int) -> None:
+    """One momentum-SGD update of ``params`` from ``grads`` (entry name ->
+    gradient), in place.
 
     Per entry with effective rate eta = schedule * lr_mult:
     v <- momentum*v - eta*(grad + weight_decay*w); w <- w + v.
@@ -147,7 +137,7 @@ def sgd_step(params: ParamSet, cfg: SgdConfig, iteration: int) -> None:
         if eta == 0.0:
             continue
         e.momentum *= cfg.momentum
-        e.momentum -= eta * (e.grad + cfg.weight_decay * e.weight)
+        e.momentum -= eta * (grads[name] + cfg.weight_decay * e.weight)
         e.weight += e.momentum
         _guard(e.weight)
 

@@ -12,12 +12,15 @@ from .errors import ValidationError
 
 # the JSON form of each field annotation a built dataclass may carry
 TYPES = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+         "int >= 0": lambda v: TYPES["int"](v) and v >= 0,
          "int >= 1": lambda v: TYPES["int"](v) and v >= 1,
          "float": lambda v: TYPES["int"](v) or isinstance(v, float),
+         "float in [0, 1]": lambda v: TYPES["float"](v) and 0 <= v <= 1,
          "str": lambda v: isinstance(v, str),
          "non-empty str": lambda v: isinstance(v, str) and v != "",
          "str | None": lambda v: v is None or isinstance(v, str),
          "object": lambda v: isinstance(v, dict),
+         "object | None": lambda v: v is None or isinstance(v, dict),
          "tuple[int, int, int]": lambda v: (isinstance(v, list) and len(v) == 3
                                             and all(map(TYPES["int"], v)))}
 

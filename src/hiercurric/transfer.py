@@ -51,10 +51,11 @@ class ProbeResult:
     n_train_per_class: int
 
 
-def _feature_layer(spec: md.ModelSpec, layer: str | None) -> str:
+def feature_layer(spec: md.ModelSpec, layer: str | None) -> str:
+    """The probed layer: ``layer`` (never the head), or the head's input."""
     if layer is None:
         return spec.layers[-2].name
-    if layer == spec.layers[-1].name:
+    if spec.layer_index(layer) == len(spec.layers) - 1:
         raise ValidationError("feature layer must precede the output head")
     return layer
 
@@ -63,7 +64,7 @@ def extract_features(ckpt: md.Checkpoint, images: np.ndarray,
                      layer: str | None = None) -> np.ndarray:
     """Eval-mode outputs of ``layer`` (default: the output head's input),
     flattened to one row per image of the ``(N, C, H, W)`` array."""
-    name = _feature_layer(ckpt.spec, layer)
+    name = feature_layer(ckpt.spec, layer)
     batches = (images[i:i + 256] for i in range(0, len(images), 256))
     rows = np.concatenate([md.forward_eval(ckpt, batch, name).reshape(len(batch), -1)
                            for batch in batches])
@@ -92,8 +93,8 @@ def train_softmax_probe(rows: np.ndarray, labels, cfg: nk.SgdConfig,
     for it, idx in zip(range(iters), batches):
         logits, cache = head.forward(params, rows[idx], "train", rng)
         _, dlogits = nk.softmax_xent(logits, labels[idx])
-        head.backward(params, dlogits, cache, need_dx=False)
-        nk.sgd_step(params, cfg, it)
+        nk.sgd_step(params, head.backward(dlogits, cache, need_dx=False)[1],
+                    cfg, it)
     return params["probe.weight"].weight, params["probe.bias"].weight
 
 

@@ -55,8 +55,7 @@ class TestCriterion2OptimizerOracle:
         params.add("p.weight", np.array([0.0]))
         v = w = 0.0
         for it in range(2):
-            params["p.weight"].grad[...] = g
-            nk.sgd_step(params, cfg, it)
+            nk.sgd_step(params, {"p.weight": np.array([g])}, cfg, it)
             v = mu * v - eta * g
             w = w + v
             assert params["p.weight"].momentum[0] == v

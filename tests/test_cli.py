@@ -13,6 +13,7 @@ from hiercurric import cli, config as cf, curriculum as cu, dataprep as dp
 from hiercurric import model as md, taxonomy, transfer
 from hiercurric import nnkernel as nk
 from hiercurric.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION
+from test_model import rewrite_manifest
 
 MARKS = "dog\nfish\ncar\n"
 
@@ -739,6 +740,20 @@ class TestProbeCmd:
         assert code == EXIT_VALIDATION
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_entry_renamed_exits_2(self, probe_fixtures, tmp_path,
+                                              capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        ckpt_path.write_bytes(rewrite_manifest(
+            ckpt_path.read_bytes(),
+            lambda m: m["entries"][0].update(name="bogus.weight")))
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "error: checkpoint entries ['bogus.weight'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_n_train_exits_2(self, probe_fixtures, tmp_path, capsys):
         data_dir, ckpt_path, _ = probe_fixtures
@@ -857,6 +872,31 @@ class TestImageLoads:
             loads.clear()
             assert cli.main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
             assert loads == every_image, name
+
+    @pytest.mark.parametrize("command,layer,message", [
+        ("probe", "nope", "no layer named 'nope'"),
+        ("probe", "fc2", "feature layer must precede the output head"),
+        ("sweep", "nope", "no layer named 'nope'"),
+    ])
+    def test_bad_layer_exits_2_before_any_load(self, probe_fixtures, tmp_path,
+                                               monkeypatch, capsys, command,
+                                               layer, message):
+        data_dir, ckpt_path, model_spec = probe_fixtures
+        assert model_spec.head_name == "fc2"
+        loads = []
+        load = dp.RawFileStore.load
+        monkeypatch.setattr(dp.RawFileStore, "load",
+                            lambda store, sample: loads.append(sample) or load(store, sample))
+        where = (["--checkpoint", str(ckpt_path)] if command == "probe"
+                 else ["--checkpoints", str(ckpt_path)])
+        out = tmp_path / command
+        code = cli.main([command, *where, "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--layer", layer, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert loads == []
+        assert not out.exists()
 
 
 class TestCsvQuoting:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,59 @@ class TestTrainPhase:
                                           ckpt.params[name].weight)
         losses = [row for row in report.curves if row[2] == "loss"]
         assert len(losses) == 1
+
+    def test_step_arrays_freed_before_next_forward_or_eval(self, bundle_pair,
+                                                            monkeypatch):
+        """A step's batch, logits, caches and gradients are all gone when
+        the next training forward or an evaluation forward starts."""
+        _, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=3,
+                              init="scaled")
+        forward, forward_eval, backward = md.forward, md.forward_eval, md.backward
+        refs, starts = [], []
+
+        def check_freed(what):
+            starts.append(what)
+            alive = sum(r() is not None for r in refs)
+            assert alive == 0, f"{alive} step arrays alive at {what} start"
+
+        def spy_forward(spec, params, x, *args, **kwargs):
+            check_freed("forward")
+            logits, caches = forward(spec, params, x, *args, **kwargs)
+            made = [x, logits] + [cache for _, cache in caches if cache is not None]
+            refs.extend(weakref.ref(a) for a in made)
+            return logits, caches
+
+        def spy_eval(*args, **kwargs):
+            check_freed("eval")
+            return forward_eval(*args, **kwargs)
+
+        def spy_backward(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            refs.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        monkeypatch.setattr(md, "forward", spy_forward)
+        monkeypatch.setattr(md, "forward_eval", spy_eval)
+        monkeypatch.setattr(md, "backward", spy_backward)
+        cu.train_phase(ckpt, tiny_cfg(iters=3, eval_every=1), bundle.train,
+                       bundle.val, bundle.labelmap, bundle.store)
+        assert starts.count("forward") == 3
+        assert [w for w, nxt in zip(starts, starts[1:]) if nxt == "forward"] == [
+            "eval", "eval"]
+        assert len(refs) > 3 * len(ckpt.params.names())
+
+    def test_float32_model_trains_in_float32(self, bundle_pair):
+        _, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=3,
+                              init="scaled", dtype=np.float32)
+        final, _ = cu.train_phase(ckpt, tiny_cfg(iters=1), bundle.train,
+                                  bundle.val, bundle.labelmap, bundle.store)
+        for name in final.params.names():
+            entry = final.params[name]
+            assert entry.weight.dtype == entry.momentum.dtype == np.float32, name
+            assert entry.momentum.any(), name
+            assert not np.array_equal(entry.weight, ckpt.params[name].weight), name
 
     def test_input_checkpoint_not_mutated(self, bundle_pair):
         _, bundle = bundle_pair

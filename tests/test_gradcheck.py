@@ -197,7 +197,7 @@ def test_composed_desk_network_gradients():
 
     logits, caches = md.forward(spec, ckpt.params, batch, mode="eval")
     _, dlogits = nk.softmax_xent(logits, labels)
-    md.backward(ckpt.params, caches, dlogits)
+    grads = md.backward(ckpt.params, caches, dlogits)
 
     # relu margin guard: no preactivation within reach of an eps-perturbation
     for layer, cache in caches:
@@ -208,4 +208,4 @@ def test_composed_desk_network_gradients():
     # pool-flip exposure of a single perturbed pixel can be controlled
     for name in ckpt.params.names():
         e = ckpt.params[name]
-        check_tensor(loss, e.grad, e.weight, rng)
+        check_tensor(loss, grads[name], e.weight, rng)

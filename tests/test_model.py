@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -216,8 +218,8 @@ class TestLrMults:
         for it in range(3):
             logits, caches = md.forward(ckpt.spec, ckpt.params, batch, "train", rng)
             _, dlogits = nk.softmax_xent(logits, labels)
-            md.backward(ckpt.params, caches, dlogits)
-            nk.sgd_step(ckpt.params, cfg, it)
+            nk.sgd_step(ckpt.params, md.backward(ckpt.params, caches, dlogits),
+                        cfg, it)
         for name in ("conv1", "conv2", "conv3"):
             np.testing.assert_array_equal(
                 ckpt.params[f"{name}.weight"].weight, before[f"{name}.weight"])
@@ -318,7 +320,7 @@ class TestForwardEval:
 
 
 class TestParamCopy:
-    def test_copy_after_backward_has_zero_grads(self):
+    def test_copy_after_steps_copies_weight_and_momentum(self):
         ckpt = md.build_model(md.desk_spec(4, input_shape=(3, 8, 8)), seed=2,
                               init="scaled")
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
@@ -328,15 +330,12 @@ class TestParamCopy:
         for it in range(2):
             logits, caches = md.forward(ckpt.spec, ckpt.params, x, "train", rng)
             _, dlogits = nk.softmax_xent(logits, np.array([0, 3]))
-            md.backward(ckpt.params, caches, dlogits)
-            nk.sgd_step(ckpt.params, cfg, it)
+            nk.sgd_step(ckpt.params, md.backward(ckpt.params, caches, dlogits),
+                        cfg, it)
         out = ckpt.copy()
         for name in ckpt.params.names():
             src, dst = ckpt.params[name], out.params[name]
-            assert src.grad.any() and src.momentum.any(), name
-            assert not dst.grad.any(), name
-            assert dst.grad.shape == src.grad.shape
-            assert dst.grad.dtype == src.grad.dtype
+            assert src.momentum.any(), name
             assert dst.weight.tobytes() == src.weight.tobytes(), name
             assert dst.momentum.tobytes() == src.momentum.tobytes(), name
             assert dst.weight is not src.weight and dst.momentum is not src.momentum
@@ -351,15 +350,16 @@ class TestBackward:
         logits, caches = md.forward(ckpt.spec, ckpt.params, x, "train",
                                     np.random.default_rng(5))
         _, dlogits = nk.softmax_xent(logits, labels)
-        assert md.backward(ckpt.params, caches, dlogits) is None
-        got = {n: ckpt.params[n].grad.copy() for n in ckpt.params.names()}
+        got = md.backward(ckpt.params, caches, dlogits)
 
-        grad = dlogits
+        grad, want = dlogits, {}
         for layer, cache in reversed(caches):  # every layer's dx computed
-            grad = layer.backward(ckpt.params, grad, cache, need_dx=True)
+            grad, layer_grads = layer.backward(grad, cache, need_dx=True)
+            want.update(layer_grads)
         assert grad.shape == x.shape
+        assert sorted(got) == sorted(want) == sorted(ckpt.params.names())
         for name in ckpt.params.names():
-            assert got[name].tobytes() == ckpt.params[name].grad.tobytes(), name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("first", [md.Relu("relu0"), md.Fc("fc0", 6)],
                              ids=["relu", "fc"])
@@ -381,12 +381,135 @@ class TestBackward:
         for it in range(20):
             logits, caches = md.forward(spec, ckpt.params, x, "train", rng)
             loss, dlogits = nk.softmax_xent(logits, labels)
-            md.backward(ckpt.params, caches, dlogits)
-            nk.sgd_step(ckpt.params, cfg, it)
+            nk.sgd_step(ckpt.params, md.backward(ckpt.params, caches, dlogits),
+                        cfg, it)
             losses.append(loss)
         assert losses[-1] < losses[0]
         for name in ckpt.params.names():
             assert not np.array_equal(ckpt.params[name].weight, before[name]), name
+
+
+def rewrite_manifest(buf: bytes, edit) -> bytes:
+    """Checkpoint bytes with ``edit`` applied to the decoded manifest (in
+    place) and the header's manifest length updated; tensors unchanged."""
+    (length,) = struct.unpack_from("<Q", buf, 8)
+    manifest = json.loads(buf[16:16 + length])
+    edit(manifest)
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    return buf[:8] + struct.pack("<Q", len(payload)) + payload + buf[16 + length:]
+
+
+def _manifest_paths(node, prefix=()):
+    """Every key path below the manifest's root, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _manifest_paths(child, prefix + (key,))
+
+
+def _at(manifest, path):
+    for key in path:
+        manifest = manifest[key]
+    return manifest
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.just(2 ** 64)
+    | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["conv1.weight", "conv1.bias", "relu1", "conv", "fc",
+                       "maxpool", "basic", "transfer", "bogus.weight"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "name", "maps", "units", "x"]),
+                      inner, max_size=3),
+    max_leaves=6)
+
+EDIT_SPEC = md.ModelSpec((1, 4, 4), (
+    md.Conv("conv1", 2, 2, 2, pad=1), md.Relu("relu1"), md.MaxPool("pool1", 2, 2),
+    md.Dropout("drop1", 0.5), md.Fc("fc1", 3), md.Relu("relu2"), md.Fc("out", 2)))
+
+
+class TestCheckpointManifestChecks:
+    def _buf(self):
+        ckpt = md.set_layer_lr_mults(md.build_model(EDIT_SPEC, seed=1), 1, 0.5)
+        ckpt.rng_state = np.random.default_rng(2).bit_generator.state
+        return md.checkpoint_to_bytes(ckpt)
+
+    @staticmethod
+    def _loads_consistently_or_fails_cleanly(buf):
+        """``buf`` raises ValidationError, or loads with its spec's shapes and
+        then runs an eval forward that can raise only ValidationError."""
+        try:
+            ckpt = md.checkpoint_from_bytes(buf)
+        except ValidationError:
+            return
+        shapes = ckpt.spec.param_shapes()
+        assert len(ckpt.params.names()) == 2 * len(shapes)
+        for layer, shape in shapes.items():
+            for name, want in ((f"{layer}.weight", shape), (f"{layer}.bias", shape[:1])):
+                assert ckpt.params[name].weight.shape == want
+                assert ckpt.params[name].momentum.shape == want
+        try:
+            md.forward_eval(ckpt, np.zeros((2,) + ckpt.spec.input_shape))
+        except ValidationError:
+            pass
+
+    def test_unedited_rewrite_loads(self):
+        buf = self._buf()
+        assert md.checkpoint_to_bytes(md.checkpoint_from_bytes(
+            rewrite_manifest(buf, lambda m: None))) == buf
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda m: m["entries"][0].update(name="bogus.weight"), "entries"),
+        (lambda m: m["entries"].insert(0, m["entries"].pop(1)), "entries"),
+        (lambda m: m["entries"].pop(), "entries"),
+        (lambda m: m["spec"]["layers"][0].update(maps=3), "shape"),
+        (lambda m: m["spec"]["layers"][4].update(units=4), "shape"),
+        (lambda m: m["spec"].update(input_shape=[2, 4, 4]), "shape"),
+        (lambda m: m["entries"][0].update(lr_mult="x"), r"lr_mult: must be float in \[0, 1\]"),
+        (lambda m: m["entries"][0].update(lr_mult=1.5), "lr_mult"),
+        (lambda m: m.update(iteration="abc"), "iteration: must be int >= 0"),
+        (lambda m: m.update(iteration=-1), "iteration"),
+        (lambda m: m.update(phase_tag="nope"), "phase_tag: must be one of"),
+        (lambda m: m.pop("rng_state"), "missing key 'rng_state'"),
+        (lambda m: m.update(extra=1), "unknown key 'extra'"),
+        (lambda m: m["spec"].pop("layers"), "missing key 'layers'"),
+    ], ids=["renamed", "swapped", "dropped", "maps", "units", "channels",
+            "lr_mult-str", "lr_mult-range", "iteration-str", "iteration-neg",
+            "phase_tag", "no-rng_state", "unknown-key", "no-layers"])
+    def test_mismatch_rejected(self, edit, match):
+        with pytest.raises(ValidationError, match=match):
+            md.checkpoint_from_bytes(rewrite_manifest(self._buf(), edit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_field_edits_load_consistently_or_fail_cleanly(self, data):
+        buf = self._buf()
+        manifest = json.loads(buf[16:16 + struct.unpack_from("<Q", buf, 8)[0]])
+        path = data.draw(st.sampled_from(list(_manifest_paths(manifest))))
+        how = data.draw(st.sampled_from(["replace", "delete", "swap"]))
+        value = data.draw(JSON_VALUES)
+
+        def edit(m):
+            parent, key = _at(m, path[:-1]), path[-1]
+            if how == "replace":
+                parent[key] = value
+            elif how == "delete":
+                del parent[key]
+            elif isinstance(parent, list) and len(parent) > 1:
+                other = (key + 1) % len(parent)
+                parent[key], parent[other] = parent[other], parent[key]
+
+        self._loads_consistently_or_fails_cleanly(rewrite_manifest(buf, edit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_header_and_manifest_bit_flips_fail_cleanly(self, data):
+        buf = bytearray(self._buf())
+        end = 16 + struct.unpack_from("<Q", buf, 8)[0]
+        at = data.draw(st.integers(0, end - 1))
+        buf[at] ^= 1 << data.draw(st.integers(0, 7))
+        self._loads_consistently_or_fails_cleanly(bytes(buf))
 
 
 class TestCheckpointIO:

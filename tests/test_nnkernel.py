@@ -349,25 +349,24 @@ class TestSoftmaxXent:
 def _single_param(w0, g):
     params = nk.ParamSet()
     params.add("p.weight", np.array([w0]))
-    params["p.weight"].grad[...] = g
-    return params
+    return params, {"p.weight": np.array([g])}
 
 
 class TestSgd:
     def test_vanilla_step(self):
         cfg = nk.SgdConfig(base_lr=0.5, momentum=0.0, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1, batch_size=1)
-        params = _single_param(1.0, 2.0)
-        nk.sgd_step(params, cfg, 0)
+        params, grads = _single_param(1.0, 2.0)
+        nk.sgd_step(params, grads, cfg, 0)
         assert params["p.weight"].weight[0] == 1.0 - 0.5 * 2.0
 
     def test_frozen_entry_untouched(self):
         cfg = nk.SgdConfig(base_lr=0.5, momentum=0.9, weight_decay=0.1,
                            lr_gamma=1.0, lr_step=1, batch_size=1)
-        params = _single_param(1.0, 2.0)
+        params, grads = _single_param(1.0, 2.0)
         params["p.weight"].lr_mult = 0.0
         params["p.weight"].momentum[...] = 3.0
-        nk.sgd_step(params, cfg, 0)
+        nk.sgd_step(params, grads, cfg, 0)
         assert params["p.weight"].weight[0] == 1.0
         assert params["p.weight"].momentum[0] == 3.0
 
@@ -384,21 +383,20 @@ class TestSgd:
 
         cfg = nk.SgdConfig(base_lr=eta, momentum=mu, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1, batch_size=1)
-        params = _single_param(0.0, g)
-        nk.sgd_step(params, cfg, 0)
+        params, grads = _single_param(0.0, g)
+        nk.sgd_step(params, grads, cfg, 0)
         assert params["p.weight"].momentum[0] == v
         assert params["p.weight"].weight[0] == w
-        params["p.weight"].grad[...] = g
-        nk.sgd_step(params, cfg, 1)
+        nk.sgd_step(params, grads, cfg, 1)
         assert params["p.weight"].momentum[0] == v2
         assert params["p.weight"].weight[0] == w2
 
     def test_zero_grad_zero_decay_is_identity(self):
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1, batch_size=1)
-        params = _single_param(1.2345, 0.0)
+        params, grads = _single_param(1.2345, 0.0)
         before = params["p.weight"].weight.copy()
-        nk.sgd_step(params, cfg, 0)
+        nk.sgd_step(params, grads, cfg, 0)
         np.testing.assert_array_equal(params["p.weight"].weight, before)
 
 
