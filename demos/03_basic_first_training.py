@@ -22,7 +22,7 @@ cfg_a = bm.train_config(400, seed=31, level="basic")
 start = md.build_model(bundle.model_spec.with_outputs(lm.n_basic), seed=31,
                        phase_tag="basic", init="scaled")
 basic_ckpt, report_a = cu.train_phase(start, cfg_a, bundle.train, bundle.val,
-                                      lm, bundle.store)
+                                      lm, bundle.images, bundle.rows)
 print(f"phase A (basic, {cfg_a.max_iterations} iters): "
       f"top-1 {report_a.final['top1']:.3f}")
 
@@ -39,7 +39,7 @@ print(f"sibling logits at handoff (group 0): {logits[0, group0]}")
 sub_ckpt = md.set_layer_lr_mults(sub_ckpt, 2, 0.1)
 cfg_b = bm.train_config(400, seed=32, level="sub")
 final, report_b = cu.train_phase(sub_ckpt, cfg_b, bundle.train, bundle.val,
-                                 lm, bundle.store)
+                                 lm, bundle.images, bundle.rows)
 print(f"phase B (subordinate, {cfg_b.max_iterations} iters): "
       f"top-1 {report_b.final['top1']:.3f}")
 

@@ -65,14 +65,17 @@ def train_config(iters: int, seed: int, level: str,
 
 
 def make_bundle(seed: int) -> tuple[dp.SyntheticData, cu.DataBundle]:
-    """Seeded dataset plus a ready DataBundle (40 train / 10 val per leaf)."""
+    """Seeded dataset plus a ready DataBundle (40 train / 10 val per leaf);
+    the bundle's images are the whole manifest's, in manifest order."""
     data = dp.generate_synthetic(synth_spec(seed))
     graph = taxonomy.validate_basic_marks(data.graph, data.basic_marks)
     labelmap = taxonomy.allocate_descendants(graph)
     (train, val), = dp.random_class_splits(data.manifest, 40, 10, 1,
                                            seed=seed + 1000)
-    bundle = cu.DataBundle(train=train, val=val, labelmap=labelmap,
-                           graph=graph, store=dp.InMemoryStore(data.images),
+    images = dp.load_batch(dp.InMemoryStore(data.images), data.manifest.samples)
+    bundle = cu.DataBundle(train=train, val=val, phase_a_train=train,
+                           labelmap=labelmap, graph=graph, images=images,
+                           rows=data.manifest.positions(),
                            model_spec=model_spec(labelmap.n_sub),
                            init="scaled")
     return data, bundle

@@ -131,6 +131,8 @@ def cmd_dedup(args) -> int:
 
 
 def _load_train_inputs(config):
+    """The manifest, the taxonomy graph and label map, the manifest's image
+    store, and the train, val and capped phase-A splits; no image is read."""
     data_cfg = config["data"]
     if "synthetic" in data_cfg:
         data = dp.generate_synthetic(cf.build_synth_spec(data_cfg["synthetic"]))
@@ -150,7 +152,7 @@ def _load_train_inputs(config):
         manifest, split_cfg["n_train_per_class"],
         split_cfg.get("max_test_per_class", 10), 1, split_cfg["seed"])
 
-    phase_a_train = None
+    phase_a_train = train
     if "cap" in data_cfg:
         cap_cfg = data_cfg["cap"]
         phase_a_train = dp.cap_per_category(
@@ -172,10 +174,6 @@ def cmd_train(args) -> int:
     manifest, graph, labelmap, store, train, val, phase_a_train = (
         _load_train_inputs(config))
     model_spec = cf.build_model_spec(config["model"], labelmap.n_sub)
-    bundle = cu.DataBundle(train=train, val=val, labelmap=labelmap,
-                           graph=graph, store=store, model_spec=model_spec,
-                           init=config["model"].get("init", "fixed"),
-                           phase_a_train=phase_a_train)
 
     regime_sections = config.get("regimes") or [config["regime"]]
     regimes = {sec.get("name", sec["kind"]): cf.build_regime(sec, graph, labelmap)
@@ -197,6 +195,16 @@ def cmd_train(args) -> int:
                 f"hash; refusing to mix runs")
     files.write_json(manifest_path, {"config_hash": digest,
                                      "code_version": __version__, "config": config})
+
+    # one load serves every phase of every regime, and the transfer probe
+    loaded = manifest if "transfer" in config else manifest.subset(
+        s.sample_id for split in (train, val) for s in split.samples)
+    bundle = cu.DataBundle(train=train, val=val, phase_a_train=phase_a_train,
+                           labelmap=labelmap, graph=graph,
+                           images=dp.load_batch(store, loaded.samples),
+                           rows=loaded.positions(), model_spec=model_spec,
+                           init=config["model"].get("init", "fixed"))
+    del store  # a synthetic store's image dict is not kept past the load
 
     single = "regime" in config
 
@@ -220,18 +228,15 @@ def cmd_train(args) -> int:
         else:
             outcomes = [run_one(item) for item in regimes.items()]
 
-        final_ckpts = {}
-        for name, ckpt, report in outcomes:
-            final_ckpts[name] = ckpt
+        for name, _, report in outcomes:
             print(f"{name}: " + " ".join(
                 f"{k}={v:.4f}" for k, v in sorted(report.final.items())))
 
         if "transfer" in config:
             probe = transfer.ProbeSpec(**config["transfer"])
-            images = dp.load_batch(store, manifest.samples)
-            for name, ckpt in final_ckpts.items():
-                result = transfer.evaluate_probe(ckpt, manifest, images, probe,
-                                                 labelmap)
+            for name, ckpt, _ in outcomes:
+                result = transfer.evaluate_probe(ckpt, manifest, bundle.images,
+                                                 probe, labelmap)
                 transfer.save_probe_result(
                     result, (out if single else out / name) / "transfer")
                 print(f"{name}: probe mean_class_recall="

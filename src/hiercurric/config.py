@@ -3,10 +3,11 @@
 A config is a JSON object, checked whole before any work happens. Each
 section is checked against its row of the key table below, or built into
 its dataclass, whose own range checks then run; each regime is built into
-its ``curriculum.Regime``, whose recipe checks run. An unknown key, a missing
-required key, a value of the wrong type or out of range exits 2 with a
-message naming its dotted key path. Every seed must be written out
-explicitly; nothing is ever seeded from the clock.
+its ``curriculum.Regime``, whose recipe checks run, and the model spec runs
+its shape chain. An unknown key, a missing required key, a value of the
+wrong type or out of range exits 2 with a message naming its dotted key
+path. Every seed must be written out explicitly; nothing is ever seeded
+from the clock.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ _NAMED_SPECS = {"desk": md.desk_spec, "alexnet": md.alexnet_spec,
 
 
 def build_model_spec(section: dict, n_outputs: int) -> md.ModelSpec:
-    """A named spec or inline ``layers``; ``input_shape`` replaces the
-    named spec's own and is required with inline layers."""
+    """A named spec or inline ``layers``, whose shape chain is checked;
+    ``input_shape`` replaces the named spec's own and is required with
+    inline layers."""
     if ("name" in section) == ("layers" in section):
         raise ValidationError("model: needs exactly one of 'name' or 'layers'")
     if "layers" not in section:
@@ -48,9 +50,10 @@ def build_model_spec(section: dict, n_outputs: int) -> md.ModelSpec:
         spec = md.ModelSpec.from_dict(section, "model").with_outputs(n_outputs)
     else:
         raise ValidationError("model: inline layers need input_shape")
-    if "input_shape" in section:
-        with strict.at("model"):
+    with strict.at("model"):
+        if "input_shape" in section:
             spec = replace(spec, input_shape=tuple(section["input_shape"]))
+        spec.shape_chain()
     return spec
 
 

@@ -117,18 +117,16 @@ class RunReport:
 
 @dataclass
 class DataBundle:
-    """Everything a regime needs: data, labels, graph, model shape, pixels."""
+    """Everything a regime needs: splits, labels, graph, model shape, images."""
     train: dp.DatasetManifest
     val: dp.DatasetManifest
+    phase_a_train: dp.DatasetManifest  # train, or train capped per category
     labelmap: LabelMap
     graph: SynsetGraph
-    store: object                      # anything with .load(sample)
+    images: np.ndarray                 # (N, C, H, W): one row per loaded sample
+    rows: dict[str, int]               # sample_id -> its row of images
     model_spec: md.ModelSpec
     init: str = "fixed"                # weight init scheme for fresh models
-    phase_a_train: dp.DatasetManifest | None = None  # capped manifest, if any
-
-    def phase_a_manifest(self) -> dp.DatasetManifest:
-        return self.phase_a_train if self.phase_a_train is not None else self.train
 
 
 def topk_accuracy(logits, labels, k: int) -> float:
@@ -147,10 +145,10 @@ def topk_accuracy(logits, labels, k: int) -> float:
     return float((ranked == labels[:, None]).any(axis=1).mean())
 
 
-def _eval_metrics(ckpt, X, labels, batch_size):
+def _eval_metrics(ckpt, images, rows, labels, batch_size):
     logits = np.concatenate([
-        md.forward_eval(ckpt, X[i:i + batch_size])
-        for i in range(0, len(X), batch_size)])
+        md.forward_eval(ckpt, images[rows[i:i + batch_size]])
+        for i in range(0, len(rows), batch_size)])
     metrics = {"top1": topk_accuracy(logits, labels, 1)}
     if logits.shape[1] >= 5:
         metrics["top5"] = topk_accuracy(logits, labels, 5)
@@ -168,43 +166,44 @@ def _step(work, sgd, batch, labels, rng, iteration: int) -> float:
 
 def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
                 train: dp.DatasetManifest, val: dp.DatasetManifest,
-                labelmap: LabelMap, store,
+                labelmap: LabelMap, images: np.ndarray, rows: dict[str, int],
                 out_dir=None) -> tuple[md.Checkpoint, RunReport]:
     """Seeded mini-batch SGD at cfg.task_level; returns final state + curves.
 
-    The input checkpoint is not mutated. Batches come from a full seeded
-    shuffle per epoch with the last partial batch kept; the learning-rate
-    schedule restarts at iteration 0 for the phase.
+    Each batch is read from ``images`` through ``rows`` (sample id -> row),
+    so no split is copied. The input checkpoint is not mutated. Batches come
+    from a full seeded shuffle per epoch with the last partial batch kept;
+    the learning-rate schedule restarts at iteration 0 for the phase.
     """
     train_labels = np.array(labelmap.indices(train.leaf_ids(), cfg.task_level))
     val_labels = np.array(labelmap.indices(val.leaf_ids(), cfg.task_level))
-    if len(train) == 0:
-        raise ValidationError("empty training manifest")
+    if len(train) == 0 or len(val) == 0:
+        raise ValidationError("empty training or validation manifest")
     n_out = ckpt.spec.n_outputs
     for arr, which in ((train_labels, "train"), (val_labels, "val")):
-        if len(arr) and (arr.min() < 0 or arr.max() >= n_out):
+        if arr.min() < 0 or arr.max() >= n_out:
             raise ValidationError(f"{which} labels exceed head width {n_out}")
 
     work = ckpt.copy()
-    X = dp.load_batch(store, train.samples)
-    Xval = dp.load_batch(store, val.samples)
+    train_rows, val_rows = (np.array([rows[s.sample_id] for s in split.samples])
+                            for split in (train, val))
     rng = np.random.default_rng(cfg.seed)
     report = RunReport()
     out_path = Path(out_dir) if out_dir is not None else None
 
     bs = cfg.sgd.batch_size
-    batches = dp.epoch_batches(rng, len(X), bs)
+    batches = dp.epoch_batches(rng, len(train_rows), bs)
     for it, batch_idx in zip(range(cfg.max_iterations), batches):
         try:
-            loss = _step(work, cfg.sgd, X[batch_idx], train_labels[batch_idx],
-                         rng, it)
+            loss = _step(work, cfg.sgd, images[train_rows[batch_idx]],
+                         train_labels[batch_idx], rng, it)
         except NumericFault as exc:
             raise NumericFault(f"iteration {it}: {exc}") from exc
         report.curves.append((it, "train", "loss", loss))
 
         done = it + 1
         if done % cfg.eval_every == 0 or done == cfg.max_iterations:
-            metrics = _eval_metrics(work, Xval, val_labels, bs)
+            metrics = _eval_metrics(work, images, val_rows, val_labels, bs)
             for name, value in metrics.items():
                 report.curves.append((done, "val", name, value))
         if done % cfg.checkpoint_every == 0 or done == cfg.max_iterations:
@@ -268,7 +267,7 @@ def _train_phase_a(regime: Regime, bundle: DataBundle,
                    out_dir) -> tuple[md.Checkpoint, RunReport]:
     """Phase A on the labels its recipe names, from a fresh phase_a.seed model."""
     task, lm = RECIPES[regime.kind].phase_a, bundle.labelmap
-    train, val = bundle.phase_a_manifest(), bundle.val
+    train, val = bundle.phase_a_train, bundle.val
     if task == "subset":
         lm, (train, val) = _subset_task(
             bundle.graph, regime.pretrain_categories, (train, val))
@@ -276,8 +275,8 @@ def _train_phase_a(regime: Regime, bundle: DataBundle,
     if task == "sub":  # the phase-B task, on the uncapped training set
         train, width, tag = bundle.train, lm.n_sub, "subordinate"
     start = _fresh_model(bundle, width, regime.phase_a.seed, tag)
-    return train_phase(start, regime.phase_a, train, val, lm, bundle.store,
-                       out_dir)
+    return train_phase(start, regime.phase_a, train, val, lm, bundle.images,
+                       bundle.rows, out_dir)
 
 
 def run_regime(regime: Regime, bundle: DataBundle,
@@ -308,7 +307,8 @@ def run_regime(regime: Regime, bundle: DataBundle,
                                          regime.phase_b.lowered_mult)
 
     final, rep_b = train_phase(ckpt, regime.phase_b, bundle.train, bundle.val,
-                               lm, bundle.store, out_path and out_path / "phase_b")
+                               lm, bundle.images, bundle.rows,
+                               out_path and out_path / "phase_b")
     _merge(report, "phase_b", rep_b)
     return final, report
 
@@ -317,7 +317,7 @@ def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest,
                      images: np.ndarray, probe,
                      labelmap: LabelMap | None = None) -> RunReport:
     """Probe each loaded checkpoint of a run on the manifest's ``images``
-    array; series keyed by stored iteration."""
+    array; series keyed by each checkpoint's iteration."""
     if not checkpoints:
         raise ValidationError("no checkpoints given")
     iterations = [c.iteration for c in checkpoints]

@@ -47,6 +47,10 @@ class DatasetManifest:
     def leaf_ids(self) -> list[str]:
         return [s.leaf_id for s in self.samples]
 
+    def positions(self) -> dict[str, int]:
+        """Each sample id's position in ``samples``."""
+        return {s.sample_id: i for i, s in enumerate(self.samples)}
+
     def subset(self, keep_ids) -> "DatasetManifest":
         keep = set(keep_ids)
         return replace(self, samples=tuple(
@@ -85,7 +89,6 @@ class SyntheticData:
     basic_marks: frozenset[str]
     images: dict[str, np.ndarray] = field(repr=False)
     basic_prototypes: dict[str, np.ndarray] = field(repr=False)
-    sub_prototypes: dict[str, np.ndarray] = field(repr=False)
 
 
 def generate_synthetic(spec: SynthSpec) -> SyntheticData:
@@ -104,7 +107,6 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
     samples = []
     images: dict[str, np.ndarray] = {}
     basic_protos: dict[str, np.ndarray] = {}
-    sub_protos: dict[str, np.ndarray] = {}
 
     for b, basic in enumerate(basic_ids):
         proto = np.clip(0.5 + spec.prototype_scale * rng.standard_normal(shape), 0, 1)
@@ -113,7 +115,6 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
             leaf = f"sub_{b:02d}_{s:02d}"
             edges.append((basic, leaf))
             sub = np.clip(proto + spec.subordinate_scale * rng.standard_normal(shape), 0, 1)
-            sub_protos[leaf] = sub
             for k in range(spec.samples_per_sub):
                 sid = f"{leaf}_{k:04d}"
                 img = np.clip(sub + spec.noise_scale * rng.standard_normal(shape), 0, 1)
@@ -127,7 +128,6 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
         basic_marks=frozenset(basic_ids),
         images=images,
         basic_prototypes=basic_protos,
-        sub_prototypes=sub_protos,
     )
 
 
@@ -322,11 +322,8 @@ class RawFileStore:
     def __init__(self, root):
         self.root = Path(root)
 
-    def path_for(self, sample: Sample) -> Path:
-        return self.root / sample.source
-
     def load(self, sample: Sample) -> np.ndarray:
-        return nk.load_tensor(self.path_for(sample)).astype(np.float64)
+        return nk.load_tensor(self.root / sample.source).astype(np.float64)
 
 
 def load_batch(store, samples) -> np.ndarray:

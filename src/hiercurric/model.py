@@ -136,6 +136,11 @@ class Dropout(Layer):
     name: str
     rate: float
 
+    def out_shape(self, shape):
+        if not 0 <= self.rate < 1:
+            raise self._error(f"rate {self.rate} must be in [0, 1)")
+        return shape
+
     def forward(self, params, x, mode, rng):
         return nk.dropout_forward(x, self.rate, mode, rng)
 
@@ -150,6 +155,8 @@ class Fc(Layer):
     units: int
 
     def out_shape(self, shape):
+        if self.units < 1:
+            raise self._error(f"units {self.units} must be >= 1")
         return (self.units,)
 
     def param_shape(self, shape_in):

@@ -8,6 +8,7 @@ upward breadth-first search that expands parents in file edge order.
 
 from __future__ import annotations
 
+import graphlib
 import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -93,34 +94,13 @@ def build_graph(edges) -> SynsetGraph:
         parents.setdefault(child, []).append(parent)
         children.setdefault(parent, []).append(child)
 
-    _check_acyclic(nodes, children)
+    try:
+        graphlib.TopologicalSorter(children).prepare()
+    except graphlib.CycleError as exc:
+        raise ValidationError(
+            f"cycle detected through node {exc.args[1][0]!r}") from None
     return SynsetGraph(nodes=nodes, edges=tuple(edges),
                        _parents=parents, _children=children)
-
-
-def _check_acyclic(nodes, children) -> None:
-    # Iterative three-color DFS; names one node on the first back edge found.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(children.get(start, [])))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    raise ValidationError(f"cycle detected through node {nxt!r}")
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(children.get(nxt, []))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
 
 
 def parse_synset_file(path) -> SynsetGraph:

@@ -148,7 +148,7 @@ def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest,
             f"{len(images)} images for {len(manifest)} manifest samples")
     features = extract_features(ckpt, images, probe.layer)
     digests = [hashlib.sha256(image.tobytes()).hexdigest() for image in images]
-    position = {s.sample_id: i for i, s in enumerate(manifest.samples)}
+    position = manifest.positions()
 
     splits = dp.random_class_splits(manifest, probe.n_train_per_class,
                                     probe.max_test_per_class,

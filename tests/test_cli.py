@@ -213,8 +213,8 @@ class TestDedupCmd:
         assert cli.main(synth_args(b_dir, seed=13)) == EXIT_OK
         man_a = dp.load_manifest(a_dir / "manifest.csv")
         man_b = dp.load_manifest(b_dir / "manifest.csv")
-        src = dp.RawFileStore(a_dir).path_for(man_a.samples[0])
-        dst = dp.RawFileStore(b_dir).path_for(man_b.samples[5])
+        src = a_dir / man_a.samples[0].source
+        dst = b_dir / man_b.samples[5].source
         dst.write_bytes(src.read_bytes())
         out = tmp_path / "dedup"
         code = cli.main(["dedup", "--manifest-a", str(a_dir / "manifest.csv"),
@@ -288,8 +288,14 @@ class TestTrainCmd:
         ({"kind": "RandomSubsetPretrain", "phase_a": phase(seed=8),
           "phase_b": phase(), "pretrain_categories": ["sub_00_00"],
           "pretrain_sample": {"count": 1, "seed": 3}}, None, "not both"),
+        (None, [{"kind": "fc", "name": "f1", "units": 0},
+                {"kind": "fc", "name": "out", "units": 2}],
+         "model: layer 'f1': units 0 must be >= 1"),
+        (None, [{"kind": "dropout", "name": "d1", "rate": 5},
+                {"kind": "fc", "name": "out", "units": 2}],
+         "model: layer 'd1': rate 5 must be in [0, 1)"),
     ], ids=["missing-field", "unknown-field", "pretrain-on-facilitated",
-            "both-pretrain-keys"])
+            "both-pretrain-keys", "fc-zero-units", "dropout-rate-above-1"])
     def test_malformed_or_no_effect_config_exits_2(self, tmp_path, capsys,
                                                    regime, layers, match):
         config_path, config = train_config(tmp_path, regime=regime)
@@ -546,6 +552,16 @@ CONFIG_REJECTIONS = [
           "regime.pretrain_sample.count: must be int >= 1"),
     _case("min-input-shape", ("model.input_shape", [0, 8, 8]),
           "model: input_shape (0, 8, 8) must be >= 1"),
+    _case("min-fc-units", ("model", dict(INLINE, layers=[
+        {"kind": "fc", "name": "f1", "units": 0}, *INLINE["layers"]])),
+          "model: layer 'f1': units 0 must be >= 1"),
+    _case("range-dropout-rate", ("model", dict(INLINE, layers=[
+        {"kind": "dropout", "name": "d1", "rate": -0.5}, *INLINE["layers"]])),
+          "model: layer 'd1': rate -0.5 must be in [0, 1)"),
+    _case("kernel-does-not-fit", ("model", dict(INLINE, layers=[
+        {"kind": "conv", "name": "c1", "maps": 2, "kh": 9, "kw": 9},
+        *INLINE["layers"]])),
+          "model: layer 'c1': kernel does not fit input (1, 8, 8)"),
     _case("empty-regime-name", ("regime.name", ""),
           "regime.name: must be non-empty str"),
     _case("empty-directory", ("output.directory", ""),
@@ -697,6 +713,25 @@ def probe_fixtures(tmp_path):
     return data_dir, ckpt_path, model_spec
 
 
+def file_backed_config(data_dir, tmp_path, **sections):
+    """A train config over a saved synthetic set (manifest, tensor files and
+    taxonomy), with ``sections`` added at the root."""
+    config = {
+        "taxonomy": {"synsets": str(data_dir / "synsets.txt"),
+                     "marks": str(data_dir / "basic_marks.txt")},
+        "data": {"manifest": str(data_dir / "manifest.csv"),
+                 "images_root": str(data_dir),
+                 "split": {"n_train_per_class": 4, "max_test_per_class": 2,
+                           "seed": 6}},
+        "model": {"name": "benchmark", "input_shape": [1, 8, 8],
+                  "init": "scaled"},
+        **sections,
+    }
+    path = tmp_path / "file_backed.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 class TestProbeCmd:
     def test_n_train_list_gives_two_aggregate_rows(self, probe_fixtures,
                                                    tmp_path):
@@ -753,6 +788,25 @@ class TestProbeCmd:
                          "--seed", "33", "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert "error: checkpoint entries ['bogus.weight'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index, edit, message", [
+        (6, {"units": 0}, "layer 'fc1': units 0 must be >= 1"),
+        (7, {"rate": 1.0}, "layer 'drop1': rate 1.0 must be in [0, 1)"),
+    ], ids=["fc-zero-units", "dropout-rate-one"])
+    def test_checkpoint_bad_layer_exits_2(self, probe_fixtures, tmp_path,
+                                          capsys, index, edit, message):
+        data_dir, ckpt_path, _ = probe_fixtures
+        ckpt_path.write_bytes(rewrite_manifest(
+            ckpt_path.read_bytes(),
+            lambda m: m["spec"]["layers"][index].update(edit)))
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_n_train_exits_2(self, probe_fixtures, tmp_path, capsys):
@@ -866,12 +920,39 @@ class TestImageLoads:
                       str(tmp_path / "later.ckpt"), *probing, "--n-train", "2"],
             "dedup": ["dedup", "--manifest-a", manifest,
                       "--images-a", str(data_dir)],
+            "train": ["train", "--config", str(file_backed_config(
+                data_dir, tmp_path, regimes=[
+                    {"name": "reference", "kind": "Reference",
+                     "phase_b": phase()},
+                    {"name": "facilitated", "kind": "FacilitatedReplicatedHead",
+                     "phase_a": phase(seed=21), "phase_b": phase(seed=22)}],
+                transfer={"n_train_per_class": 2, "max_test_per_class": 4,
+                          "n_splits": 2, "seed": 41, "iters": 10}))],
         }
         every_image = Counter(s.sample_id for s in dp.load_manifest(manifest).samples)
         for name, argv in commands.items():
             loads.clear()
             assert cli.main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
             assert loads == every_image, name
+
+    def test_train_without_transfer_loads_its_splits_once(self, probe_fixtures,
+                                                          tmp_path, monkeypatch):
+        data_dir, _, _ = probe_fixtures
+        loads = Counter()
+        load = dp.RawFileStore.load
+        monkeypatch.setattr(dp.RawFileStore, "load", lambda store, sample: (
+            loads.update([sample.sample_id]) or load(store, sample)))
+        config = file_backed_config(data_dir, tmp_path, regime={
+            "kind": "FacilitatedReplicatedHead", "phase_a": phase(seed=21),
+            "phase_b": phase(seed=22)})
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == EXIT_OK
+        # 4 train and 2 val samples of each leaf's 8
+        (train, val), = dp.random_class_splits(
+            dp.load_manifest(data_dir / "manifest.csv"), 4, 2, 1, seed=6)
+        assert loads == Counter(s.sample_id for split in (train, val)
+                                for s in split.samples)
+        assert sum(loads.values()) == 24
 
     @pytest.mark.parametrize("command,layer,message", [
         ("probe", "nope", "no layer named 'nope'"),

@@ -96,7 +96,8 @@ class TestTrainPhase:
                               init="scaled")
         final, report = cu.train_phase(ckpt, tiny_cfg(iters=1, lr=0.0),
                                        bundle.train, bundle.val,
-                                       bundle.labelmap, bundle.store)
+                                       bundle.labelmap, bundle.images,
+                                       bundle.rows)
         for name in ckpt.params.names():
             np.testing.assert_array_equal(final.params[name].weight,
                                           ckpt.params[name].weight)
@@ -138,7 +139,7 @@ class TestTrainPhase:
         monkeypatch.setattr(md, "forward_eval", spy_eval)
         monkeypatch.setattr(md, "backward", spy_backward)
         cu.train_phase(ckpt, tiny_cfg(iters=3, eval_every=1), bundle.train,
-                       bundle.val, bundle.labelmap, bundle.store)
+                       bundle.val, bundle.labelmap, bundle.images, bundle.rows)
         assert starts.count("forward") == 3
         assert [w for w, nxt in zip(starts, starts[1:]) if nxt == "forward"] == [
             "eval", "eval"]
@@ -149,7 +150,8 @@ class TestTrainPhase:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=3,
                               init="scaled", dtype=np.float32)
         final, _ = cu.train_phase(ckpt, tiny_cfg(iters=1), bundle.train,
-                                  bundle.val, bundle.labelmap, bundle.store)
+                                  bundle.val, bundle.labelmap, bundle.images,
+                                  bundle.rows)
         for name in final.params.names():
             entry = final.params[name]
             assert entry.weight.dtype == entry.momentum.dtype == np.float32, name
@@ -162,7 +164,7 @@ class TestTrainPhase:
                               init="scaled")
         before = md.checkpoint_to_bytes(ckpt)
         cu.train_phase(ckpt, tiny_cfg(iters=3), bundle.train, bundle.val,
-                       bundle.labelmap, bundle.store)
+                       bundle.labelmap, bundle.images, bundle.rows)
         assert md.checkpoint_to_bytes(ckpt) == before
 
     def test_loss_curve_smoothed_decreasing(self, bundle_pair):
@@ -173,7 +175,7 @@ class TestTrainPhase:
                               init="scaled")
         _, report = cu.train_phase(ckpt, tiny_cfg(iters=200, seed=5),
                                    bundle.train, bundle.val,
-                                   bundle.labelmap, bundle.store)
+                                   bundle.labelmap, bundle.images, bundle.rows)
         losses = np.array([v for it, s, m, v in report.curves if m == "loss"])
         blocks = losses.reshape(10, 20).mean(axis=1)
         assert blocks[-1] < blocks[0]
@@ -185,14 +187,17 @@ class TestTrainPhase:
         empty = dp.DatasetManifest(())
         with pytest.raises(ValidationError, match="empty"):
             cu.train_phase(ckpt, tiny_cfg(), empty, bundle.val,
-                           bundle.labelmap, bundle.store)
+                           bundle.labelmap, bundle.images, bundle.rows)
+        with pytest.raises(ValidationError, match="empty"):
+            cu.train_phase(ckpt, tiny_cfg(), bundle.train, empty,
+                           bundle.labelmap, bundle.images, bundle.rows)
 
     def test_label_out_of_head_range(self, bundle_pair):
         _, bundle = bundle_pair
         ckpt = md.build_model(bundle.model_spec.with_outputs(3), seed=3)
         with pytest.raises(ValidationError, match="head width"):
             cu.train_phase(ckpt, tiny_cfg(), bundle.train, bundle.val,
-                           bundle.labelmap, bundle.store)
+                           bundle.labelmap, bundle.images, bundle.rows)
 
     def test_eval_cadence_and_metrics(self, bundle_pair):
         _, bundle = bundle_pair
@@ -200,7 +205,7 @@ class TestTrainPhase:
                               init="scaled")
         _, report = cu.train_phase(ckpt, tiny_cfg(iters=40, eval_every=20),
                                    bundle.train, bundle.val,
-                                   bundle.labelmap, bundle.store)
+                                   bundle.labelmap, bundle.images, bundle.rows)
         top1_iters = [it for it, s, m, v in report.curves if m == "top1"]
         assert top1_iters == [20, 40]
         assert any(m == "top5" for _, _, m, _ in report.curves)
@@ -215,7 +220,8 @@ class TestRunRegime:
                                phase_tag="subordinate", init="scaled")
         ckpt_p, report_p = cu.train_phase(start, tiny_cfg(iters=5, seed=7),
                                           bundle.train, bundle.val,
-                                          bundle.labelmap, bundle.store)
+                                          bundle.labelmap, bundle.images,
+                                          bundle.rows)
         assert md.checkpoint_to_bytes(ckpt_r) == md.checkpoint_to_bytes(ckpt_p)
         assert report_r.curves == [(it, s, f"phase_b.{m}", v)
                                    for it, s, m, v in report_p.curves]
@@ -246,7 +252,8 @@ class TestRunRegime:
         start = md.build_model(bundle.model_spec.with_outputs(
             bundle.labelmap.n_basic), seed=11, phase_tag="basic", init="scaled")
         phase_a_final, _ = cu.train_phase(start, cfg_a, bundle.train, bundle.val,
-                                          bundle.labelmap, bundle.store)
+                                          bundle.labelmap, bundle.images,
+                                          bundle.rows)
         for name in final.params.names():
             if name.startswith("fc2."):
                 continue
@@ -264,7 +271,8 @@ class TestRunRegime:
         start = md.build_model(bundle.model_spec.with_outputs(
             bundle.labelmap.n_basic), seed=21, phase_tag="basic", init="scaled")
         phase_a_final, _ = cu.train_phase(start, cfg_a, bundle.train, bundle.val,
-                                          bundle.labelmap, bundle.store)
+                                          bundle.labelmap, bundle.images,
+                                          bundle.rows)
         for conv in ("conv1", "conv2"):
             np.testing.assert_array_equal(
                 final.params[f"{conv}.weight"].weight,
@@ -337,9 +345,8 @@ class TestCheckpointSweep:
                               init="scaled")
         ckpt.iteration = 640
         probe = bm.probe_spec(seed=1)
-        images = dp.load_batch(bundle.store, data.manifest.samples)
-        report = cu.checkpoint_sweep([ckpt], data.manifest, images, probe,
-                                     bundle.labelmap)
+        report = cu.checkpoint_sweep([ckpt], data.manifest, bundle.images,
+                                     probe, bundle.labelmap)
         assert len(report.curves) == 1
         assert report.curves[0][0] == 640
         assert report.curves[0][1:3] == ("transfer", "mean_class_recall")
@@ -350,8 +357,7 @@ class TestCheckpointSweep:
         b = md.build_model(bundle.model_spec.with_outputs(12), seed=2)
         a.iteration, b.iteration = 10, 5
         with pytest.raises(ValidationError, match="ascend"):
-            cu.checkpoint_sweep([a, b], data.manifest,
-                                dp.load_batch(bundle.store, data.manifest.samples),
+            cu.checkpoint_sweep([a, b], data.manifest, bundle.images,
                                 bm.probe_spec(seed=1), bundle.labelmap)
 
     def test_trained_point_above_untrained(self, bundle_pair):
@@ -362,9 +368,8 @@ class TestCheckpointSweep:
                            phase_b=bm.train_config(300, 82, "sub"))
         trained, _ = cu.run_regime(regime, bundle)
         trained.iteration = 300
-        images = dp.load_batch(bundle.store, data.manifest.samples)
         report = cu.checkpoint_sweep([untrained, trained], data.manifest,
-                                     images, bm.probe_spec(seed=2),
+                                     bundle.images, bm.probe_spec(seed=2),
                                      bundle.labelmap)
         assert report.curves[1][3] > report.curves[0][3]
 

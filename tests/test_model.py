@@ -465,6 +465,10 @@ class TestCheckpointManifestChecks:
         (lambda m: m["entries"].pop(), "entries"),
         (lambda m: m["spec"]["layers"][0].update(maps=3), "shape"),
         (lambda m: m["spec"]["layers"][4].update(units=4), "shape"),
+        (lambda m: m["spec"]["layers"][4].update(units=0),
+         "layer 'fc1': units 0 must be >= 1"),
+        (lambda m: m["spec"]["layers"][3].update(rate=5),
+         r"layer 'drop1': rate 5 must be in \[0, 1\)"),
         (lambda m: m["spec"].update(input_shape=[2, 4, 4]), "shape"),
         (lambda m: m["entries"][0].update(lr_mult="x"), r"lr_mult: must be float in \[0, 1\]"),
         (lambda m: m["entries"][0].update(lr_mult=1.5), "lr_mult"),
@@ -474,7 +478,8 @@ class TestCheckpointManifestChecks:
         (lambda m: m.pop("rng_state"), "missing key 'rng_state'"),
         (lambda m: m.update(extra=1), "unknown key 'extra'"),
         (lambda m: m["spec"].pop("layers"), "missing key 'layers'"),
-    ], ids=["renamed", "swapped", "dropped", "maps", "units", "channels",
+    ], ids=["renamed", "swapped", "dropped", "maps", "units", "zero-units",
+            "dropout-rate", "channels",
             "lr_mult-str", "lr_mult-range", "iteration-str", "iteration-neg",
             "phase_tag", "no-rng_state", "unknown-key", "no-layers"])
     def test_mismatch_rejected(self, edit, match):

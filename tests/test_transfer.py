@@ -20,6 +20,11 @@ def desk_ckpt():
     return md.build_model(md.desk_spec(4), seed=1, init="scaled")
 
 
+def rows_of(bundle, samples):
+    """The bundle's loaded images of ``samples``, in their order."""
+    return bundle.images[[bundle.rows[s.sample_id] for s in samples]]
+
+
 def small_manifest(data, per_class=6):
     keep = []
     seen: dict[str, int] = {}
@@ -152,7 +157,7 @@ class TestEvaluateProbe:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
-        images = dp.load_batch(bundle.store, manifest.samples)
+        images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=3, iters=60)
         a = transfer.evaluate_probe(ckpt, manifest, images, probe,
@@ -167,7 +172,7 @@ class TestEvaluateProbe:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
-        images = dp.load_batch(bundle.store, manifest.samples)
+        images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=4, iters=60)
         result = transfer.evaluate_probe(ckpt, manifest, images, probe,
@@ -183,7 +188,7 @@ class TestEvaluateProbe:
                               init="scaled")
         before = md.body_hash(ckpt)
         manifest = small_manifest(data, per_class=8)
-        images = dp.load_batch(bundle.store, manifest.samples)
+        images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=5, iters=40)
         transfer.evaluate_probe(ckpt, manifest, images, probe,
@@ -195,7 +200,7 @@ class TestEvaluateProbe:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
-        images = dp.load_batch(bundle.store, manifest.samples)
+        images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
         result = transfer.evaluate_probe(ckpt, manifest, images, probe,
@@ -207,13 +212,12 @@ class TestEvaluateProbe:
         regime = cu.Regime(kind="Reference",
                            phase_b=bm.train_config(300, 99, "sub"))
         trained, _ = cu.run_regime(regime, bundle)
-        images = dp.load_batch(bundle.store, data.manifest.samples)
         random_ckpt = md.build_model(bundle.model_spec.with_outputs(12),
                                      seed=100, init="scaled")
         probe = bm.probe_spec(seed=7)
-        t = transfer.evaluate_probe(trained, data.manifest, images,
+        t = transfer.evaluate_probe(trained, data.manifest, bundle.images,
                                     probe, bundle.labelmap)
-        r = transfer.evaluate_probe(random_ckpt, data.manifest, images,
+        r = transfer.evaluate_probe(random_ckpt, data.manifest, bundle.images,
                                     probe, bundle.labelmap)
         assert t.aggregate["mean"] > r.aggregate["mean"]
 
@@ -222,7 +226,7 @@ class TestEvaluateProbe:
         regime = cu.Regime(kind="Reference",
                            phase_b=bm.train_config(200, 101, "sub"))
         ckpt, _ = cu.run_regime(regime, bundle)
-        images = dp.load_batch(bundle.store, data.manifest.samples)
+        images = bundle.images
         medians = []
         for n_train in (5, 10, 15):
             probe = transfer.ProbeSpec(n_train_per_class=n_train,
@@ -254,7 +258,7 @@ class TestEvaluateProbe:
         data, bundle = bundle_pair
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9)
         manifest = small_manifest(data, per_class=8)
-        images = dp.load_batch(bundle.store, manifest.samples[1:])
+        images = rows_of(bundle, manifest.samples[1:])
         probe = transfer.ProbeSpec(n_train_per_class=4)
         with pytest.raises(ValidationError, match="manifest samples"):
             transfer.evaluate_probe(ckpt, manifest, images, probe,
@@ -265,7 +269,7 @@ class TestEvaluateProbe:
         ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
                               init="scaled")
         manifest = small_manifest(data, per_class=8)
-        images = dp.load_batch(bundle.store, manifest.samples)
+        images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
         result = transfer.evaluate_probe(ckpt, manifest, images, probe,
