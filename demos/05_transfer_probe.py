@@ -22,8 +22,8 @@ random_ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=80,
 probe = bm.probe_spec(seed=8)
 for name, ckpt in (("trained backbone", trained),
                    ("random backbone", random_ckpt)):
-    result = transfer.evaluate_probe(ckpt, data.manifest, bundle.images,
-                                     probe, bundle.labelmap)
+    (result,) = transfer.evaluate_probe([ckpt], data.manifest, bundle.images,
+                                        probe, bundle.labelmap)
     per_split = [round(m, 4) for _, m, _ in result.per_split]
     print(f"{name}: splits {per_split} -> "
           f"mean {result.aggregate['mean']:.4f} "
@@ -33,6 +33,6 @@ print("\nmean class recall vs probe training set size (trained backbone):")
 for n_train in (5, 15, 30):
     spec = transfer.ProbeSpec(n_train_per_class=n_train, max_test_per_class=20,
                               n_splits=3, seed=9, iters=300)
-    result = transfer.evaluate_probe(trained, data.manifest, bundle.images,
-                                     spec, bundle.labelmap)
+    (result,) = transfer.evaluate_probe([trained], data.manifest, bundle.images,
+                                        spec, bundle.labelmap)
     print(f"  n_train {n_train:2d}: {result.aggregate['mean']:.4f}")

@@ -193,8 +193,6 @@ def cmd_train(args) -> int:
             raise ValidationError(
                 f"output directory {out} holds a run with a different config "
                 f"hash; refusing to mix runs")
-    files.write_json(manifest_path, {"config_hash": digest,
-                                     "code_version": __version__, "config": config})
 
     # one load serves every phase of every regime, and the transfer probe
     loaded = manifest if "transfer" in config else manifest.subset(
@@ -205,6 +203,9 @@ def cmd_train(args) -> int:
                            rows=loaded.positions(), model_spec=model_spec,
                            init=config["model"].get("init", "fixed"))
     del store  # a synthetic store's image dict is not kept past the load
+    # written once the images load, so a failed load leaves no run behind
+    files.write_json(manifest_path, {"config_hash": digest,
+                                     "code_version": __version__, "config": config})
 
     single = "regime" in config
 
@@ -233,10 +234,10 @@ def cmd_train(args) -> int:
                 f"{k}={v:.4f}" for k, v in sorted(report.final.items())))
 
         if "transfer" in config:
-            probe = transfer.ProbeSpec(**config["transfer"])
-            for name, ckpt, _ in outcomes:
-                result = transfer.evaluate_probe(ckpt, manifest, bundle.images,
-                                                 probe, labelmap)
+            results = transfer.evaluate_probe(
+                [ckpt for _, ckpt, _ in outcomes], manifest, bundle.images,
+                transfer.ProbeSpec(**config["transfer"]), labelmap)
+            for (name, _, _), result in zip(outcomes, results):
                 transfer.save_probe_result(
                     result, (out if single else out / name) / "transfer")
                 print(f"{name}: probe mean_class_recall="
@@ -277,7 +278,8 @@ def cmd_probe(args) -> int:
     rows = []
     for spec in specs:
         n_train = spec.n_train_per_class
-        result = transfer.evaluate_probe(ckpt, manifest, images, spec, labelmap)
+        # one call per value: a different N gives different batch sizes
+        (result,) = transfer.evaluate_probe([ckpt], manifest, images, spec, labelmap)
         transfer.save_probe_result(result, out / f"n{n_train}")
         rows.append((n_train, repr(result.aggregate["mean"]),
                      repr(result.aggregate["std"])))

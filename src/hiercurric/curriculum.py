@@ -316,19 +316,16 @@ def run_regime(regime: Regime, bundle: DataBundle,
 def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest,
                      images: np.ndarray, probe,
                      labelmap: LabelMap | None = None) -> RunReport:
-    """Probe each loaded checkpoint of a run on the manifest's ``images``
-    array; series keyed by each checkpoint's iteration."""
+    """Probe a run's loaded checkpoints, all in one stacked probe, on the
+    manifest's ``images`` array; series keyed by each checkpoint's iteration."""
     if not checkpoints:
         raise ValidationError("no checkpoints given")
     iterations = [c.iteration for c in checkpoints]
     if any(b <= a for a, b in zip(iterations, iterations[1:])):
-        raise ValidationError(
-            f"checkpoint iterations must ascend, got {iterations}")
-    report = RunReport()
-    for ckpt in checkpoints:
-        result = transfer.evaluate_probe(ckpt, manifest, images, probe, labelmap)
-        report.curves.append((ckpt.iteration, "transfer", "mean_class_recall",
-                              result.aggregate["mean"]))
+        raise ValidationError(f"checkpoint iterations must ascend, got {iterations}")
+    results = transfer.evaluate_probe(checkpoints, manifest, images, probe, labelmap)
+    report = RunReport(curves=[(c.iteration, "transfer", "mean_class_recall",
+                                r.aggregate["mean"]) for c, r in zip(checkpoints, results)])
     report.final["last_mean_class_recall"] = report.curves[-1][3]
     return report
 

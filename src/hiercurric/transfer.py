@@ -73,29 +73,48 @@ def extract_features(ckpt: md.Checkpoint, images: np.ndarray,
     return rows
 
 
-def train_softmax_probe(rows: np.ndarray, labels, cfg: nk.SgdConfig,
-                        iters: int, seed: int):
-    """Train a single fc + softmax head on frozen rows; returns (W, b)."""
-    labels = np.asarray(labels)
-    if labels.shape[0] != rows.shape[0]:
+def train_softmax_probe(rows, labels, cfg: nk.SgdConfig, iters: int, seeds):
+    """Train P fc + softmax heads as one stacked problem per step; problem p
+    has rows[p] (N, D) and labels[p] (N,), and draws its initial weights,
+    then its batches, from seeds[p]. Returns (W, b), (P, K, D) and (P, K),
+    each head's bytes equal to those of its problem trained alone."""
+    if len({np.shape(r) for r in rows}) != 1:
+        raise ValidationError("stacked probe problems differ in row shape")
+    x, labels = np.asarray(rows), np.asarray(labels)
+    if labels.shape != x.shape[:2] or len(seeds) != len(x):
         raise ValidationError("labels not aligned to feature rows")
-    n_classes = int(labels.max()) + 1
-    if len(np.unique(labels)) < 2:
-        raise ValidationError("probe needs at least two classes")
+    counts = {int(y.max()) + 1 for y in labels}
+    if len(counts) != 1:
+        raise ValidationError(f"stacked probe problems differ in class count {counts}")
+    if labels.min() < 0 or any(len(np.unique(y)) < 2 for y in labels):
+        raise ValidationError("probe needs labels >= 0 and at least two classes")
 
-    rng = np.random.default_rng(seed)
-    head = md.Fc("probe", n_classes)
-    params = nk.ParamSet()
-    params.add("probe.weight", nk.default_init((n_classes, rows.shape[1]), rng))
-    params.add("probe.bias", np.zeros(n_classes))
-
-    batches = dp.epoch_batches(rng, len(rows), cfg.batch_size)
-    for it, idx in zip(range(iters), batches):
-        logits, cache = head.forward(params, rows[idx], "train", rng)
-        _, dlogits = nk.softmax_xent(logits, labels[idx])
-        nk.sgd_step(params, head.backward(dlogits, cache, need_dx=False)[1],
-                    cfg, it)
-    return params["probe.weight"].weight, params["probe.bias"].weight
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w = np.stack([nk.default_init((*counts, x.shape[2]), rng) for rng in rngs])
+    b = np.zeros(w.shape[:2])
+    velocities = np.zeros_like(w), np.zeros_like(b)
+    problem = np.arange(len(x))[:, None]
+    batches = zip(*(dp.epoch_batches(rng, x.shape[1], cfg.batch_size) for rng in rngs))
+    for it, idx in zip(range(iters), map(np.stack, batches)):
+        xb = x[problem, idx]
+        logits = np.matmul(xb, w.transpose(0, 2, 1)) + b[:, None]
+        nk._guard(logits)
+        # nk.softmax_xent's gradient, then nk.sgd_step's update, op for op
+        z = logits - logits.max(axis=2, keepdims=True)
+        grad = np.exp(z - np.log(np.exp(z).sum(axis=2, keepdims=True)))
+        grad[problem, np.arange(idx.shape[1]), labels[problem, idx]] -= 1.0
+        grad /= idx.shape[1]
+        nk._guard(grad)
+        lr = nk.lr_schedule(cfg, it)
+        if lr == 0.0:
+            continue  # a zero rate leaves weights and momentum untouched
+        grads = np.matmul(grad.transpose(0, 2, 1), xb), grad.sum(axis=1)
+        for param, vel, g in zip((w, b), velocities, grads):
+            vel *= cfg.momentum
+            vel -= lr * (g + cfg.weight_decay * param)
+            param += vel
+            nk._guard(param)
+    return w, b
 
 
 def mean_class_recall(predictions, labels, n_classes: int):
@@ -125,57 +144,59 @@ def mean_class_recall(predictions, labels, n_classes: int):
 def _class_labels(manifest: dp.DatasetManifest, labelmap: LabelMap | None):
     if labelmap is not None:
         return np.array(labelmap.indices(manifest.leaf_ids(), "sub")), labelmap.n_sub
-    classes = sorted(set(manifest.leaf_ids()))
-    index = {c: i for i, c in enumerate(classes)}
-    return np.array([index[l] for l in manifest.leaf_ids()]), len(classes)
+    classes, labels = np.unique(manifest.leaf_ids(), return_inverse=True)
+    return labels, len(classes)
 
 
-def evaluate_probe(ckpt: md.Checkpoint, manifest: dp.DatasetManifest,
-                   images: np.ndarray, probe: ProbeSpec,
-                   labelmap: LabelMap | None = None) -> ProbeResult:
-    """Random-split probe protocol on frozen backbone features.
-
-    ``images`` is the ``(N, C, H, W)`` array of ``manifest.samples``, in
-    order. Per split: train a softmax head on n_train_per_class features per
-    class, evaluate mean class recall on up to max_test_per_class held-out
+def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
+                   probe: ProbeSpec,
+                   labelmap: LabelMap | None = None) -> list[ProbeResult]:
+    """Random-split probe protocol on frozen backbone features, one result
+    per checkpoint. ``images`` is the ``(N, C, H, W)`` array of
+    ``manifest.samples``, in order. Per checkpoint and split, one head of a
+    single stacked probe trains on n_train_per_class features per class and
+    is scored by mean class recall on up to max_test_per_class held-out
     samples. Classes come from the label map's subordinate index, or from
     sorted leaf ids when no map is given (external datasets).
     """
-    backbone_before = md.body_hash(ckpt)
+    backbones_before = [md.body_hash(ckpt) for ckpt in ckpts]
     labels, n_classes = _class_labels(manifest, labelmap)
     if len(images) != len(manifest):
-        raise ValidationError(
-            f"{len(images)} images for {len(manifest)} manifest samples")
-    features = extract_features(ckpt, images, probe.layer)
+        raise ValidationError(f"{len(images)} images for {len(manifest)} manifest samples")
+    features = [extract_features(ckpt, images, probe.layer) for ckpt in ckpts]
     digests = [hashlib.sha256(image.tobytes()).hexdigest() for image in images]
     position = manifest.positions()
 
-    splits = dp.random_class_splits(manifest, probe.n_train_per_class,
-                                    probe.max_test_per_class,
-                                    probe.n_splits, probe.seed)
-    per_split = []
-    for split_i, (train, test) in enumerate(splits):
-        train_idx = [position[s.sample_id] for s in train.samples]
-        test_idx = [position[s.sample_id] for s in test.samples]
+    splits = [[[position[s.sample_id] for s in part.samples] for part in split]
+              for split in dp.random_class_splits(
+                  manifest, probe.n_train_per_class, probe.max_test_per_class,
+                  probe.n_splits, probe.seed)]
+    for train_idx, test_idx in splits:
         if {digests[i] for i in train_idx} & {digests[i] for i in test_idx}:
-            raise ValidationError(
-                "exact-duplicate images span train and test within a split; "
-                "run overlap removal first")
-        w, b = train_softmax_probe(features[train_idx], labels[train_idx],
-                                   probe.sgd, probe.iters, probe.seed + split_i)
-        logits = features[test_idx] @ w.T + b
-        mean, per_class = mean_class_recall(logits.argmax(axis=1),
-                                            labels[test_idx], n_classes)
-        per_split.append((split_i, mean, per_class))
+            raise ValidationError("exact-duplicate images span train and test within "
+                                  "a split; run overlap removal first")
+    w, b = train_softmax_probe(
+        [rows[train_idx] for rows in features for train_idx, _ in splits],
+        [labels[train_idx] for _ in features for train_idx, _ in splits],
+        probe.sgd, probe.iters,
+        [probe.seed + split_i for _ in features for split_i in range(len(splits))])
 
-    means = np.array([m for _, m, _ in per_split])
-    result = ProbeResult(
-        per_split=tuple(per_split),
-        aggregate={"mean": float(means.mean()), "std": float(means.std())},
-        n_train_per_class=probe.n_train_per_class)
-    if md.body_hash(ckpt) != backbone_before:
-        raise AssertionError("probe evaluation mutated the backbone")
-    return result
+    results = []
+    for ckpt_i, (ckpt, rows) in enumerate(zip(ckpts, features)):
+        per_split = []
+        for split_i, (_, test_idx) in enumerate(splits):
+            p = ckpt_i * len(splits) + split_i
+            logits = rows[test_idx] @ w[p].T + b[p]
+            per_split.append((split_i, *mean_class_recall(
+                logits.argmax(axis=1), labels[test_idx], n_classes)))
+        means = np.array([m for _, m, _ in per_split])
+        results.append(ProbeResult(
+            per_split=tuple(per_split),
+            aggregate={"mean": float(means.mean()), "std": float(means.std())},
+            n_train_per_class=probe.n_train_per_class))
+        if md.body_hash(ckpt) != backbones_before[ckpt_i]:
+            raise AssertionError("probe evaluation mutated the backbone")
+    return results
 
 
 def save_probe_result(result: ProbeResult, out_dir) -> None:

@@ -164,10 +164,10 @@ def curriculum_experiment():
         random_ckpt = md.build_model(
             bundle.model_spec.with_outputs(bundle.labelmap.n_sub),
             seed=seed * 10 + 4, init="scaled")
-        trained = transfer.evaluate_probe(fac_ckpt, data.manifest, bundle.images,
-                                          probe, bundle.labelmap)
-        random = transfer.evaluate_probe(random_ckpt, data.manifest,
-                                         bundle.images, probe, bundle.labelmap)
+        (trained,) = transfer.evaluate_probe([fac_ckpt], data.manifest, bundle.images,
+                                             probe, bundle.labelmap)
+        (random,) = transfer.evaluate_probe([random_ckpt], data.manifest,
+                                            bundle.images, probe, bundle.labelmap)
         results[seed] = {
             "basic_top1": fac_rep.final["phase_a.top1"],
             "facilitated_sub_top1": fac_rep.final["phase_b.top1"],

@@ -954,6 +954,19 @@ class TestImageLoads:
                                 for s in split.samples)
         assert sum(loads.values()) == 24
 
+    def test_missing_tensor_files_exit_2_and_write_no_manifest(
+            self, probe_fixtures, tmp_path, capsys):
+        data_dir, _, _ = probe_fixtures
+        for path in sorted((data_dir / "tensors").iterdir())[::2]:
+            path.unlink()
+        config = file_backed_config(data_dir, tmp_path, regime={
+            "kind": "Reference", "phase_b": phase()})
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert ".tnsr" in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
     @pytest.mark.parametrize("command,layer,message", [
         ("probe", "nope", "no layer named 'nope'"),
         ("probe", "fc2", "feature layer must precede the output head"),

@@ -7,7 +7,7 @@ from hiercurric import dataprep as dp
 from hiercurric import model as md
 from hiercurric import nnkernel as nk
 from hiercurric import transfer
-from hiercurric.errors import ValidationError
+from hiercurric.errors import NumericFault, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -88,25 +88,27 @@ class TestProbeTraining:
         feats, labels = separable_features()
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1000, batch_size=16)
-        w, b = transfer.train_softmax_probe(feats, labels, cfg, iters=500, seed=0)
-        predictions = (feats @ w.T + b).argmax(axis=1)
+        w, b = transfer.train_softmax_probe(feats[None], labels[None], cfg,
+                                            iters=500, seeds=[0])
+        predictions = (feats @ w[0].T + b[0]).argmax(axis=1)
         assert (predictions == labels).mean() == 1.0
 
     def test_zero_lr_leaves_weights_at_init(self):
         feats, labels = separable_features(seed=1)
         cfg = nk.SgdConfig(base_lr=0.0, momentum=0.9, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1000, batch_size=16)
-        w, b = transfer.train_softmax_probe(feats, labels, cfg, iters=50, seed=5)
+        w, b = transfer.train_softmax_probe(feats[None], labels[None], cfg,
+                                            iters=50, seeds=[5])
         expected = nk.default_init((2, 2), np.random.default_rng(5))
-        np.testing.assert_array_equal(w, expected)
+        np.testing.assert_array_equal(w[0], expected)
         assert not b.any()
 
     def test_seeded_shuffles_reproduce_weights(self):
         feats, labels = separable_features(seed=2)
         cfg = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1000, batch_size=8)
-        w1, b1 = transfer.train_softmax_probe(feats, labels, cfg, 100, seed=7)
-        w2, b2 = transfer.train_softmax_probe(feats, labels, cfg, 100, seed=7)
+        w1, b1 = transfer.train_softmax_probe(feats[None], labels[None], cfg, 100, [7])
+        w2, b2 = transfer.train_softmax_probe(feats[None], labels[None], cfg, 100, [7])
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(b1, b2)
 
@@ -115,13 +117,92 @@ class TestProbeTraining:
         labels = np.zeros(len(feats), dtype=int)
         cfg = nk.SgdConfig(base_lr=0.1)
         with pytest.raises(ValidationError, match="two classes"):
-            transfer.train_softmax_probe(feats, labels, cfg, 10, seed=0)
+            transfer.train_softmax_probe(feats[None], labels[None], cfg, 10, [0])
 
     def test_misaligned_labels_rejected(self):
         feats, labels = separable_features(seed=4)
         cfg = nk.SgdConfig(base_lr=0.1)
         with pytest.raises(ValidationError, match="not aligned"):
-            transfer.train_softmax_probe(feats, labels[:-1], cfg, 10, seed=0)
+            transfer.train_softmax_probe(feats[None], labels[:-1][None], cfg, 10, [0])
+
+
+def kernel_path_probe(rows, labels, cfg, iters, seed):
+    """One probe head trained step by step through the nnkernel kernels."""
+    rng = np.random.default_rng(seed)
+    n_classes = int(labels.max()) + 1
+    params = nk.ParamSet()
+    params.add("w", nk.default_init((n_classes, rows.shape[1]), rng))
+    params.add("b", np.zeros(n_classes))
+    batches = dp.epoch_batches(rng, len(rows), cfg.batch_size)
+    for it, idx in zip(range(iters), batches):
+        logits, cache = nk.fc_forward(rows[idx], params["w"].weight,
+                                      params["b"].weight)
+        _, dlogits = nk.softmax_xent(logits, labels[idx])
+        _, dw, db = nk.fc_backward(dlogits, cache)
+        nk.sgd_step(params, {"w": dw, "b": db}, cfg, it)
+    return params["w"].weight, params["b"].weight
+
+
+class TestStackedProbe:
+    # (P, N, D, K, batch size): 100 % 32 and 45 % 8 leave a partial batch
+    CASES = [(3, 64, 16, 4, 32), (5, 100, 64, 12, 32), (2, 45, 1024, 9, 8),
+             (4, 37, 3, 2, 37)]
+
+    @staticmethod
+    def problems(n_problems, n, d, k, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n_problems, n, d))
+        labels = np.stack([rng.permutation(np.arange(n) % k)
+                           for _ in range(n_problems)])
+        return rows, labels
+
+    @pytest.mark.parametrize("n_problems,n,d,k,batch", CASES)
+    def test_each_head_equals_its_problem_alone(self, n_problems, n, d, k, batch):
+        rows, labels = self.problems(n_problems, n, d, k, seed=d)
+        cfg = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.001,
+                           lr_gamma=0.5, lr_step=20, batch_size=batch)
+        seeds = [11 + p for p in range(n_problems)]
+        w, b = transfer.train_softmax_probe(rows, labels, cfg, 60, seeds)
+        assert w.shape == (n_problems, k, d) and b.shape == (n_problems, k)
+        for p in range(n_problems):
+            w1, b1 = transfer.train_softmax_probe(rows[p:p + 1], labels[p:p + 1],
+                                                  cfg, 60, seeds[p:p + 1])
+            assert w[p].tobytes() == w1[0].tobytes()
+            assert b[p].tobytes() == b1[0].tobytes()
+
+    @pytest.mark.parametrize("n_problems,n,d,k,batch", CASES[:3])
+    def test_heads_equal_the_kernel_path(self, n_problems, n, d, k, batch):
+        rows, labels = self.problems(n_problems, n, d, k, seed=k)
+        cfg = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.0,
+                           lr_gamma=1.0, lr_step=10_000, batch_size=batch)
+        seeds = [3 * p for p in range(n_problems)]
+        w, b = transfer.train_softmax_probe(rows, labels, cfg, 40, seeds)
+        for p in range(n_problems):
+            w1, b1 = kernel_path_probe(rows[p], labels[p], cfg, 40, seeds[p])
+            assert w[p].tobytes() == w1.tobytes()
+            assert b[p].tobytes() == b1.tobytes()
+
+    def test_different_row_counts_rejected(self):
+        rows, labels = self.problems(2, 40, 5, 3, seed=0)
+        with pytest.raises(ValidationError, match="row shape"):
+            transfer.train_softmax_probe([rows[0], rows[1][:-1]],
+                                         [labels[0], labels[1][:-1]],
+                                         nk.SgdConfig(batch_size=8), 5, [0, 1])
+
+    def test_different_class_counts_rejected(self):
+        rows, labels = self.problems(2, 40, 5, 3, seed=1)
+        labels[1] = np.arange(40) % 4
+        with pytest.raises(ValidationError, match="class count"):
+            transfer.train_softmax_probe(rows, labels,
+                                         nk.SgdConfig(batch_size=8), 5, [0, 1])
+
+    def test_checked_mode_faults_on_blow_up(self):
+        feats, labels = separable_features(seed=6)
+        cfg = nk.SgdConfig(base_lr=1e305, momentum=0.9, weight_decay=0.0,
+                           lr_gamma=1.0, lr_step=1000, batch_size=16)
+        with pytest.raises(NumericFault), np.errstate(over="ignore"):
+            transfer.train_softmax_probe((feats * 1e3)[None], labels[None],
+                                         cfg, 50, [0])
 
 
 class TestMeanClassRecall:
@@ -160,10 +241,10 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=3, iters=60)
-        a = transfer.evaluate_probe(ckpt, manifest, images, probe,
-                                    bundle.labelmap)
-        b = transfer.evaluate_probe(ckpt, manifest, images, probe,
-                                    bundle.labelmap)
+        (a,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+                                       bundle.labelmap)
+        (b,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+                                       bundle.labelmap)
         assert a.aggregate == b.aggregate
         assert a.per_split[0][1] == b.per_split[0][1]
 
@@ -175,8 +256,8 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=4, iters=60)
-        result = transfer.evaluate_probe(ckpt, manifest, images, probe,
-                                         bundle.labelmap)
+        (result,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+                                            bundle.labelmap)
         means = np.array([m for _, m, _ in result.per_split])
         assert abs(result.aggregate["mean"] - means.mean()) <= 1e-12
         assert abs(result.aggregate["std"] - means.std()) <= 1e-12
@@ -191,7 +272,7 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=5, iters=40)
-        transfer.evaluate_probe(ckpt, manifest, images, probe,
+        transfer.evaluate_probe([ckpt], manifest, images, probe,
                                 bundle.labelmap)
         assert md.body_hash(ckpt) == before
 
@@ -203,8 +284,8 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
-        result = transfer.evaluate_probe(ckpt, manifest, images, probe,
-                                         labelmap=None)
+        (result,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+                                            labelmap=None)
         assert 0 <= result.aggregate["mean"] <= 1
 
     def test_trained_beats_random(self, bundle_pair):
@@ -215,10 +296,10 @@ class TestEvaluateProbe:
         random_ckpt = md.build_model(bundle.model_spec.with_outputs(12),
                                      seed=100, init="scaled")
         probe = bm.probe_spec(seed=7)
-        t = transfer.evaluate_probe(trained, data.manifest, bundle.images,
-                                    probe, bundle.labelmap)
-        r = transfer.evaluate_probe(random_ckpt, data.manifest, bundle.images,
-                                    probe, bundle.labelmap)
+        (t,) = transfer.evaluate_probe([trained], data.manifest, bundle.images,
+                                       probe, bundle.labelmap)
+        (r,) = transfer.evaluate_probe([random_ckpt], data.manifest, bundle.images,
+                                       probe, bundle.labelmap)
         assert t.aggregate["mean"] > r.aggregate["mean"]
 
     def test_n_train_sweep_non_decreasing_median(self, bundle_pair):
@@ -232,8 +313,8 @@ class TestEvaluateProbe:
             probe = transfer.ProbeSpec(n_train_per_class=n_train,
                                        max_test_per_class=20, n_splits=3,
                                        seed=8, iters=200)
-            result = transfer.evaluate_probe(ckpt, data.manifest, images,
-                                             probe, bundle.labelmap)
+            (result,) = transfer.evaluate_probe([ckpt], data.manifest, images,
+                                                probe, bundle.labelmap)
             medians.append(float(np.median([m for _, m, _ in result.per_split])))
         assert medians[0] <= medians[1] + 1e-9
         assert medians[1] <= medians[2] + 1e-9
@@ -251,7 +332,7 @@ class TestEvaluateProbe:
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=1,
                                    n_splits=3, seed=2, iters=10)
         with pytest.raises(ValidationError, match="duplicate"):
-            transfer.evaluate_probe(ckpt, manifest, images, probe,
+            transfer.evaluate_probe([ckpt], manifest, images, probe,
                                     labelmap=None)
 
     def test_images_not_aligned_to_manifest_rejected(self, bundle_pair):
@@ -261,7 +342,7 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples[1:])
         probe = transfer.ProbeSpec(n_train_per_class=4)
         with pytest.raises(ValidationError, match="manifest samples"):
-            transfer.evaluate_probe(ckpt, manifest, images, probe,
+            transfer.evaluate_probe([ckpt], manifest, images, probe,
                                     bundle.labelmap)
 
     def test_save_probe_result_files(self, bundle_pair, tmp_path):
@@ -272,8 +353,8 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
-        result = transfer.evaluate_probe(ckpt, manifest, images, probe,
-                                         bundle.labelmap)
+        (result,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+                                            bundle.labelmap)
         transfer.save_probe_result(result, tmp_path)
         assert (tmp_path / "probe.json").exists()
         text = (tmp_path / "per_class_recall.csv").read_text()
