@@ -197,9 +197,12 @@ def cmd_train(args) -> int:
     # one load serves every phase of every regime, and the transfer probe
     loaded = manifest if "transfer" in config else manifest.subset(
         s.sample_id for split in (train, val) for s in split.samples)
+    images = dp.load_batch(store, loaded.samples)
+    if images.shape[1:] != model_spec.input_shape:
+        raise ValidationError(f"images of shape {images.shape[1:]} do not fit "
+                              f"model input_shape {model_spec.input_shape}")
     bundle = cu.DataBundle(train=train, val=val, phase_a_train=phase_a_train,
-                           labelmap=labelmap, graph=graph,
-                           images=dp.load_batch(store, loaded.samples),
+                           labelmap=labelmap, graph=graph, images=images,
                            rows=loaded.positions(), model_spec=model_spec,
                            init=config["model"].get("init", "fixed"))
     del store  # a synthetic store's image dict is not kept past the load

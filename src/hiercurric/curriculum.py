@@ -208,7 +208,6 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
                 report.curves.append((done, "val", name, value))
         if done % cfg.checkpoint_every == 0 or done == cfg.max_iterations:
             work.iteration = done
-            work.rng_state = rng.bit_generator.state
             if out_path is not None:
                 ref = out_path / f"ckpt_{done:08d}.ckpt"
                 md.save_checkpoint(work, ref)

@@ -327,10 +327,17 @@ class RawFileStore:
 
 
 def load_batch(store, samples) -> np.ndarray:
-    """The samples' images stacked into one ``(N, C, H, W)`` array."""
+    """The samples' images stacked into one ``(N, C, H, W)`` array; each
+    image must have the first one's shape."""
     if not samples:
         raise ValidationError("no samples to load: the manifest is empty")
-    return np.stack([store.load(s) for s in samples])
+    images = [store.load(s) for s in samples]
+    for sample, image in zip(samples, images):
+        if image.shape != images[0].shape:
+            raise ValidationError(
+                f"image {sample.sample_id!r} has shape {image.shape}, but "
+                f"{samples[0].sample_id!r} has {images[0].shape}")
+    return np.stack(images)
 
 
 def epoch_batches(rng: np.random.Generator, n: int, batch_size: int):

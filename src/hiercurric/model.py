@@ -2,8 +2,8 @@
 
 A ModelSpec is an ordered list of layer descriptors ending in a fully
 connected output head. Checkpoints bundle the spec with a ParamSet,
-iteration counter, phase tag, and the training generator state, and
-round-trip through a versioned binary file byte-identically.
+iteration counter and phase tag, and round-trip through a versioned,
+CRC32-sealed binary file byte-identically.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -297,12 +298,9 @@ class Checkpoint:
     params: nk.ParamSet
     iteration: int = 0
     phase_tag: str = "basic"
-    rng_state: dict | None = None
 
     def copy(self) -> "Checkpoint":
-        state = json.loads(json.dumps(self.rng_state)) if self.rng_state else None
-        return Checkpoint(self.spec, self.params.copy(), self.iteration,
-                          self.phase_tag, state)
+        return Checkpoint(self.spec, self.params.copy(), self.iteration, self.phase_tag)
 
 
 def parameter_count(spec: ModelSpec) -> int:
@@ -470,16 +468,14 @@ def set_layer_lr_mults(ckpt: Checkpoint, prefix_count: int, mult: float) -> Chec
 # checkpoint files
 
 _CKPT_MAGIC = b"HCCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 # the manifest's keys and their kinds (see strict.check); all are required
 _MANIFEST = {
-    "version": "int",
     "spec": lambda v, path: strict.check(
         v, path, {"input_shape": "tuple[int, int, int]", "layers": ["object"]},
         ("input_shape", "layers")),
     "iteration": "int >= 0",
     "phase_tag": PHASE_TAGS,
-    "rng_state": "object | None",
     "entries": [lambda v, path: strict.check(
         v, path, {"name": "str", "lr_mult": "float in [0, 1]"},
         ("name", "lr_mult"))],
@@ -487,30 +483,30 @@ _MANIFEST = {
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
-    manifest = {
-        "version": _CKPT_VERSION,
+    """Magic, version u32, manifest length u64, the JSON manifest, each
+    entry's weight and momentum tensors, then a u32 CRC32 of all before it."""
+    payload = files.canonical_json({
         "spec": ckpt.spec.to_dict(),
         "iteration": ckpt.iteration,
         "phase_tag": ckpt.phase_tag,
-        "rng_state": ckpt.rng_state,
         "entries": [{"name": n, "lr_mult": ckpt.params[n].lr_mult}
                     for n in ckpt.params.names()],
-    }
-    blob = bytearray()
+    })
+    parts = [_CKPT_MAGIC, struct.pack("<IQ", _CKPT_VERSION, len(payload)), payload]
     for name in ckpt.params.names():
         e = ckpt.params[name]
-        blob += nk.tensor_to_bytes(e.weight)
-        blob += nk.tensor_to_bytes(e.momentum)
-    payload = files.canonical_json(manifest)
-    return (_CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(payload))
-            + payload + bytes(blob))
+        parts += (nk.tensor_to_bytes(e.weight), nk.tensor_to_bytes(e.momentum))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join(parts + [struct.pack("<I", crc)])
 
 
 def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
     """Inverse of checkpoint_to_bytes; rejects truncated, corrupt or
     trailing bytes with ValidationError, and so a manifest whose entries
     are not the spec's ``<layer>.weight``, ``<layer>.bias`` in layer order,
-    or a tensor whose shape is not the spec's."""
+    a tensor whose shape is not the spec's, or a CRC32 that does not match."""
     if buf[:4] != _CKPT_MAGIC:
         raise ValidationError("bad checkpoint magic")
     if len(buf) < 16:
@@ -548,12 +544,16 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
                     f"!= {shapes[name]} of the spec")
         params.add(name, weight, entry["lr_mult"])
         params[name].momentum[...] = momentum
-    if offset != len(buf):
+    end = len(buf) - 4
+    if offset > end:
+        raise ValidationError("truncated checkpoint CRC32 trailer")
+    if offset < end:
         raise ValidationError(
-            f"{len(buf) - offset} trailing bytes after the last checkpoint tensor")
+            f"{end - offset} trailing bytes after the last checkpoint tensor")
+    if zlib.crc32(memoryview(buf)[:end]) != struct.unpack_from("<I", buf, end)[0]:
+        raise ValidationError("checkpoint CRC32 mismatch: the file is corrupt")
     return Checkpoint(spec=spec, params=params, iteration=manifest["iteration"],
-                      phase_tag=manifest["phase_tag"],
-                      rng_state=manifest["rng_state"])
+                      phase_tag=manifest["phase_tag"])
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -438,7 +438,11 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
     if start + count * dtype.itemsize > len(buf):
         raise ValidationError(f"truncated tensor payload for dims {dims}")
     arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start)
-    arr = arr.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+    try:  # an empty payload passes the length check with any other dims
+        arr = arr.reshape(dims)
+    except ValueError as exc:
+        raise ValidationError(f"corrupt tensor dims {dims}: {exc}") from exc
+    arr = arr.astype(dtype.newbyteorder("="), copy=True)
     return arr, start + count * dtype.itemsize - offset
 
 

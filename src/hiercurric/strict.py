@@ -20,7 +20,6 @@ TYPES = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool),
          "non-empty str": lambda v: isinstance(v, str) and v != "",
          "str | None": lambda v: v is None or isinstance(v, str),
          "object": lambda v: isinstance(v, dict),
-         "object | None": lambda v: v is None or isinstance(v, dict),
          "tuple[int, int, int]": lambda v: (isinstance(v, list) and len(v) == 3
                                             and all(map(TYPES["int"], v)))}
 

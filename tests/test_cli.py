@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -893,6 +894,20 @@ class TestSweepCmd:
         assert "the manifest is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_v1_checkpoint_exits_2(self, probe_fixtures, tmp_path, capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        buf = ckpt_path.read_bytes()
+        ckpt_path.write_bytes(buf[:4] + struct.pack("<I", 1) + buf[8:])
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--checkpoints", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "44", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert ("error: unsupported checkpoint version 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestImageLoads:
     def test_each_command_loads_each_image_once(self, probe_fixtures, tmp_path,
@@ -965,6 +980,43 @@ class TestImageLoads:
         code = cli.main(["train", "--config", str(config), "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert ".tnsr" in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
+    def test_one_image_of_another_shape_exits_2(self, probe_fixtures,
+                                                 tmp_path, capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        samples = dp.load_manifest(data_dir / "manifest.csv").samples
+        odd = samples[5]
+        nk.save_tensor(np.zeros((1, 8, 9), np.float32), data_dir / odd.source)
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"error: image {odd.sample_id!r} has shape (1, 8, 9), but "
+                f"{samples[0].sample_id!r} has (1, 8, 8)") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("images,input_shape,got", [
+        ("2-D", [1, 8, 8], "(8, 8)"),
+        ("8x8", [1, 16, 16], "(1, 8, 8)"),
+    ])
+    def test_images_not_of_the_model_input_shape_exit_2(
+            self, probe_fixtures, tmp_path, capsys, images, input_shape, got):
+        data_dir, _, _ = probe_fixtures
+        if images == "2-D":
+            for path in (data_dir / "tensors").iterdir():
+                nk.save_tensor(nk.load_tensor(path)[0], path)
+        config = file_backed_config(
+            data_dir, tmp_path, regime={"kind": "Reference", "phase_b": phase()},
+            model={"name": "benchmark", "input_shape": input_shape,
+                   "init": "scaled"})
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"error: images of shape {got} do not fit model input_shape "
+                f"{tuple(input_shape)}") in capsys.readouterr().err
         assert not (out / "MANIFEST.json").exists()
 
     @pytest.mark.parametrize("command,layer,message", [

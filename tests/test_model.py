@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -391,12 +392,14 @@ class TestBackward:
 
 def rewrite_manifest(buf: bytes, edit) -> bytes:
     """Checkpoint bytes with ``edit`` applied to the decoded manifest (in
-    place) and the header's manifest length updated; tensors unchanged."""
+    place), the header's manifest length and the CRC32 trailer updated;
+    tensors unchanged."""
     (length,) = struct.unpack_from("<Q", buf, 8)
     manifest = json.loads(buf[16:16 + length])
     edit(manifest)
     payload = json.dumps(manifest, sort_keys=True).encode()
-    return buf[:8] + struct.pack("<Q", len(payload)) + payload + buf[16 + length:]
+    body = buf[:8] + struct.pack("<Q", len(payload)) + payload + buf[16 + length:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _manifest_paths(node, prefix=()):
@@ -432,7 +435,6 @@ EDIT_SPEC = md.ModelSpec((1, 4, 4), (
 class TestCheckpointManifestChecks:
     def _buf(self):
         ckpt = md.set_layer_lr_mults(md.build_model(EDIT_SPEC, seed=1), 1, 0.5)
-        ckpt.rng_state = np.random.default_rng(2).bit_generator.state
         return md.checkpoint_to_bytes(ckpt)
 
     @staticmethod
@@ -475,13 +477,15 @@ class TestCheckpointManifestChecks:
         (lambda m: m.update(iteration="abc"), "iteration: must be int >= 0"),
         (lambda m: m.update(iteration=-1), "iteration"),
         (lambda m: m.update(phase_tag="nope"), "phase_tag: must be one of"),
-        (lambda m: m.pop("rng_state"), "missing key 'rng_state'"),
+        (lambda m: m.update(rng_state=None), "unknown key 'rng_state'"),
+        (lambda m: m.pop("iteration"), "missing key 'iteration'"),
         (lambda m: m.update(extra=1), "unknown key 'extra'"),
         (lambda m: m["spec"].pop("layers"), "missing key 'layers'"),
     ], ids=["renamed", "swapped", "dropped", "maps", "units", "zero-units",
             "dropout-rate", "channels",
             "lr_mult-str", "lr_mult-range", "iteration-str", "iteration-neg",
-            "phase_tag", "no-rng_state", "unknown-key", "no-layers"])
+            "phase_tag", "rng_state-unknown", "no-iteration", "unknown-key",
+            "no-layers"])
     def test_mismatch_rejected(self, edit, match):
         with pytest.raises(ValidationError, match=match):
             md.checkpoint_from_bytes(rewrite_manifest(self._buf(), edit))
@@ -516,10 +520,25 @@ class TestCheckpointManifestChecks:
         buf[at] ^= 1 << data.draw(st.integers(0, 7))
         self._loads_consistently_or_fails_cleanly(bytes(buf))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_bit_flip_rejected(self, data):
+        """Header, manifest, tensors or CRC32 trailer: no flip loads."""
+        buf = bytearray(self._buf())
+        at = data.draw(st.integers(0, len(buf) - 1))
+        buf[at] ^= 1 << data.draw(st.integers(0, 7))
+        with pytest.raises(ValidationError):
+            md.checkpoint_from_bytes(bytes(buf))
+
+    def test_manifest_holds_only_its_four_keys(self):
+        buf = self._buf()
+        assert struct.unpack_from("<I", buf, 4) == (2,)
+        manifest = json.loads(buf[16:16 + struct.unpack_from("<Q", buf, 8)[0]])
+        assert sorted(manifest) == ["entries", "iteration", "phase_tag", "spec"]
+
 
 class TestCheckpointIO:
     def test_round_trip_byte_identical(self, small_ckpt, tmp_path):
-        small_ckpt.rng_state = np.random.default_rng(3).bit_generator.state
         small_ckpt.iteration = 123
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(small_ckpt, path)
@@ -567,7 +586,6 @@ class TestCheckpointIO:
         spec = md.ModelSpec((1, 3, 3), (md.Conv("conv1", maps, 2, 2),
                                         md.Relu("relu1"), md.Fc("out", units)))
         ckpt = md.build_model(spec, seed=seed)
-        ckpt.rng_state = np.random.default_rng(seed).bit_generator.state
         buf = md.checkpoint_to_bytes(ckpt)
         for cut in range(len(buf)):
             with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -509,6 +510,13 @@ class TestTensorIO:
         back, used = nk.tensor_from_bytes(buf)
         assert used == len(buf)
         np.testing.assert_array_equal(back, arr)
+
+    @pytest.mark.parametrize("dims", [(0, 2 ** 64 - 1), (0, 2 ** 62, 4)])
+    def test_empty_payload_with_impossible_dims_rejected(self, dims):
+        buf = bytearray(nk.tensor_to_bytes(np.zeros((0,) * len(dims))))
+        struct.pack_into(f"<{len(dims)}Q", buf, 20, *dims)
+        with pytest.raises(ValidationError, match="corrupt tensor dims"):
+            nk.tensor_from_bytes(bytes(buf))
 
     def test_trailing_bytes_in_file_rejected(self, tmp_path):
         path = tmp_path / "t.tnsr"
