@@ -224,8 +224,9 @@ def cmd_train(args) -> int:
     prev_checked = nk.set_checked(not args.unchecked)
     try:
         if args.jobs > 1 and len(regimes) > 1:
-            # regimes are independent (own seeds, own output dirs); parallelism
-            # never reaches inside a training run
+            # regimes are independent (own seeds, own output dirs); within a
+            # run, only conv backward uses a thread: the one worker that all
+            # regimes share
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 outcomes = list(pool.map(run_one, regimes.items()))
@@ -367,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unchecked", action="store_true",
                    help="disable NaN/Inf faulting for long runs")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel regimes in a matrix run (never within one)")
+                   help="parallel regimes in a matrix run; each regime's conv "
+                        "backward also uses one worker thread, shared by all")
     p.set_defaults(func=cmd_train)
 
     # probe and sweep read the same data and probe settings

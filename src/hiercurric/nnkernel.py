@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,13 +156,17 @@ class ConvCache:
     groups: int
 
 
-def _im2col(xp, kh, kw, stride, groups):
-    """Contiguous (groups, C/groups*kh*kw, N*OH*OW) column matrix of xp."""
+def _im2col(xp, kh, kw, stride, groups, out=None):
+    """(groups, C/groups*kh*kw, N*OH*OW) column matrix of xp, written into
+    the C-contiguous buffer ``out`` when one is given."""
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     # (n, c, oh, ow, kh, kw) -> (c, kh, kw, n, oh, ow): rows match the kernels
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
-    n, c, oh, ow = win.shape[:4]
-    return cols.reshape(groups, c // groups * kh * kw, n * oh * ow)
+    win = win.transpose(1, 4, 5, 0, 2, 3)
+    if out is None:
+        out = np.empty(win.shape, xp.dtype)
+    np.copyto(out.reshape(win.shape), win)
+    c, _, _, n, oh, ow = win.shape
+    return out.reshape(groups, c // groups * kh * kw, n * oh * ow)
 
 
 def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
@@ -198,11 +203,36 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
     return out, ConvCache(xp, kernels, x.shape, stride, pad, groups)
 
 
+_DW_WORKER = None
+_DW_WORKER_LOCK = threading.Lock()
+
+
+def _dw_worker():
+    """The one thread that runs conv kernel gradients, made on first use."""
+    global _DW_WORKER
+    with _DW_WORKER_LOCK:
+        if _DW_WORKER is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _DW_WORKER = ThreadPoolExecutor(1, thread_name_prefix="conv-dw")
+    return _DW_WORKER
+
+
+def _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw):
+    """Kernel gradient dout_mat @ im2col(xp)^T into ``dw``. It writes only
+    the caller's ``cols`` and ``dw`` buffers, so on the worker thread it
+    allocates nothing large."""
+    cols = _im2col(xp, kh, kw, stride, len(cols), cols)
+    np.matmul(dout_mat, cols.transpose(0, 2, 1), out=dw)
+
+
 def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
     """Gradients for conv2d_forward: returns (dx, dkernels, dbias).
 
     With ``need_dx`` false the input gradient is not computed, and dx is an
-    empty (0, C, H, W) array in dout's dtype.
+    empty (0, C, H, W) array in dout's dtype. Otherwise the kernel gradient
+    (im2col, one GEMM) runs on a single shared worker thread while the
+    caller builds dx one kernel offset at a time: a GEMM of that offset's
+    kernel column against dout, added into the padded input gradient.
     """
     xp, kernels, stride, pad, groups = (
         cache.xp, cache.kernels, cache.stride, cache.pad, cache.groups)
@@ -217,24 +247,35 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
 
     db = dout.sum(axis=(0, 2, 3))
     dout_mat = dout.transpose(1, 0, 2, 3).reshape(groups, k // groups, -1)
-    cols = _im2col(xp, kh, kw, stride, groups)
-    dw = (dout_mat @ cols.transpose(0, 2, 1)).reshape(kernels.shape)
-    dw = dw.astype(kernels.dtype, copy=False)
-    del cols  # freed before dcols, a matrix of the same size, is allocated
+    cols = np.empty((groups, cg * kh * kw, n * out_h * out_w), xp.dtype)
+    dw = np.empty((groups, k // groups, cg * kh * kw),
+                  np.result_type(dout_mat, cols))
     if not need_dx:
+        _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
         dx = np.empty((0, c, h, w), dtype=dout.dtype)
-        _guard(dw, db)
-        return dx, dw, db
-    kmat = kernels.reshape(groups, k // groups, -1)
-    dcols = (kmat.transpose(0, 2, 1) @ dout_mat).reshape(c, kh, kw, n, out_h, out_w)
-    # col2im: window offset (i, j) adds its (c, n, oh, ow) block at a stride
-    dxp = np.zeros((c, n, hp, wp), dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + stride * out_h:stride,
-                j:j + stride * out_w:stride] += dcols[:, i, j]
-    dx = dxp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w]
-    dx = dx.astype(dout.dtype, copy=False)
+    else:
+        job = _dw_worker().submit(_conv_dw, dout_mat, xp, kh, kw, stride,
+                                  cols, dw)
+        try:
+            # kern[i, j]: offset (i, j)'s (groups, K/groups, C/groups) block,
+            # contiguous so that every numpy hands each GEMM to BLAS
+            kern = np.ascontiguousarray(
+                kernels.reshape(groups, k // groups, cg, kh, kw)
+                .transpose(3, 4, 0, 1, 2))
+            dxp = np.zeros((c, n, hp, wp), np.result_type(kernels, dout_mat))
+            dcol = np.empty((groups, cg, n * out_h * out_w), dxp.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    np.matmul(kern[i, j].transpose(0, 2, 1), dout_mat, out=dcol)
+                    dxp[:, :, i:i + stride * out_h:stride,
+                        j:j + stride * out_w:stride] += dcol.reshape(
+                            c, n, out_h, out_w)
+        finally:
+            job.exception()  # joins: the worker's buffers are done with
+        job.result()  # re-raises the worker's error, if any
+        dx = dxp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w]
+        dx = dx.astype(dout.dtype, copy=False)
+    dw = dw.reshape(kernels.shape).astype(kernels.dtype, copy=False)
     _guard(dx, dw, db)
     return dx, dw, db
 

@@ -271,6 +271,19 @@ class TestForwardEval:
         with pytest.raises(NumericFault, match=r"layer 'fc2' backward: non-finite"):
             md.backward(small_ckpt.params, caches, np.full(logits.shape, np.nan))
 
+    @pytest.mark.parametrize("conv", ["conv1", "conv2"])
+    def test_conv_input_nan_faults_naming_the_layer(self, small_ckpt, conv):
+        """conv2's kernel gradient runs on the worker thread, the first
+        layer's on the caller; either way the fault names the layer."""
+        x = np.random.default_rng(3).random((2,) + small_ckpt.spec.input_shape)
+        logits, caches = md.forward(small_ckpt.spec, small_ckpt.params, x)
+        cache = next(c for layer, c in caches if layer.name == conv)
+        cache.xp[1, 0, 3, 3] = np.nan
+        assert nk.checked_enabled()
+        with pytest.raises(NumericFault,
+                           match=rf"layer '{conv}' backward: non-finite"):
+            md.backward(small_ckpt.params, caches, np.ones(logits.shape))
+
     @pytest.mark.parametrize("stop", [l.name for l in md.desk_spec(5).layers])
     def test_layer_output_equals_a_hand_chain(self, stop):
         ckpt = md.build_model(md.desk_spec(5), seed=6, init="scaled")

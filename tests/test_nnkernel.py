@@ -1,6 +1,8 @@
 import math
 import os
 import struct
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +227,144 @@ class TestConvBackward:
         first, second = (nk.conv2d_backward(dout, cache) for _ in range(2))
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
+
+
+def column_conv2d_backward(dout, cache, need_dx):
+    """conv2d_backward as one full column-gradient GEMM, then col2im, plus a
+    single kernel-gradient GEMM over the whole im2col matrix."""
+    xp, kernels, stride, pad, groups = (
+        cache.xp, cache.kernels, cache.stride, cache.pad, cache.groups)
+    n, c, h, w = cache.x_shape
+    k, cg, kh, kw = kernels.shape
+    hp, wp = xp.shape[2:]
+    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    db = dout.sum(axis=(0, 2, 3))
+    dout_mat = dout.transpose(1, 0, 2, 3).reshape(groups, k // groups, -1)
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        groups, cg * kh * kw, -1)
+    dw = (dout_mat @ cols.transpose(0, 2, 1)).reshape(kernels.shape)
+    dw = dw.astype(kernels.dtype, copy=False)
+    if not need_dx:
+        return np.empty((0, c, h, w), dtype=dout.dtype), dw, db
+    kmat = kernels.reshape(groups, k // groups, -1)
+    dcols = (kmat.transpose(0, 2, 1) @ dout_mat).reshape(c, kh, kw, n, out_h, out_w)
+    dxp = np.zeros((c, n, hp, wp), dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * out_h:stride,
+                j:j + stride * out_w:stride] += dcols[:, i, j]
+    dx = dxp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w]
+    return dx.astype(dout.dtype, copy=False), dw, db
+
+
+def conv_case(x_shape, k_shape, stride, pad, groups, dtype=np.float64, seed=0):
+    """(dout, cache) of a forward pass on random input and kernels."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    kernels = (rng.standard_normal(k_shape) * 0.1).astype(dtype)
+    out, cache = nk.conv2d_forward(x, kernels, np.zeros(k_shape[0], dtype),
+                                   stride, pad, groups)
+    return rng.standard_normal(out.shape).astype(dtype), cache
+
+
+CONV_CASES = {
+    # batch 32, as the benchmark and desk workloads train
+    "benchmark-conv1": ((32, 3, 16, 16), (8, 3, 3, 3), 1, 1, 1),
+    "benchmark-conv2": ((32, 8, 8, 8), (16, 8, 3, 3), 1, 1, 1),
+    "desk-conv1": ((32, 3, 32, 32), (32, 3, 5, 5), 1, 2, 1),
+    "desk-conv2": ((32, 32, 16, 16), (64, 32, 5, 5), 1, 2, 1),
+    "desk-conv3": ((32, 64, 8, 8), (64, 64, 3, 3), 1, 1, 1),
+    "stride2-groups2": ((4, 6, 13, 13), (8, 3, 3, 3), 2, 1, 2),
+    "11x11-stride4": ((2, 3, 39, 39), (16, 3, 11, 11), 4, 0, 1),
+    "float32": ((8, 8, 9, 9), (12, 8, 3, 3), 1, 1, 1, np.float32),
+}
+
+
+class TestConvBackwardBytes:
+    """The kernel gradient runs on a worker thread and the input gradient is
+    built one kernel offset at a time; neither changes a byte."""
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("case", list(CONV_CASES))
+    def test_equals_column_formulation(self, case, need_dx):
+        dout, cache = conv_case(*CONV_CASES[case])
+        self.assert_same_bytes(nk.conv2d_backward(dout, cache, need_dx),
+                               column_conv2d_backward(dout, cache, need_dx))
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_signed_zeros_in_dout(self, need_dx):
+        dout, cache = conv_case((4, 4, 8, 8), (6, 4, 3, 3), 1, 1, 1, seed=4)
+        dout[0] = 0.0
+        dout[1] = -0.0
+        dout[2, :, ::2] = -0.0
+        self.assert_same_bytes(nk.conv2d_backward(dout, cache, need_dx),
+                               column_conv2d_backward(dout, cache, need_dx))
+
+
+class TestConvBackwardWorker:
+    def test_worker_error_is_reraised_and_the_next_call_is_sound(
+            self, monkeypatch):
+        dout, cache = conv_case(*CONV_CASES["stride2-groups2"])
+
+        def fail(*args):
+            raise RuntimeError("kernel gradient failed")
+
+        monkeypatch.setattr(nk, "_conv_dw", fail)
+        for need_dx in (True, False):
+            with pytest.raises(RuntimeError, match="kernel gradient failed"):
+                nk.conv2d_backward(dout, cache, need_dx)
+        monkeypatch.undo()
+        TestConvBackwardBytes.assert_same_bytes(
+            nk.conv2d_backward(dout, cache),
+            column_conv2d_backward(dout, cache, True))
+
+    def test_input_gradient_error_surfaces_after_the_worker_is_done(
+            self, monkeypatch):
+        dout, cache = conv_case(*CONV_CASES["stride2-groups2"])
+        real_dw, finished = nk._conv_dw, []
+
+        def slow_dw(*args):
+            time.sleep(0.2)
+            real_dw(*args)
+            finished.append(True)
+
+        class NoReshape(np.ndarray):
+            def reshape(self, *args, **kwargs):
+                raise RuntimeError("input gradient failed")
+
+        cache.kernels = cache.kernels.view(NoReshape)
+        monkeypatch.setattr(nk, "_conv_dw", slow_dw)
+        with pytest.raises(RuntimeError, match="input gradient failed"):
+            nk.conv2d_backward(dout, cache)
+        assert finished == [True]
+
+    def test_callers_on_several_threads_share_the_worker(self):
+        """More callers than cores, switching often: each still gets its own
+        gradients, byte for byte."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        cases = [conv_case(*CONV_CASES[name], seed=i)
+                 for i, name in enumerate(["desk-conv3", "stride2-groups2",
+                                           "benchmark-conv2"])]
+        want = [column_conv2d_backward(dout, cache, True) for dout, cache in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda case: nk.conv2d_backward(*case),
+                                    cases * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, result in enumerate(got):
+            TestConvBackwardBytes.assert_same_bytes(result, want[i % 3])
 
 
 class TestMaxPool:
