@@ -224,9 +224,8 @@ def cmd_train(args) -> int:
     prev_checked = nk.set_checked(not args.unchecked)
     try:
         if args.jobs > 1 and len(regimes) > 1:
-            # regimes are independent (own seeds, own output dirs); within a
-            # run, only conv backward uses a thread: the one worker that all
-            # regimes share
+            # regimes are independent (own seeds, own output dirs); on these
+            # threads conv backward runs inline, with no worker thread
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 outcomes = list(pool.map(run_one, regimes.items()))
@@ -368,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unchecked", action="store_true",
                    help="disable NaN/Inf faulting for long runs")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel regimes in a matrix run; each regime's conv "
-                        "backward also uses one worker thread, shared by all")
+                   help="parallel regimes in a matrix run (their conv "
+                        "backward then uses no worker thread)")
     p.set_defaults(func=cmd_train)
 
     # probe and sweep read the same data and probe settings

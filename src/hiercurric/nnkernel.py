@@ -8,6 +8,7 @@ it is on by default and can be switched off for long runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import threading
@@ -203,18 +204,12 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
     return out, ConvCache(xp, kernels, x.shape, stride, pad, groups)
 
 
-_DW_WORKER = None
-_DW_WORKER_LOCK = threading.Lock()
-
-
+@functools.cache
 def _dw_worker():
-    """The one thread that runs conv kernel gradients, made on first use."""
-    global _DW_WORKER
-    with _DW_WORKER_LOCK:
-        if _DW_WORKER is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _DW_WORKER = ThreadPoolExecutor(1, thread_name_prefix="conv-dw")
-    return _DW_WORKER
+    """The one thread that runs the main thread's conv kernel gradients,
+    made on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="conv-dw")
 
 
 def _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw):
@@ -225,17 +220,42 @@ def _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw):
     np.matmul(dout_mat, cols.transpose(0, 2, 1), out=dw)
 
 
+def _conv_dx(dout_mat, cache: ConvCache, dtype):
+    """Input gradient built one kernel offset at a time: a GEMM of that
+    offset's kernel column against dout_mat, added into the strided slice
+    of the padded input it came from."""
+    kernels, stride, pad, groups = (
+        cache.kernels, cache.stride, cache.pad, cache.groups)
+    k, cg, kh, kw = kernels.shape
+    n, c, h, w = cache.x_shape
+    hp, wp = cache.xp.shape[2:]
+    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    # kern[i, j]: offset (i, j)'s (groups, K/groups, C/groups) block,
+    # contiguous so that every numpy hands each GEMM to BLAS
+    kern = np.ascontiguousarray(
+        kernels.reshape(groups, k // groups, cg, kh, kw).transpose(3, 4, 0, 1, 2))
+    dxp = np.zeros((c, n, hp, wp), np.result_type(kernels, dout_mat))
+    dcol = np.empty((groups, cg, n * out_h * out_w), dxp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            np.matmul(kern[i, j].transpose(0, 2, 1), dout_mat, out=dcol)
+            dxp[:, :, i:i + stride * out_h:stride,
+                j:j + stride * out_w:stride] += dcol.reshape(c, n, out_h, out_w)
+    dx = dxp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w]
+    return dx.astype(dtype, copy=False)
+
+
 def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
     """Gradients for conv2d_forward: returns (dx, dkernels, dbias).
 
     With ``need_dx`` false the input gradient is not computed, and dx is an
-    empty (0, C, H, W) array in dout's dtype. Otherwise the kernel gradient
-    (im2col, one GEMM) runs on a single shared worker thread while the
-    caller builds dx one kernel offset at a time: a GEMM of that offset's
-    kernel column against dout, added into the padded input gradient.
+    empty (0, C, H, W) array in dout's dtype. Otherwise, on the main thread,
+    the kernel gradient (im2col, one GEMM) runs on a worker thread while the
+    caller builds dx one kernel offset at a time (``_conv_dx``). Any other
+    thread runs both in turn, so regimes trained on parallel threads add no
+    threads of their own. The bytes are the same either way.
     """
-    xp, kernels, stride, pad, groups = (
-        cache.xp, cache.kernels, cache.stride, cache.pad, cache.groups)
+    xp, kernels, stride, groups = cache.xp, cache.kernels, cache.stride, cache.groups
     n, c, h, w = cache.x_shape
     k, cg, kh, kw = kernels.shape
     hp, wp = xp.shape[2:]
@@ -253,28 +273,18 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
     if not need_dx:
         _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
         dx = np.empty((0, c, h, w), dtype=dout.dtype)
+    elif threading.current_thread() is not threading.main_thread():
+        # a `train --jobs` thread: the other regimes' threads use the cores
+        _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
+        dx = _conv_dx(dout_mat, cache, dout.dtype)
     else:
         job = _dw_worker().submit(_conv_dw, dout_mat, xp, kh, kw, stride,
                                   cols, dw)
         try:
-            # kern[i, j]: offset (i, j)'s (groups, K/groups, C/groups) block,
-            # contiguous so that every numpy hands each GEMM to BLAS
-            kern = np.ascontiguousarray(
-                kernels.reshape(groups, k // groups, cg, kh, kw)
-                .transpose(3, 4, 0, 1, 2))
-            dxp = np.zeros((c, n, hp, wp), np.result_type(kernels, dout_mat))
-            dcol = np.empty((groups, cg, n * out_h * out_w), dxp.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    np.matmul(kern[i, j].transpose(0, 2, 1), dout_mat, out=dcol)
-                    dxp[:, :, i:i + stride * out_h:stride,
-                        j:j + stride * out_w:stride] += dcol.reshape(
-                            c, n, out_h, out_w)
+            dx = _conv_dx(dout_mat, cache, dout.dtype)
         finally:
             job.exception()  # joins: the worker's buffers are done with
         job.result()  # re-raises the worker's error, if any
-        dx = dxp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w]
-        dx = dx.astype(dout.dtype, copy=False)
     dw = dw.reshape(kernels.shape).astype(kernels.dtype, copy=False)
     _guard(dx, dw, db)
     return dx, dw, db

@@ -2,6 +2,7 @@ import math
 import os
 import struct
 import sys
+import threading
 import time
 
 import numpy as np
@@ -336,18 +337,39 @@ class TestConvBackwardWorker:
             real_dw(*args)
             finished.append(True)
 
-        class NoReshape(np.ndarray):
-            def reshape(self, *args, **kwargs):
-                raise RuntimeError("input gradient failed")
+        def fail(*args):
+            raise RuntimeError("input gradient failed")
 
-        cache.kernels = cache.kernels.view(NoReshape)
         monkeypatch.setattr(nk, "_conv_dw", slow_dw)
+        monkeypatch.setattr(nk, "_conv_dx", fail)
         with pytest.raises(RuntimeError, match="input gradient failed"):
             nk.conv2d_backward(dout, cache)
         assert finished == [True]
 
-    def test_callers_on_several_threads_share_the_worker(self):
-        """More callers than cores, switching often: each still gets its own
+    def test_only_the_main_thread_uses_the_worker(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        dout, cache = conv_case(*CONV_CASES["stride2-groups2"])
+        want = column_conv2d_backward(dout, cache, True)
+        real_dw, ran_on = nk._conv_dw, []
+
+        def recording_dw(*args):
+            ran_on.append(threading.current_thread())
+            real_dw(*args)
+
+        monkeypatch.setattr(nk, "_conv_dw", recording_dw)
+        TestConvBackwardBytes.assert_same_bytes(
+            nk.conv2d_backward(dout, cache), want)
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(threading.current_thread).result()
+            TestConvBackwardBytes.assert_same_bytes(
+                pool.submit(nk.conv2d_backward, dout, cache).result(), want)
+        assert ran_on[0] not in (threading.main_thread(), other)
+        assert ran_on[1] is other
+
+    def test_callers_on_several_threads_get_their_own_gradients(self):
+        """More callers than cores, switching often, the main thread's
+        worker busy at the same time: each caller still gets its own
         gradients, byte for byte."""
         from concurrent.futures import ThreadPoolExecutor
 
@@ -358,12 +380,13 @@ class TestConvBackwardWorker:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(4) as pool:
-                got = list(pool.map(lambda case: nk.conv2d_backward(*case),
-                                    cases * 4, timeout=120))
+            with ThreadPoolExecutor(3) as pool:
+                jobs = [pool.submit(nk.conv2d_backward, *case) for case in cases * 4]
+                on_main = [nk.conv2d_backward(*case) for case in cases * 2]
+                got = [job.result(timeout=120) for job in jobs]
         finally:
             sys.setswitchinterval(interval)
-        for i, result in enumerate(got):
+        for i, result in enumerate(got + on_main):
             TestConvBackwardBytes.assert_same_bytes(result, want[i % 3])
 
 
