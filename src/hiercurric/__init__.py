@@ -21,7 +21,7 @@ from .errors import NumericFault, ParseError, ValidationError, ZeroVarianceError
 from .model import (Checkpoint, ModelSpec, build_model, forward_eval,
                     load_checkpoint, replace_head, save_checkpoint,
                     set_layer_lr_mults)
-from .nnkernel import ParamSet, SgdConfig, lr_schedule, sgd_step, softmax_xent
+from .nnkernel import ParamEntry, SgdConfig, lr_schedule, sgd_step, softmax_xent
 from .taxonomy import (LabelMap, SynsetGraph, allocate_descendants,
                        category_height_histogram, parse_synset_file,
                        validate_basic_marks)

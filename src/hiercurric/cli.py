@@ -21,7 +21,7 @@ from . import dataprep as dp
 from . import files
 from . import model as md
 from . import nnkernel as nk
-from . import taxonomy, transfer
+from . import strict, taxonomy, transfer
 from .errors import NumericFault, ValidationError
 
 EXIT_OK = 0
@@ -174,6 +174,12 @@ def cmd_train(args) -> int:
     manifest, graph, labelmap, store, train, val, phase_a_train = (
         _load_train_inputs(config))
     model_spec = cf.build_model_spec(config["model"], labelmap.n_sub)
+    if "transfer" in config:  # the probe's splits must fit before any training
+        probe = transfer.ProbeSpec(**config["transfer"])
+        with strict.at("transfer"):
+            dp.random_class_splits(manifest, probe.n_train_per_class,
+                                   probe.max_test_per_class, probe.n_splits,
+                                   probe.seed)
 
     regime_sections = config.get("regimes") or [config["regime"]]
     regimes = {sec.get("name", sec["kind"]): cf.build_regime(sec, graph, labelmap)
@@ -239,7 +245,7 @@ def cmd_train(args) -> int:
         if "transfer" in config:
             results = transfer.evaluate_probe(
                 [ckpt for _, ckpt, _ in outcomes], manifest, bundle.images,
-                transfer.ProbeSpec(**config["transfer"]), labelmap)
+                probe, labelmap)
             for (name, _, _), result in zip(outcomes, results):
                 transfer.save_probe_result(
                     result, (out if single else out / name) / "transfer")

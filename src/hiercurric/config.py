@@ -157,7 +157,7 @@ _REQUIRED = {"config": ("data", "model"), "taxonomy": ("synsets", "marks"),
 def validate_config(config: dict) -> dict:
     """``config`` itself, once every check passes."""
     _section("config")(config, "")
-    build_model_spec(config["model"], 1)
+    spec = build_model_spec(config["model"], 1)
     data = config["data"]
     if ("synthetic" in data) == ("manifest" in data):
         raise ValidationError(
@@ -172,6 +172,14 @@ def validate_config(config: dict) -> dict:
     names = [r.get("name", r["kind"]) for r in config.get("regimes", [])]
     if len(set(names)) != len(names):
         raise ValidationError("regime names must be unique")
+    if "cap" in data and all(
+            cu.RECIPES[r["kind"]].phase_a not in ("basic", "subset")
+            for r in config.get("regimes") or [config["regime"]]):
+        raise ValidationError("data.cap: no regime reads it; only a basic or "
+                              "subset phase A trains on the capped set")
+    if "transfer" in config:
+        with strict.at("transfer.layer"):
+            transfer.feature_layer(spec, config["transfer"].get("layer"))
     return config
 
 

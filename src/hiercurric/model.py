@@ -1,8 +1,9 @@
 """Network assembly from layer descriptors, checkpoints, and head surgery.
 
 A ModelSpec is an ordered list of layer descriptors ending in a fully
-connected output head. Checkpoints bundle the spec with a ParamSet,
-iteration counter and phase tag, and round-trip through a versioned,
+connected output head. Checkpoints bundle the spec with its parameters
+(a dict of ``nnkernel.ParamEntry`` by entry name, in layer order), an
+iteration counter and a phase tag, and round-trip through a versioned,
 CRC32-sealed binary file byte-identically.
 """
 
@@ -53,7 +54,7 @@ class Layer:
         """Weight shape (one bias per leading row); None if parameterless."""
         return None
 
-    def _weights(self, params: nk.ParamSet) -> tuple:
+    def _weights(self, params: dict[str, nk.ParamEntry]) -> tuple:
         return (params[f"{self.name}.weight"].weight,
                 params[f"{self.name}.bias"].weight)
 
@@ -295,12 +296,13 @@ def alexnet_spec(n_outputs: int = 308) -> ModelSpec:
 @dataclass
 class Checkpoint:
     spec: ModelSpec
-    params: nk.ParamSet
+    params: dict[str, nk.ParamEntry]
     iteration: int = 0
     phase_tag: str = "basic"
 
     def copy(self) -> "Checkpoint":
-        return Checkpoint(self.spec, self.params.copy(), self.iteration, self.phase_tag)
+        return Checkpoint(self.spec, {n: e.copy() for n, e in self.params.items()},
+                          self.iteration, self.phase_tag)
 
 
 def parameter_count(spec: ModelSpec) -> int:
@@ -323,29 +325,25 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
         raise ValidationError(f"unknown init scheme {init!r}")
     shapes = spec.param_shapes()  # raises on a broken shape chain
     rng = np.random.default_rng(seed)
-    params = nk.ParamSet()
+    params = {}
     for name, shape in shapes.items():  # in layer order
-        if init == "fixed":
-            weight = nk.default_init(shape, rng, dtype)
-        else:
-            std = np.sqrt(2.0 / np.prod(shape[1:]))
-            weight = rng.normal(0.0, std, size=shape).astype(dtype, copy=False)
-        params.add(f"{name}.weight", weight)
-        params.add(f"{name}.bias", np.zeros(shape[0], dtype=dtype))
+        std = nk.INIT_STD if init == "fixed" else np.sqrt(2.0 / np.prod(shape[1:]))
+        params[f"{name}.weight"] = nk.ParamEntry(nk.default_init(shape, rng, dtype, std))
+        params[f"{name}.bias"] = nk.ParamEntry(np.zeros(shape[0], dtype=dtype))
     return Checkpoint(spec=spec, params=params, iteration=0, phase_tag=phase_tag)
 
 
 # ---------------------------------------------------------------------------
 # forward / backward over a spec
 
-def _layer_forward(layer: Layer, params: nk.ParamSet, x, mode: str, rng):
+def _layer_forward(layer: Layer, params: dict[str, nk.ParamEntry], x, mode: str, rng):
     try:
         return layer.forward(params, x, mode, rng)
     except NumericFault as exc:
         raise NumericFault(f"layer {layer.name!r} forward: {exc}") from exc
 
 
-def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
+def forward(spec: ModelSpec, params: dict[str, nk.ParamEntry], x, mode: str = "eval",
             rng: np.random.Generator | None = None):
     """Run the layer chain; returns (logits, caches) for :func:`backward`."""
     act = x
@@ -356,7 +354,7 @@ def forward(spec: ModelSpec, params: nk.ParamSet, x, mode: str = "eval",
     return act, caches
 
 
-def backward(params: nk.ParamSet, caches, dlogits) -> dict:
+def backward(params: dict[str, nk.ParamEntry], caches, dlogits) -> dict:
     """Backpropagate through cached layers; returns every parameter's
     gradient by entry name, in that parameter's dtype.
 
@@ -437,15 +435,10 @@ def replace_head(ckpt: Checkpoint, n_new_outputs: int, init: str,
         new_b = np.zeros(n_new_outputs, dtype=old_b.dtype)
 
     new_spec = ckpt.spec.with_outputs(n_new_outputs)
-    params = nk.ParamSet()
-    for name in ckpt.params.names():
-        if name.startswith(head.name + "."):
-            continue
-        src = ckpt.params[name]
-        params.add(name, src.weight.copy(), src.lr_mult)
-        params[name].momentum[...] = src.momentum
-    params.add(f"{head.name}.weight", new_w)
-    params.add(f"{head.name}.bias", new_b)
+    params = {name: e.copy() for name, e in ckpt.params.items()
+              if not name.startswith(head.name + ".")}
+    params[f"{head.name}.weight"] = nk.ParamEntry(new_w)
+    params[f"{head.name}.bias"] = nk.ParamEntry(new_b)
     return Checkpoint(spec=new_spec, params=params, iteration=0,
                       phase_tag=_advance_phase(ckpt.phase_tag))
 
@@ -458,9 +451,8 @@ def set_layer_lr_mults(ckpt: Checkpoint, prefix_count: int, mult: float) -> Chec
             f"prefix_count {prefix_count} exceeds {len(conv_names)} conv layers")
     lowered = set(conv_names[:prefix_count])
     out = ckpt.copy()
-    for name in out.params.names():
-        layer_name = name.rsplit(".", 1)[0]
-        out.params[name].lr_mult = mult if layer_name in lowered else 1.0
+    for name, e in out.params.items():
+        e.lr_mult = mult if name.rsplit(".", 1)[0] in lowered else 1.0
     return out
 
 
@@ -489,12 +481,11 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         "spec": ckpt.spec.to_dict(),
         "iteration": ckpt.iteration,
         "phase_tag": ckpt.phase_tag,
-        "entries": [{"name": n, "lr_mult": ckpt.params[n].lr_mult}
-                    for n in ckpt.params.names()],
+        "entries": [{"name": n, "lr_mult": e.lr_mult}
+                    for n, e in ckpt.params.items()],
     })
     parts = [_CKPT_MAGIC, struct.pack("<IQ", _CKPT_VERSION, len(payload)), payload]
-    for name in ckpt.params.names():
-        e = ckpt.params[name]
+    for e in ckpt.params.values():
         parts += (nk.tensor_to_bytes(e.weight), nk.tensor_to_bytes(e.momentum))
     crc = 0
     for part in parts:
@@ -529,7 +520,7 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
     if names != list(shapes):
         raise ValidationError(f"checkpoint entries {names} do not match the "
                               f"spec's {list(shapes)}")
-    params = nk.ParamSet()
+    params = {}
     offset = 16 + length
     for entry in manifest["entries"]:
         name = entry["name"]
@@ -542,8 +533,7 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
                 raise ValidationError(
                     f"checkpoint entry {name!r}: {what} shape {arr.shape} "
                     f"!= {shapes[name]} of the spec")
-        params.add(name, weight, entry["lr_mult"])
-        params[name].momentum[...] = momentum
+        params[name] = nk.ParamEntry(weight, momentum, entry["lr_mult"])
     end = len(buf) - 4
     if offset > end:
         raise ValidationError("truncated checkpoint CRC32 trailer")
@@ -569,8 +559,8 @@ def body_hash(ckpt: Checkpoint) -> str:
     """SHA-256 over all non-head weight bytes; detects backbone mutation."""
     head = ckpt.spec.head_name
     digest = hashlib.sha256()
-    for name in ckpt.params.names():
+    for name, e in ckpt.params.items():
         if not name.startswith(head + "."):
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(ckpt.params[name].weight).tobytes())
+            digest.update(np.ascontiguousarray(e.weight).tobytes())
     return digest.hexdigest()

@@ -73,46 +73,26 @@ class SgdConfig:
 
 @dataclass
 class ParamEntry:
+    """A trainable tensor, its momentum buffer (zeros unless given) and its
+    learning-rate multiplier. A model's parameters are a dict of entries by
+    name, in layer order."""
     weight: np.ndarray
-    momentum: np.ndarray
+    momentum: np.ndarray | None = None
     lr_mult: float = 1.0
+
+    def __post_init__(self):
+        if self.momentum is None:
+            # np.zeros leaves the pages unwritten (out of RSS) until first used
+            self.momentum = np.zeros(self.weight.shape, self.weight.dtype)
 
     def copy(self) -> "ParamEntry":
         return ParamEntry(self.weight.copy(), self.momentum.copy(), self.lr_mult)
 
 
-class ParamSet:
-    """Named trainable tensors with their momentum buffers."""
-
-    def __init__(self):
-        self._entries: dict[str, ParamEntry] = {}
-
-    def add(self, name: str, weight: np.ndarray, lr_mult: float = 1.0) -> None:
-        if name in self._entries:
-            raise ValidationError(f"duplicate parameter name {name!r}")
-        # np.zeros leaves the pages unwritten (out of RSS) until first used
-        self._entries[name] = ParamEntry(
-            weight, np.zeros(weight.shape, weight.dtype), lr_mult)
-
-    def __getitem__(self, name: str) -> ParamEntry:
-        return self._entries[name]
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def copy(self) -> "ParamSet":
-        out = ParamSet()
-        for name, e in self._entries.items():
-            out._entries[name] = e.copy()
-        return out
-
-    def n_values(self) -> int:
-        return sum(e.weight.size for e in self._entries.values())
-
-
-def default_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
-    """Fresh weight tensor: zero-mean Gaussian, std INIT_STD."""
-    return rng.normal(0.0, INIT_STD, size=shape).astype(dtype, copy=False)
+def default_init(shape, rng: np.random.Generator, dtype=np.float64,
+                 std: float = INIT_STD) -> np.ndarray:
+    """Fresh weight tensor: zero-mean Gaussian, std INIT_STD by default."""
+    return rng.normal(0.0, std, size=shape).astype(dtype, copy=False)
 
 
 def lr_schedule(cfg: SgdConfig, iteration: int) -> float:
@@ -122,26 +102,27 @@ def lr_schedule(cfg: SgdConfig, iteration: int) -> float:
     return cfg.base_lr * cfg.lr_gamma ** (iteration // cfg.lr_step)
 
 
-def sgd_step(params: ParamSet, grads: dict, cfg: SgdConfig,
+def _momentum_step(e: ParamEntry, grad, eta: float, cfg: SgdConfig) -> None:
+    """v <- momentum*v - eta*(grad + weight_decay*w); w <- w + v, in place.
+    At eta == 0 nothing changes, momentum buffer included."""
+    if eta == 0.0:
+        return
+    e.momentum *= cfg.momentum
+    e.momentum -= eta * (grad + cfg.weight_decay * e.weight)
+    e.weight += e.momentum
+    _guard(e.weight)
+
+
+def sgd_step(params: dict[str, ParamEntry], grads: dict, cfg: SgdConfig,
              iteration: int) -> None:
     """One momentum-SGD update of ``params`` from ``grads`` (entry name ->
-    gradient), in place.
-
-    Per entry with effective rate eta = schedule * lr_mult:
-    v <- momentum*v - eta*(grad + weight_decay*w); w <- w + v.
+    gradient), in place, each entry at rate eta = schedule * lr_mult.
     Entries with eta == 0 are skipped entirely so frozen layers stay
     bit-identical, momentum buffer included.
     """
     lr = lr_schedule(cfg, iteration)
-    for name in params.names():
-        e = params[name]
-        eta = lr * e.lr_mult
-        if eta == 0.0:
-            continue
-        e.momentum *= cfg.momentum
-        e.momentum -= eta * (grads[name] + cfg.weight_decay * e.weight)
-        e.weight += e.momentum
-        _guard(e.weight)
+    for name, e in params.items():
+        _momentum_step(e, grads[name], lr * e.lr_mult, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +251,7 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
     cols = np.empty((groups, cg * kh * kw, n * out_h * out_w), xp.dtype)
     dw = np.empty((groups, k // groups, cg * kh * kw),
                   np.result_type(dout_mat, cols))
-    if not need_dx:
-        _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
-        dx = np.empty((0, c, h, w), dtype=dout.dtype)
-    elif threading.current_thread() is not threading.main_thread():
-        # a `train --jobs` thread: the other regimes' threads use the cores
-        _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
-        dx = _conv_dx(dout_mat, cache, dout.dtype)
-    else:
+    if need_dx and threading.current_thread() is threading.main_thread():
         job = _dw_worker().submit(_conv_dw, dout_mat, xp, kh, kw, stride,
                                   cols, dw)
         try:
@@ -285,6 +259,11 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
         finally:
             job.exception()  # joins: the worker's buffers are done with
         job.result()  # re-raises the worker's error, if any
+    else:
+        # nothing to overlap, or a `train --jobs` thread (regimes share the cores)
+        _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
+        dx = (_conv_dx(dout_mat, cache, dout.dtype) if need_dx
+              else np.empty((0, c, h, w), dtype=dout.dtype))
     dw = dw.reshape(kernels.shape).astype(kernels.dtype, copy=False)
     _guard(dx, dw, db)
     return dx, dw, db
@@ -418,11 +397,23 @@ def dropout_backward(dout, mask, rate: float):
     return dx
 
 
-def softmax_xent(logits, labels):
-    """Mean cross-entropy over the batch plus its logits gradient.
+def _xent_grad(logits, labels):
+    """Softmax cross-entropy over the last axis of ``logits``, with any
+    leading dims and ``labels`` of those dims: returns the log-softmax and
+    the gradient of the loss averaged over the second-to-last (batch) axis,
+    (softmax - onehot) / N. Uses max-subtraction for stability."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    grad = np.exp(logp).reshape(-1, logits.shape[-1])
+    grad[np.arange(len(grad)), np.ravel(labels)] -= 1.0
+    grad = grad.reshape(logits.shape)
+    grad /= logits.shape[-2]
+    _guard(grad)
+    return logp, grad
 
-    Uses max-subtraction for stability. grad = (softmax - onehot) / N.
-    """
+
+def softmax_xent(logits, labels):
+    """Mean cross-entropy over the batch plus its logits gradient."""
     labels = np.asarray(labels)
     n, k = logits.shape
     if labels.shape != (n,):
@@ -430,15 +421,8 @@ def softmax_xent(logits, labels):
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(
             f"labels out of range [0, {k}): {labels.min()}..{labels.max()}")
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - logsumexp
-    rows = np.arange(n)
-    loss = float(-logp[rows, labels].mean())
-    grad = np.exp(logp)
-    grad[rows, labels] -= 1.0
-    grad /= n
-    _guard(grad)
+    logp, grad = _xent_grad(logits, labels)
+    loss = float(-logp[np.arange(n), labels].mean())
     if not np.isfinite(loss):
         raise NumericFault("non-finite loss")
     return loss, grad

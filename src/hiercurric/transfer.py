@@ -90,31 +90,20 @@ def train_softmax_probe(rows, labels, cfg: nk.SgdConfig, iters: int, seeds):
         raise ValidationError("probe needs labels >= 0 and at least two classes")
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    w = np.stack([nk.default_init((*counts, x.shape[2]), rng) for rng in rngs])
-    b = np.zeros(w.shape[:2])
-    velocities = np.zeros_like(w), np.zeros_like(b)
+    w = nk.ParamEntry(np.stack([nk.default_init((*counts, x.shape[2]), rng)
+                                for rng in rngs]))
+    b = nk.ParamEntry(np.zeros(w.weight.shape[:2]))
     problem = np.arange(len(x))[:, None]
     batches = zip(*(dp.epoch_batches(rng, x.shape[1], cfg.batch_size) for rng in rngs))
     for it, idx in zip(range(iters), map(np.stack, batches)):
         xb = x[problem, idx]
-        logits = np.matmul(xb, w.transpose(0, 2, 1)) + b[:, None]
+        logits = np.matmul(xb, w.weight.transpose(0, 2, 1)) + b.weight[:, None]
         nk._guard(logits)
-        # nk.softmax_xent's gradient, then nk.sgd_step's update, op for op
-        z = logits - logits.max(axis=2, keepdims=True)
-        grad = np.exp(z - np.log(np.exp(z).sum(axis=2, keepdims=True)))
-        grad[problem, np.arange(idx.shape[1]), labels[problem, idx]] -= 1.0
-        grad /= idx.shape[1]
-        nk._guard(grad)
+        _, grad = nk._xent_grad(logits, labels[problem, idx])
         lr = nk.lr_schedule(cfg, it)
-        if lr == 0.0:
-            continue  # a zero rate leaves weights and momentum untouched
-        grads = np.matmul(grad.transpose(0, 2, 1), xb), grad.sum(axis=1)
-        for param, vel, g in zip((w, b), velocities, grads):
-            vel *= cfg.momentum
-            vel -= lr * (g + cfg.weight_decay * param)
-            param += vel
-            nk._guard(param)
-    return w, b
+        nk._momentum_step(w, np.matmul(grad.transpose(0, 2, 1), xb), lr, cfg)
+        nk._momentum_step(b, grad.sum(axis=1), lr, cfg)
+    return w.weight, b.weight
 
 
 def mean_class_recall(predictions, labels, n_classes: int):
@@ -163,10 +152,8 @@ def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
     labels, n_classes = _class_labels(manifest, labelmap)
     if len(images) != len(manifest):
         raise ValidationError(f"{len(images)} images for {len(manifest)} manifest samples")
-    features = [extract_features(ckpt, images, probe.layer) for ckpt in ckpts]
     digests = [hashlib.sha256(image.tobytes()).hexdigest() for image in images]
     position = manifest.positions()
-
     splits = [[[position[s.sample_id] for s in part.samples] for part in split]
               for split in dp.random_class_splits(
                   manifest, probe.n_train_per_class, probe.max_test_per_class,
@@ -175,6 +162,12 @@ def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
         if {digests[i] for i in train_idx} & {digests[i] for i in test_idx}:
             raise ValidationError("exact-duplicate images span train and test within "
                                   "a split; run overlap removal first")
+
+    # only the rows some split reads outlive extraction, renumbered in order
+    used = np.unique(np.concatenate([idx for split in splits for idx in split]))
+    splits = [[np.searchsorted(used, idx) for idx in split] for split in splits]
+    labels = labels[used]
+    features = [extract_features(ckpt, images, probe.layer)[used] for ckpt in ckpts]
     w, b = train_softmax_probe(
         [rows[train_idx] for rows in features for train_idx, _ in splits],
         [labels[train_idx] for _ in features for train_idx, _ in splits],

@@ -51,8 +51,7 @@ class TestCriterion2OptimizerOracle:
         mu, eta, g = 0.9, 0.1, 1.0
         cfg = nk.SgdConfig(base_lr=eta, momentum=mu, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=1, batch_size=1)
-        params = nk.ParamSet()
-        params.add("p.weight", np.array([0.0]))
+        params = {"p.weight": nk.ParamEntry(np.array([0.0]))}
         v = w = 0.0
         for it in range(2):
             nk.sgd_step(params, {"p.weight": np.array([g])}, cfg, it)
@@ -110,7 +109,7 @@ class TestCriterion4HeadReplication:
         spec = md.desk_spec(labelmap.n_basic, input_shape=(1, 8, 8))
         ckpt = md.build_model(spec, seed=5)
         rng = np.random.default_rng(17)
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             e = ckpt.params[name]
             e.weight[...] = rng.standard_normal(e.weight.shape) * 0.05
         replicated = md.replace_head(ckpt, labelmap.n_sub, "replicate", labelmap)
@@ -145,7 +144,8 @@ class TestCriterion5ParameterCount:
         desk = md.parameter_count(md.desk_spec(4))
         expect_desk = (32 * 75 + 32) + (64 * 800 + 64) + (64 * 576 + 64) \
             + (256 * 4096 + 256) + (4 * 256 + 4)
-        built = md.build_model(md.desk_spec(4), seed=0).params.n_values()
+        built = sum(e.weight.size
+                    for e in md.build_model(md.desk_spec(4), seed=0).params.values())
         ok = (full == expect_full and 55e6 < full < 60e6
               and desk == expect_desk == built)
         report(5, ok, f"full {full:,} (~57M band), desk {desk:,} exact")

@@ -665,6 +665,15 @@ CONFIG_REJECTIONS = [
           "regime.phase_b.sgd.batch_size: must be int"),
     _case("float-split-seed", ("data.split.seed", 6.0),
           "data.split.seed: must be int"),
+    # a key that nothing reads, and a probe that cannot run
+    _case("cap-unread", ("data.cap", CAP),
+          "data.cap: no regime reads it; only a basic or subset phase A"),
+    _case("transfer-layer-unknown", ("transfer", dict(PROBE, layer="nope")),
+          "transfer.layer: no layer named 'nope'"),
+    _case("transfer-layer-head", ("transfer", dict(PROBE, layer="fc2")),
+          "transfer.layer: feature layer must precede the output head"),
+    _case("transfer-too-few-samples", ("transfer", dict(PROBE, n_train_per_class=12)),
+          "transfer: class 'sub_00_00' has 12 samples, needs at least 13"),
 ]
 
 
@@ -692,6 +701,14 @@ class TestConfigRejections:
         config_path = _bad_config(tmp_path, edits)
         assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
         assert not (tmp_path / "run").exists()
+
+    def test_cap_read_by_one_regime_of_a_matrix_is_accepted(self, tmp_path):
+        regimes = [{"name": "a", "kind": "Reference", "phase_b": phase()},
+                   {"name": "b", "kind": "FacilitatedReplicatedHead",
+                    "phase_a": phase(seed=8), "phase_b": phase()}]
+        config_path = _bad_config(tmp_path, [("regime", DELETE), ("regimes", regimes),
+                                             ("data.cap", CAP)])
+        assert cli.main(["train", "--config", str(config_path), "--dry-run"]) == EXIT_OK
 
     @pytest.mark.parametrize("edits, message", [
         case for case in CONFIG_REJECTIONS if case.values[1] is not None])

@@ -98,7 +98,7 @@ class TestTrainPhase:
                                        bundle.train, bundle.val,
                                        bundle.labelmap, bundle.images,
                                        bundle.rows)
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             np.testing.assert_array_equal(final.params[name].weight,
                                           ckpt.params[name].weight)
         losses = [row for row in report.curves if row[2] == "loss"]
@@ -143,7 +143,7 @@ class TestTrainPhase:
         assert starts.count("forward") == 3
         assert [w for w, nxt in zip(starts, starts[1:]) if nxt == "forward"] == [
             "eval", "eval"]
-        assert len(refs) > 3 * len(ckpt.params.names())
+        assert len(refs) > 3 * len(ckpt.params)
 
     def test_float32_model_trains_in_float32(self, bundle_pair):
         _, bundle = bundle_pair
@@ -152,7 +152,7 @@ class TestTrainPhase:
         final, _ = cu.train_phase(ckpt, tiny_cfg(iters=1), bundle.train,
                                   bundle.val, bundle.labelmap, bundle.images,
                                   bundle.rows)
-        for name in final.params.names():
+        for name in final.params:
             entry = final.params[name]
             assert entry.weight.dtype == entry.momentum.dtype == np.float32, name
             assert entry.momentum.any(), name
@@ -254,7 +254,7 @@ class TestRunRegime:
         phase_a_final, _ = cu.train_phase(start, cfg_a, bundle.train, bundle.val,
                                           bundle.labelmap, bundle.images,
                                           bundle.rows)
-        for name in final.params.names():
+        for name in final.params:
             if name.startswith("fc2."):
                 continue
             np.testing.assert_array_equal(final.params[name].weight,
@@ -309,7 +309,7 @@ class TestRunRegime:
         final, report = cu.run_regime(regime, bundle)
         assert final.spec.n_outputs == bundle.labelmap.n_sub
         assert all(e.lr_mult == 1.0 for e in
-                   (final.params[n] for n in final.params.names()))
+                   (final.params[n] for n in final.params))
 
     def test_regime_determinism(self, bundle_pair):
         _, bundle = bundle_pair

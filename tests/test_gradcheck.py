@@ -153,7 +153,7 @@ def composed_test_point(seed, side=8, margin_sigmas=3.0):
     spec = md.desk_spec(4, input_shape=(3, side, side))
     ckpt = md.build_model(spec, seed=seed)
     rng = np.random.default_rng(seed)
-    for name in ckpt.params.names():
+    for name in ckpt.params:
         e = ckpt.params[name]
         if name.endswith(".weight"):
             fan_in = int(np.prod(e.weight.shape[1:]))
@@ -206,6 +206,6 @@ def test_composed_desk_network_gradients():
 
     # parameter tensors only; input gradients are covered per layer, where
     # pool-flip exposure of a single perturbed pixel can be controlled
-    for name in ckpt.params.names():
+    for name in ckpt.params:
         e = ckpt.params[name]
         check_tensor(loss, grads[name], e.weight, rng)

@@ -79,7 +79,8 @@ class TestBuild:
 
     def test_built_param_count_matches_closed_form(self):
         ckpt = md.build_model(md.desk_spec(7), seed=1)
-        assert ckpt.params.n_values() == desk_param_count_closed_form(7)
+        assert (sum(e.weight.size for e in ckpt.params.values())
+                == desk_param_count_closed_form(7))
 
     def test_biases_zero_weights_gaussian(self):
         ckpt = md.build_model(md.desk_spec(4), seed=3)
@@ -110,7 +111,7 @@ def small_ckpt(tiny_labelmap):
     spec = md.desk_spec(tiny_labelmap.n_basic, input_shape=(1, 8, 8))
     ckpt = md.build_model(spec, seed=5)
     rng = np.random.default_rng(17)
-    for name in ckpt.params.names():
+    for name in ckpt.params:
         e = ckpt.params[name]
         e.weight[...] = rng.standard_normal(e.weight.shape) * 0.05
         e.momentum[...] = rng.standard_normal(e.weight.shape) * 0.01
@@ -155,7 +156,7 @@ class TestReplaceHead:
     def test_body_untouched_bitwise(self, small_ckpt, tiny_labelmap):
         new = md.replace_head(small_ckpt, tiny_labelmap.n_sub, "replicate",
                               tiny_labelmap)
-        for name in small_ckpt.params.names():
+        for name in small_ckpt.params:
             if name.startswith("fc2."):
                 continue
             np.testing.assert_array_equal(
@@ -205,12 +206,12 @@ class TestLrMults:
         ckpt = md.build_model(md.desk_spec(4), seed=0)
         ckpt.params["conv1.weight"].lr_mult = 0.5
         out = md.set_layer_lr_mults(ckpt, 0, 0.1)
-        assert all(out.params[n].lr_mult == 1.0 for n in out.params.names())
+        assert all(out.params[n].lr_mult == 1.0 for n in out.params)
 
     def test_mult_zero_freezes_weights_over_steps(self):
         ckpt = md.build_model(md.desk_spec(4, input_shape=(3, 8, 8)), seed=0)
         ckpt = md.set_layer_lr_mults(ckpt, 3, 0.0)
-        before = {n: ckpt.params[n].weight.copy() for n in ckpt.params.names()}
+        before = {n: ckpt.params[n].weight.copy() for n in ckpt.params}
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=10, batch_size=2)
         rng = np.random.default_rng(0)
@@ -235,7 +236,7 @@ class TestLrMults:
 class TestForwardEval:
     def test_zero_weight_model_gives_bias_logits(self):
         ckpt = md.build_model(md.desk_spec(3, input_shape=(1, 8, 8)), seed=0)
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             ckpt.params[name].weight[...] = 0.0
         ckpt.params["fc2.bias"].weight[...] = [1.0, 2.0, 3.0]
         logits = md.forward_eval(ckpt, np.random.default_rng(0).random((4, 1, 8, 8)))
@@ -347,7 +348,7 @@ class TestParamCopy:
             nk.sgd_step(ckpt.params, md.backward(ckpt.params, caches, dlogits),
                         cfg, it)
         out = ckpt.copy()
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             src, dst = ckpt.params[name], out.params[name]
             assert src.momentum.any(), name
             assert dst.weight.tobytes() == src.weight.tobytes(), name
@@ -371,8 +372,8 @@ class TestBackward:
             grad, layer_grads = layer.backward(grad, cache, need_dx=True)
             want.update(layer_grads)
         assert grad.shape == x.shape
-        assert sorted(got) == sorted(want) == sorted(ckpt.params.names())
-        for name in ckpt.params.names():
+        assert sorted(got) == sorted(want) == sorted(ckpt.params)
+        for name in ckpt.params:
             assert got[name].tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("first", [md.Relu("relu0"), md.Fc("fc0", 6)],
@@ -385,7 +386,7 @@ class TestBackward:
             md.Fc("out", 3),
         ))
         ckpt = md.build_model(spec, seed=6, init="scaled")
-        before = {n: ckpt.params[n].weight.copy() for n in ckpt.params.names()}
+        before = {n: ckpt.params[n].weight.copy() for n in ckpt.params}
         cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
                            lr_gamma=1.0, lr_step=10, batch_size=6)
         rng = np.random.default_rng(7)
@@ -399,7 +400,7 @@ class TestBackward:
                         cfg, it)
             losses.append(loss)
         assert losses[-1] < losses[0]
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             assert not np.array_equal(ckpt.params[name].weight, before[name]), name
 
 
@@ -459,7 +460,7 @@ class TestCheckpointManifestChecks:
         except ValidationError:
             return
         shapes = ckpt.spec.param_shapes()
-        assert len(ckpt.params.names()) == 2 * len(shapes)
+        assert len(ckpt.params) == 2 * len(shapes)
         for layer, shape in shapes.items():
             for name, want in ((f"{layer}.weight", shape), (f"{layer}.bias", shape[:1])):
                 assert ckpt.params[name].weight.shape == want

@@ -511,8 +511,7 @@ class TestSoftmaxXent:
 
 
 def _single_param(w0, g):
-    params = nk.ParamSet()
-    params.add("p.weight", np.array([w0]))
+    params = {"p.weight": nk.ParamEntry(np.array([w0]))}
     return params, {"p.weight": np.array([g])}
 
 

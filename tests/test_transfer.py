@@ -130,9 +130,8 @@ def kernel_path_probe(rows, labels, cfg, iters, seed):
     """One probe head trained step by step through the nnkernel kernels."""
     rng = np.random.default_rng(seed)
     n_classes = int(labels.max()) + 1
-    params = nk.ParamSet()
-    params.add("w", nk.default_init((n_classes, rows.shape[1]), rng))
-    params.add("b", np.zeros(n_classes))
+    params = {"w": nk.ParamEntry(nk.default_init((n_classes, rows.shape[1]), rng)),
+              "b": nk.ParamEntry(np.zeros(n_classes))}
     batches = dp.epoch_batches(rng, len(rows), cfg.batch_size)
     for it, idx in zip(range(iters), batches):
         logits, cache = nk.fc_forward(rows[idx], params["w"].weight,
