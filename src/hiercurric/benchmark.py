@@ -48,18 +48,13 @@ def model_spec(n_outputs: int) -> md.ModelSpec:
     ))
 
 
-def sgd_config(iters: int, batch_size: int = 32) -> nk.SgdConfig:
-    return nk.SgdConfig(base_lr=0.01, momentum=0.9, weight_decay=0.0005,
-                        lr_gamma=0.1, lr_step=max(1, iters // 2),
-                        batch_size=batch_size)
-
-
 def train_config(iters: int, seed: int, level: str,
-                 lowered_prefix: int = 0, lowered_mult: float = 1.0,
-                 eval_every: int = 100) -> cu.TrainConfig:
-    return cu.TrainConfig(sgd=sgd_config(iters), max_iterations=iters,
-                          eval_every=eval_every, checkpoint_every=iters,
-                          seed=seed, task_level=level,
+                 lowered_prefix: int = 0,
+                 lowered_mult: float = 1.0) -> cu.TrainConfig:
+    sgd = nk.SgdConfig(base_lr=0.01, momentum=0.9, weight_decay=0.0005,
+                       lr_gamma=0.1, lr_step=max(1, iters // 2), batch_size=32)
+    return cu.TrainConfig(sgd=sgd, max_iterations=iters, eval_every=100,
+                          checkpoint_every=iters, seed=seed, task_level=level,
                           lowered_prefix=lowered_prefix,
                           lowered_mult=lowered_mult)
 
@@ -100,9 +95,8 @@ def regime(kind: str, seed: int, pretrain_categories=()) -> cu.Regime:
         pretrain_categories=tuple(pretrain_categories))
 
 
-def facilitated_regime(seed: int,
-                       kind: str = "FacilitatedReplicatedHead") -> cu.Regime:
-    return regime(kind, seed)
+def facilitated_regime(seed: int) -> cu.Regime:
+    return regime("FacilitatedReplicatedHead", seed)
 
 
 def reference_regime(seed: int) -> cu.Regime:

@@ -9,12 +9,14 @@ Exit codes: 0 success, 2 config or validation error, 3 numeric fault,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from collections import Counter
 from pathlib import Path
 
 from . import __version__
+from . import benchmark as bm
 from . import config as cf
 from . import curriculum as cu
 from . import dataprep as dp
@@ -71,13 +73,10 @@ def cmd_taxonomy(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = dp.SynthSpec(
-        n_basic=args.n_basic, subs_per_basic=args.subs_per_basic,
-        image_size=args.image_size,
-        prototype_scale=args.prototype_scale,
-        subordinate_scale=args.subordinate_scale,
-        noise_scale=args.noise_scale,
-        samples_per_sub=args.samples_per_sub, seed=args.seed)
+    # a flag left unset is absent from args and keeps the benchmark's value
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(dp.SynthSpec) if hasattr(args, f.name)}
+    spec = dataclasses.replace(bm.synth_spec(args.seed), **given)
     data = dp.generate_synthetic(spec)
     out = resolve_out(args.out)
     dp.save_dataset(data, out)
@@ -330,14 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default="longest")
     p.set_defaults(func=cmd_taxonomy)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--n-basic", type=int, default=4)
-    p.add_argument("--subs-per-basic", type=int, default=3)
-    p.add_argument("--image-size", type=_image_size, default="3x16x16")
-    p.add_argument("--prototype-scale", type=float, default=0.25)
-    p.add_argument("--subordinate-scale", type=float, default=0.1)
-    p.add_argument("--noise-scale", type=float, default=0.2)
-    p.add_argument("--samples-per-sub", type=int, default=50)
+    p = sub.add_parser("synth", help="generate a synthetic dataset",
+                       description="Unset flags take the benchmark's values.",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--n-basic", type=int)
+    p.add_argument("--subs-per-basic", type=int)
+    p.add_argument("--image-size", type=_image_size)
+    p.add_argument("--prototype-scale", type=float)
+    p.add_argument("--subordinate-scale", type=float)
+    p.add_argument("--noise-scale", type=float)
+    p.add_argument("--samples-per-sub", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

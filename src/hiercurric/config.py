@@ -143,8 +143,8 @@ _SECTIONS = {
     "regime": {"name": "non-empty str", "kind": cu.REGIME_KINDS, "phase_a": _phase,
                "phase_b": _phase, "pretrain_categories": ["str"],
                "pretrain_sample": _section("pretrain_sample")},
-    "phase": {"iterations": "int", "seed": "int", "eval_every": "int",
-              "checkpoint_every": "int", "lowered_prefix": "int",
+    "phase": {"iterations": "int >= 1", "seed": "int", "eval_every": "int >= 1",
+              "checkpoint_every": "int >= 1", "lowered_prefix": "int",
               "lowered_mult": "float", "sgd": nk.SgdConfig},
     "pretrain_sample": {"count": "int >= 1", "seed": "int"},
 }
@@ -166,6 +166,16 @@ def validate_config(config: dict) -> dict:
         raise ValidationError("manifest data needs 'images_root'")
     if "manifest" in data and "taxonomy" not in config:
         raise ValidationError("manifest data needs a 'taxonomy' section")
+    if "synthetic" in data:
+        if "taxonomy" in config:
+            raise ValidationError("taxonomy: synthetic data makes its own")
+        if "images_root" in data:
+            raise ValidationError("data.images_root: synthetic data reads no "
+                                  "image files")
+        size = build_synth_spec(data["synthetic"]).image_size
+        if size != spec.input_shape:
+            raise ValidationError(f"data.synthetic.image_size: {size} does not "
+                                  f"fit model input_shape {spec.input_shape}")
     if ("regime" in config) == ("regimes" in config):
         raise ValidationError(
             "config needs exactly one of 'regime' or 'regimes'")

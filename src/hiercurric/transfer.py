@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,10 @@ from .taxonomy import LabelMap
 
 log = logging.getLogger(__name__)
 
+# the probe's optimizer: a constant rate, no weight decay
+PROBE_SGD = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.0,
+                         lr_gamma=1.0, lr_step=10_000, batch_size=32)
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -33,9 +37,6 @@ class ProbeSpec:
     seed: int = 0
     iters: int = 1000
     layer: str | None = None       # None: input of the output head
-    sgd: nk.SgdConfig = field(default_factory=lambda: nk.SgdConfig(
-        base_lr=0.05, momentum=0.9, weight_decay=0.0, lr_gamma=1.0,
-        lr_step=10_000, batch_size=32))
 
     def __post_init__(self):
         if min(self.n_train_per_class, self.max_test_per_class, self.n_splits,
@@ -171,7 +172,7 @@ def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
     w, b = train_softmax_probe(
         [rows[train_idx] for rows in features for train_idx, _ in splits],
         [labels[train_idx] for _ in features for train_idx, _ in splits],
-        probe.sgd, probe.iters,
+        PROBE_SGD, probe.iters,
         [probe.seed + split_i for _ in features for split_i in range(len(splits))])
 
     results = []

@@ -1,19 +1,28 @@
+import contextlib
 import copy
+import dataclasses
+import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hiercurric import benchmark as bm
 from hiercurric import cli, config as cf, curriculum as cu, dataprep as dp
 from hiercurric import model as md, taxonomy, transfer
 from hiercurric import nnkernel as nk
 from hiercurric.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION
+from conftest import ANIMAL_EDGES
 from test_model import rewrite_manifest
 
 MARKS = "dog\nfish\ncar\n"
@@ -57,6 +66,11 @@ def train_config(tmp_path, out_name="run", regime=None, regimes=None,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path, config
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def phase(iters=6, seed=7, **kw):
@@ -140,6 +154,18 @@ class TestSynthCmd:
         out = tmp_path / "standard"
         assert cli.main(["synth", "--seed", "1", "--out", str(out)]) == EXIT_OK
         assert len(dp.load_manifest(out / "manifest.csv")) == 600
+
+    @pytest.mark.parametrize("flags, given", [
+        ([], {}),
+        (["--n-basic", "2", "--image-size", "1x8x8", "--noise-scale", "0.5"],
+         {"n_basic": 2, "image_size": (1, 8, 8), "noise_scale": 0.5}),
+    ], ids=["no-flags", "some-flags"])
+    def test_unset_flags_take_benchmark_values(self, tmp_path, flags, given):
+        out, expected = tmp_path / "cli", tmp_path / "expected"
+        assert cli.main(["synth", *flags, "--seed", "4", "--out", str(out)]) == EXIT_OK
+        spec = dataclasses.replace(bm.synth_spec(4), **given)
+        dp.save_dataset(dp.generate_synthetic(spec), expected)
+        assert _tree(out) == _tree(expected)
 
     @pytest.mark.parametrize("size", ["3x16", "3xA", "0x8x8", "3x-8x8",
                                       "3x8x8x8", "3x 8x8"])
@@ -527,11 +553,11 @@ CONFIG_REJECTIONS = [
     _case("min-cap", ("data.cap", {"cap": 0, "seed": 1}),
           "data.cap.cap: must be int >= 1"),
     _case("min-iterations", ("regime.phase_b.iterations", 0),
-          "regime.phase_b: max_iterations must be >= 1"),
+          "regime.phase_b.iterations: must be int >= 1"),
     _case("min-eval-every", ("regime.phase_b.eval_every", 0),
-          "regime.phase_b: eval_every and checkpoint_every must be >= 1"),
+          "regime.phase_b.eval_every: must be int >= 1"),
     _case("min-checkpoint-every", ("regime.phase_b.checkpoint_every", 0),
-          "regime.phase_b: eval_every and checkpoint_every must be >= 1"),
+          "regime.phase_b.checkpoint_every: must be int >= 1"),
     _case("min-lowered-prefix", ("regime.phase_b.lowered_prefix", -1),
           "regime.phase_b: lowered_prefix must be >= 0"),
     _case("max-lowered-mult", ("regime.phase_b.lowered_mult", 1.5),
@@ -668,6 +694,13 @@ CONFIG_REJECTIONS = [
     # a key that nothing reads, and a probe that cannot run
     _case("cap-unread", ("data.cap", CAP),
           "data.cap: no regime reads it; only a basic or subset phase A"),
+    _case("synthetic-taxonomy", ("taxonomy", {"synsets": "s", "marks": "m"}),
+          "taxonomy: synthetic data makes its own"),
+    _case("synthetic-images-root", ("data.images_root", "images"),
+          "data.images_root: synthetic data reads no image files"),
+    _case("synthetic-size-misfit", ("data.synthetic.image_size", [1, 16, 16]),
+          "data.synthetic.image_size: (1, 16, 16) does not fit model "
+          "input_shape (1, 8, 8)"),
     _case("transfer-layer-unknown", ("transfer", dict(PROBE, layer="nope")),
           "transfer.layer: no layer named 'nope'"),
     _case("transfer-layer-head", ("transfer", dict(PROBE, layer="fc2")),
@@ -720,8 +753,6 @@ class TestConfigRejections:
 
 @pytest.fixture
 def probe_fixtures(tmp_path):
-    from hiercurric import benchmark as bm
-
     data_dir = tmp_path / "data"
     assert cli.main(synth_args(data_dir, seed=31)) == EXIT_OK
     model_spec = md.ModelSpec((1, 8, 8), bm.model_spec(4).layers)
@@ -1173,6 +1204,120 @@ class TestAtomicWrites:
         assert tree() == before
 
 
+class TestKilledRun:
+    @pytest.mark.parametrize("matrix", [False, True], ids=["single", "jobs-2-matrix"])
+    def test_killed_train_leaves_loadable_files_and_reruns_clean(self, tmp_path,
+                                                                 matrix):
+        """SIGKILL a ``train`` subprocess once its first checkpoint is on
+        disk: every checkpoint left loads, each regime (one writer thread)
+        leaves at most one stray ``.tmp``, and a rerun into the same
+        directory writes the tree of a clean run."""
+        long = {"kind": "FacilitatedReplicatedHead",
+                "phase_a": phase(iters=500, seed=8, eval_every=100,
+                                 checkpoint_every=20),
+                "phase_b": phase(iters=500, eval_every=100, checkpoint_every=100)}
+        if matrix:
+            config_path, _ = train_config(tmp_path, regimes=[
+                dict(long, name="a"), dict(long, name="b", kind="FacilitatedRandomHead")])
+        else:
+            config_path, _ = train_config(tmp_path, regime=long)
+        argv = ["train", "--config", str(config_path), "--jobs", "2"]
+        run = tmp_path / "run"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hiercurric.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            while not any(run.rglob("*.ckpt")) and proc.poll() is None:
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL, "train ended before the kill"
+
+        for path in run.rglob("*.ckpt"):
+            md.load_checkpoint(path)
+        stray = Counter(p.relative_to(run).parts[0] if matrix else "run"
+                        for p in run.rglob("*.tmp"))
+        assert all(n <= 1 for n in stray.values()), stray
+
+        assert cli.main(argv) == EXIT_OK
+        assert cli.main([*argv, "--out", str(tmp_path / "clean")]) == EXIT_OK
+        rerun = {k: v for k, v in _tree(run).items() if k.suffix != ".tmp"}
+        assert rerun == _tree(tmp_path / "clean")
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """The bytes of a valid synset, marks, manifest, label-map and config file."""
+    d = tmp_path_factory.mktemp("readers")
+    (d / "synsets.txt").write_text(ANIMAL_EDGES)
+    (d / "marks.txt").write_text(MARKS)
+    graph = taxonomy.validate_basic_marks(taxonomy.parse_synset_file(d / "synsets.txt"),
+                                          {"dog", "fish", "car"})
+    taxonomy.labelmap_to_csv(taxonomy.allocate_descendants(graph), d / "labelmap.csv")
+    dp.save_manifest(dp.DatasetManifest(tuple(
+        dp.Sample(f"s{i:03d}", f"t/{i}.tnsr", ["poodle", "beagle", "fish", "suv"][i % 4])
+        for i in range(40))), d / "manifest.csv")
+    train_config(d)
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+def _reader_command(d, target):
+    """The command that reads input file ``target`` in ``d``."""
+    if target in ("synsets.txt", "marks.txt"):
+        return ["taxonomy", "--synsets", str(d / "synsets.txt"), "--marks",
+                str(d / "marks.txt"), "--out", str(d / "tax")]
+    if target in ("manifest.csv", "labelmap.csv"):
+        return ["prepare", "--manifest", str(d / "manifest.csv"), "--labelmap",
+                str(d / "labelmap.csv"), "--level", "sub", "--cap", "5",
+                "--seed", "1", "--splits", "1", "--train-per-class", "2",
+                "--out", str(d / "prep")]
+    return ["train", "--config", str(d / "config.json"), "--dry-run"]
+
+
+READERS = ["synsets.txt", "marks.txt", "manifest.csv", "labelmap.csv", "config.json"]
+
+
+class TestReaderFuzz:
+    """Each mutant's files are written once, into a fresh directory: ext4
+    flushes a file rewritten in place, and on a discard mount deleting a
+    flushed file takes tens of milliseconds."""
+
+    @pytest.mark.parametrize("target", READERS)
+    def test_unmutated_input_passes(self, reader_inputs, tmp_path, target):
+        for name, data in reader_inputs.items():
+            (tmp_path / name).write_bytes(data)
+        assert cli.main(_reader_command(tmp_path, target)) == EXIT_OK
+
+    @given(target=st.sampled_from(READERS),
+           edits=st.lists(st.tuples(st.integers(0, 10 ** 4), st.integers(-1, 255)),
+                          min_size=1, max_size=3),
+           cut=st.none() | st.integers(0, 10 ** 4))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_input_exits_0_or_2(self, reader_inputs, target, edits, cut):
+        """Byte edits (a byte of -1 deletes) and an optional truncation of one
+        input file: the command reading it succeeds or exits 2, never with an
+        uncaught exception."""
+        data = bytearray(reader_inputs[target])
+        for pos, byte in edits:
+            pos %= len(data) or 1
+            if byte < 0:
+                del data[pos:pos + 1]
+            else:
+                data[pos:pos + 1] = bytes([byte])
+        if cut is not None:
+            del data[cut % (len(data) + 1):]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            for name, original in reader_inputs.items():
+                (d / name).write_bytes(bytes(data) if name == target else original)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(_reader_command(d, target))
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+
+
 def test_cli_import_leaves_jsonschema_out():
     src = Path(cli.__file__).parents[1]
     result = subprocess.run(
@@ -1181,6 +1326,16 @@ def test_cli_import_leaves_jsonschema_out():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    src = Path(cli.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, hiercurric; print(sorted(m for m in "
+         "sys.modules if m.startswith('hiercurric') or m == 'numpy'))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True)
+    assert result.stdout.strip() == "['hiercurric']"
 
 
 def test_cli_module_runs_without_warnings():
