@@ -15,6 +15,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+# One BLAS thread per compute thread: the regime threads and conv backward's
+# worker are the parallelism. Set before numpy loads; a user's setting wins.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
 from . import __version__
 from . import benchmark as bm
 from . import config as cf
@@ -46,12 +52,6 @@ def _image_size(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected CxHxW, three positive integers, got {text!r}")
     return tuple(map(int, dims))
-
-
-def _positive_int(text: str) -> int:
-    if not (text.isdecimal() and int(text) > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +160,6 @@ def _load_train_inputs(config):
     return manifest, graph, labelmap, store, train, val, phase_a_train
 
 
-def _print_shape_chain(spec: md.ModelSpec) -> None:
-    for layer, shape_in, shape_out in spec.shape_chain():
-        print(f"{layer.name:10s} {layer.kind:8s} {shape_in} -> {shape_out}")
-    print(f"parameters: {md.parameter_count(spec)}")
-
-
 def cmd_train(args) -> int:
     config = cf.load_config(args.config)
     out = resolve_out(args.out or config.get("output", {}).get("directory")
@@ -185,7 +179,9 @@ def cmd_train(args) -> int:
                for sec in regime_sections}
 
     if args.dry_run:
-        _print_shape_chain(model_spec)
+        for layer, shape_in, shape_out in model_spec.shape_chain():
+            print(f"{layer.name:10s} {layer.kind:8s} {shape_in} -> {shape_out}")
+        print(f"parameters: {md.parameter_count(model_spec)}")
         for name in regimes:
             print(f"regime: {name}")
         return EXIT_OK
@@ -226,13 +222,16 @@ def cmd_train(args) -> int:
         cu.save_run_report(report, run_dir)
         return name, ckpt, report
 
+    # regimes are independent (own seeds, own output dirs): one thread each,
+    # up to the usable CPUs; there conv backward runs with no worker thread
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(regimes), cpus)
     prev_checked = nk.set_checked(not args.unchecked)
     try:
-        if args.jobs > 1 and len(regimes) > 1:
-            # regimes are independent (own seeds, own output dirs); on these
-            # threads conv backward runs inline, with no worker thread
+        if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(run_one, regimes.items()))
         else:
             outcomes = [run_one(item) for item in regimes.items()]
@@ -373,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate and print the shape chain, then stop")
     p.add_argument("--unchecked", action="store_true",
                    help="disable NaN/Inf faulting for long runs")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel regimes in a matrix run (their conv "
-                        "backward then uses no worker thread)")
     p.set_defaults(func=cmd_train)
 
     # probe and sweep read the same data and probe settings

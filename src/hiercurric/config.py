@@ -140,8 +140,8 @@ _SECTIONS = {
               "seed": "int"},
     "model": {"name": tuple(_NAMED_SPECS), "input_shape": "tuple[int, int, int]",
               "init": md.INITS, "layers": ["object"]},
-    "regime": {"name": "non-empty str", "kind": cu.REGIME_KINDS, "phase_a": _phase,
-               "phase_b": _phase, "pretrain_categories": ["str"],
+    "regime": {"name": "non-empty str, one path component", "kind": cu.REGIME_KINDS,
+               "phase_a": _phase, "phase_b": _phase, "pretrain_categories": ["str"],
                "pretrain_sample": _section("pretrain_sample")},
     "phase": {"iterations": "int >= 1", "seed": "int", "eval_every": "int >= 1",
               "checkpoint_every": "int >= 1", "lowered_prefix": "int",

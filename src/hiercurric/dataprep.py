@@ -61,10 +61,10 @@ class DatasetManifest:
 class SynthSpec:
     n_basic: int
     subs_per_basic: int
+    noise_scale: float  # no default: benchmark.synth_spec holds the CLI's value
     image_size: tuple[int, int, int] = (3, 16, 16)
     prototype_scale: float = 0.25
     subordinate_scale: float = 0.1
-    noise_scale: float = 0.05
     samples_per_sub: int = 50
     seed: int = 0
 

@@ -260,7 +260,7 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
             job.exception()  # joins: the worker's buffers are done with
         job.result()  # re-raises the worker's error, if any
     else:
-        # nothing to overlap, or a `train --jobs` thread (regimes share the cores)
+        # nothing to overlap, or a matrix run's regime thread (they share the cores)
         _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
         dx = (_conv_dx(dout_mat, cache, dout.dtype) if need_dx
               else np.empty((0, c, h, w), dtype=dout.dtype))

@@ -18,6 +18,8 @@ TYPES = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool),
          "float in [0, 1]": lambda v: TYPES["float"](v) and 0 <= v <= 1,
          "str": lambda v: isinstance(v, str),
          "non-empty str": lambda v: isinstance(v, str) and v != "",
+         "non-empty str, one path component": lambda v: isinstance(v, str) and not (
+             v in ("", ".", "..") or {"/", "\\", "\0"} & set(v)),
          "str | None": lambda v: v is None or isinstance(v, str),
          "object": lambda v: isinstance(v, dict),
          "tuple[int, int, int]": lambda v: (isinstance(v, list) and len(v) == 3

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -410,29 +411,31 @@ class TestTrainCmd:
             assert (out / name / "curves.csv").exists()
             assert (out / name / "final.json").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_jobs_below_one_rejected_by_parser(self, tmp_path, capsys, jobs):
-        config_path, _ = train_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["train", "--config", str(config_path), "--jobs", jobs])
-        assert exc.value.code == EXIT_VALIDATION
-        assert "--jobs" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_two_jobs_write_the_tree_of_one(self, tmp_path):
+    def test_two_jobs_write_the_tree_of_one(self, tmp_path, monkeypatch):
+        """A matrix on one usable CPU runs its regimes on the main thread; on
+        two, on two pool threads. Both write the same bytes."""
         regimes = [
             {"name": "reference", "kind": "Reference", "phase_b": phase()},
             {"name": "facilitated", "kind": "FacilitatedReplicatedHead",
              "phase_a": phase(seed=21), "phase_b": phase(seed=22)},
         ]
         config_path, _ = train_config(tmp_path, regimes=regimes)
+        run_regime, on_main = cu.run_regime, []
+
+        def spy(*args, **kw):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return run_regime(*args, **kw)
+
+        monkeypatch.setattr(cu, "run_regime", spy)
         trees = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            out = tmp_path / f"cpus{len(cpus)}"
             assert cli.main(["train", "--config", str(config_path), "--out",
-                             str(out), "--jobs", jobs]) == EXIT_OK
-            trees.append({p.relative_to(out): p.read_bytes()
-                          for p in sorted(out.rglob("*")) if p.is_file()})
+                             str(out)]) == EXIT_OK
+            trees.append(_tree(out))
+        assert on_main == [True, True, False, False]
         assert len(trees[0]) > 5
         assert trees[0] == trees[1]
 
@@ -460,6 +463,7 @@ CAP = {"cap": 4, "seed": 1}
 PROBE = {"n_train_per_class": 4, "seed": 41}
 INLINE = {"input_shape": [1, 8, 8],
           "layers": [{"kind": "fc", "name": "out", "units": 4}]}
+NAME_KIND = "non-empty str, one path component"
 MATRIX = [("regime", DELETE),
           ("regimes", [{"name": "a", "kind": "Reference", "phase_b": phase()}])]
 
@@ -705,6 +709,24 @@ CONFIG_REJECTIONS = [
           "transfer.layer: no layer named 'nope'"),
     _case("transfer-layer-head", ("transfer", dict(PROBE, layer="fc2")),
           "transfer.layer: feature layer must precede the output head"),
+    # a regime name that is not one directory inside the run's
+    _case("regime-name-parent", MATRIX + [("regimes.0.name", "../escaped")],
+          f"regimes[0].name: must be {NAME_KIND}"),
+    _case("regime-name-dotdot", MATRIX + [("regimes.0.name", "..")],
+          f"regimes[0].name: must be {NAME_KIND}"),
+    _case("regime-name-dot", MATRIX + [("regimes.0.name", ".")],
+          f"regimes[0].name: must be {NAME_KIND}"),
+    _case("regime-name-nested", MATRIX + [("regimes.0.name", "a/b")],
+          f"regimes[0].name: must be {NAME_KIND}"),
+    _case("regime-name-backslash", MATRIX + [("regimes.0.name", "a\\b")],
+          f"regimes[0].name: must be {NAME_KIND}"),
+    _case("regime-name-nul", MATRIX + [("regimes.0.name", "a\0b")],
+          f"regimes[0].name: must be {NAME_KIND}"),
+    _case("regime-name-trailing-slash",
+          [("regime", DELETE), ("regimes", [
+              {"name": "a", "kind": "Reference", "phase_b": phase()},
+              {"name": "a/", "kind": "Reference", "phase_b": phase(seed=9)}])],
+          f"regimes[1].name: must be {NAME_KIND}"),
     _case("transfer-too-few-samples", ("transfer", dict(PROBE, n_train_per_class=12)),
           "transfer: class 'sub_00_00' has 12 samples, needs at least 13"),
 ]
@@ -733,7 +755,17 @@ class TestConfigRejections:
     def test_bad_config_exits_2_before_any_work(self, tmp_path, edits, message):
         config_path = _bad_config(tmp_path, edits)
         assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
-        assert not (tmp_path / "run").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_absolute_regime_name_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        config_path = _bad_config(tmp_path, MATRIX + [("regimes.0.name",
+                                                       str(tmp_path / "abs"))])
+        for dry_run in (["--dry-run"], []):
+            assert cli.main(["train", "--config", str(config_path), "--out",
+                             str(tmp_path / "run"), *dry_run]) == EXIT_VALIDATION
+            assert (f"error: regimes[0].name: must be {NAME_KIND}"
+                    in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_cap_read_by_one_regime_of_a_matrix_is_accepted(self, tmp_path):
         regimes = [{"name": "a", "kind": "Reference", "phase_b": phase()},
@@ -1221,7 +1253,7 @@ class TestKilledRun:
                 dict(long, name="a"), dict(long, name="b", kind="FacilitatedRandomHead")])
         else:
             config_path, _ = train_config(tmp_path, regime=long)
-        argv = ["train", "--config", str(config_path), "--jobs", "2"]
+        argv = ["train", "--config", str(config_path)]
         run = tmp_path / "run"
         proc = subprocess.Popen(
             [sys.executable, "-m", "hiercurric.cli", *argv],
@@ -1336,6 +1368,26 @@ def test_package_import_loads_no_submodule_and_no_numpy():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, check=True)
     assert result.stdout.strip() == "['hiercurric']"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OMP_NUM_THREADS": "3"}, [None, "3", None]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+], ids=["unset", "omp-only", "openblas"])
+def test_cli_import_pins_blas_threads_unless_user_sets_one(given, expected):
+    """Importing the CLI sets all three thread variables to 1 when none is
+    set, and leaves them alone when the user set any one."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    result = subprocess.run(
+        [sys.executable, "-c", "import hiercurric.cli, os; print([os.environ.get(k) "
+         f"for k in {BLAS_THREADS!r}])"],
+        env={**env, **given, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == repr(expected)
 
 
 def test_cli_module_runs_without_warnings():

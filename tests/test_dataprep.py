@@ -71,7 +71,8 @@ class TestCap:
 
 class TestGenerateSynthetic:
     def test_counting(self):
-        spec = dp.SynthSpec(n_basic=4, subs_per_basic=3, samples_per_sub=50, seed=1)
+        spec = dp.SynthSpec(n_basic=4, subs_per_basic=3, noise_scale=0.05,
+                            samples_per_sub=50, seed=1)
         data = dp.generate_synthetic(spec)
         assert len(data.manifest) == 600
         assert len(data.graph.leaf_set) == 12
@@ -90,7 +91,8 @@ class TestGenerateSynthetic:
                 np.testing.assert_array_equal(img, imgs[0])
 
     def test_fixed_seed_byte_identical(self):
-        spec = dp.SynthSpec(n_basic=2, subs_per_basic=2, samples_per_sub=3, seed=7)
+        spec = dp.SynthSpec(n_basic=2, subs_per_basic=2, noise_scale=0.05,
+                            samples_per_sub=3, seed=7)
         a = dp.generate_synthetic(spec)
         b = dp.generate_synthetic(spec)
         assert a.manifest == b.manifest
@@ -98,7 +100,8 @@ class TestGenerateSynthetic:
             assert a.images[sid].tobytes() == b.images[sid].tobytes()
 
     def test_marks_validate_against_graph(self):
-        data = dp.generate_synthetic(dp.SynthSpec(2, 2, samples_per_sub=2, seed=3))
+        data = dp.generate_synthetic(dp.SynthSpec(2, 2, noise_scale=0.05,
+                                                  samples_per_sub=2, seed=3))
         marked = taxonomy.validate_basic_marks(data.graph, data.basic_marks)
         labelmap = taxonomy.allocate_descendants(marked)
         assert labelmap.n_basic == 2 and labelmap.n_sub == 4
@@ -276,7 +279,7 @@ class TestManifestIO:
         assert back.samples == manifest.samples
 
     def test_save_dataset_reruns_byte_identical(self, tmp_path):
-        spec = dp.SynthSpec(2, 2, samples_per_sub=2, seed=9)
+        spec = dp.SynthSpec(2, 2, noise_scale=0.05, samples_per_sub=2, seed=9)
         outs = []
         for run in range(2):
             out = tmp_path / f"run{run}"
@@ -286,7 +289,8 @@ class TestManifestIO:
         assert outs[0] == outs[1]
 
     def test_raw_file_store_loads_saved_dataset(self, tmp_path):
-        data = dp.generate_synthetic(dp.SynthSpec(2, 2, samples_per_sub=2, seed=10))
+        data = dp.generate_synthetic(dp.SynthSpec(2, 2, noise_scale=0.05,
+                                                  samples_per_sub=2, seed=10))
         dp.save_dataset(data, tmp_path)
         manifest = dp.load_manifest(tmp_path / "manifest.csv")
         store = dp.RawFileStore(tmp_path)
