@@ -15,10 +15,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# One BLAS thread per compute thread: the regime threads and conv backward's
-# worker are the parallelism. Set before numpy loads; a user's setting wins.
+# `train` runs its own threads, so its BLAS gets one per compute thread (set
+# before numpy loads; a user's setting wins). Other commands keep BLAS's pool.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if not any(name in os.environ for name in _BLAS_THREADS):
+if sys.argv[1:2] == ["train"] and os.environ.keys().isdisjoint(_BLAS_THREADS):
     os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 from . import __version__
@@ -160,6 +160,12 @@ def _load_train_inputs(config):
     return manifest, graph, labelmap, store, train, val, phase_a_train
 
 
+def _print_shape_chain(spec: md.ModelSpec) -> None:
+    for layer, shape_in, shape_out in spec.shape_chain():
+        print(f"{layer.name:10s} {layer.kind:8s} {shape_in} -> {shape_out}")
+    print(f"parameters: {md.parameter_count(spec)}")
+
+
 def cmd_train(args) -> int:
     config = cf.load_config(args.config)
     out = resolve_out(args.out or config.get("output", {}).get("directory")
@@ -179,9 +185,7 @@ def cmd_train(args) -> int:
                for sec in regime_sections}
 
     if args.dry_run:
-        for layer, shape_in, shape_out in model_spec.shape_chain():
-            print(f"{layer.name:10s} {layer.kind:8s} {shape_in} -> {shape_out}")
-        print(f"parameters: {md.parameter_count(model_spec)}")
+        _print_shape_chain(model_spec)
         for name in regimes:
             print(f"regime: {name}")
         return EXIT_OK
@@ -222,11 +226,9 @@ def cmd_train(args) -> int:
         cu.save_run_report(report, run_dir)
         return name, ckpt, report
 
-    # regimes are independent (own seeds, own output dirs): one thread each,
-    # up to the usable CPUs; there conv backward runs with no worker thread
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(len(regimes), cpus)
+    # a thread per regime up to the usable CPUs (conv backward then runs inline)
+    workers = min(len(regimes), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     prev_checked = nk.set_checked(not args.unchecked)
     try:
         if workers > 1:

@@ -1373,18 +1373,24 @@ def test_package_import_loads_no_submodule_and_no_numpy():
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("given, expected", [
-    ({}, ["1", "1", "1"]),
-    ({"OMP_NUM_THREADS": "3"}, [None, "3", None]),
-    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
-], ids=["unset", "omp-only", "openblas"])
-def test_cli_import_pins_blas_threads_unless_user_sets_one(given, expected):
-    """Importing the CLI sets all three thread variables to 1 when none is
-    set, and leaves them alone when the user set any one."""
+@pytest.mark.parametrize("command, given, expected", [
+    ("train", {}, ["1", "1", "1"]),
+    ("train", {"OMP_NUM_THREADS": "3"}, [None, "3", None]),
+    ("train", {"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+    ("probe", {}, [None, None, None]),
+    ("sweep", {}, [None, None, None]),
+    ("dedup", {}, [None, None, None]),
+], ids=["train-unset", "train-omp-only", "train-openblas", "probe", "sweep",
+        "dedup"])
+def test_cli_import_pins_blas_threads_for_train_unless_user_sets_one(
+        command, given, expected):
+    """Importing the CLI under `train` sets all three thread variables to 1
+    when none is set, and leaves them alone when the user set any one. The
+    single-threaded commands keep the BLAS's own thread count."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     result = subprocess.run(
         [sys.executable, "-c", "import hiercurric.cli, os; print([os.environ.get(k) "
-         f"for k in {BLAS_THREADS!r}])"],
+         f"for k in {BLAS_THREADS!r}])", command],
         env={**env, **given, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True, check=True)
     assert result.stdout.strip() == repr(expected)
