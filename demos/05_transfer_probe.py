@@ -23,7 +23,7 @@ probe = bm.probe_spec(seed=8)
 for name, ckpt in (("trained backbone", trained),
                    ("random backbone", random_ckpt)):
     (result,) = transfer.evaluate_probe([ckpt], data.manifest, bundle.images,
-                                        probe, bundle.labelmap)
+                                        [probe], bundle.labelmap)
     per_split = [round(m, 4) for _, m, _ in result.per_split]
     print(f"{name}: splits {per_split} -> "
           f"mean {result.aggregate['mean']:.4f} "
@@ -34,5 +34,5 @@ for n_train in (5, 15, 30):
     spec = transfer.ProbeSpec(n_train_per_class=n_train, max_test_per_class=20,
                               n_splits=3, seed=9, iters=300)
     (result,) = transfer.evaluate_probe([trained], data.manifest, bundle.images,
-                                        spec, bundle.labelmap)
+                                        [spec], bundle.labelmap)
     print(f"  n_train {n_train:2d}: {result.aggregate['mean']:.4f}")

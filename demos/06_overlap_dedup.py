@@ -22,13 +22,13 @@ print(f"ncc(a, b)           = {dp.normalized_correlation(a, b):.6f}")
 print(f"ncc(a, 3a + 0.2)    = {dp.normalized_correlation(a, 3 * a + 0.2)}")
 
 # two disjoint noise sets with one exact copy planted across them
-images_a = {f"a{i:02d}": rng.random((3, 32, 32)) for i in range(25)}
-images_b = {f"b{i:02d}": rng.random((3, 32, 32)) for i in range(25)}
-images_b["b07"] = images_a["a03"].copy()
-man_a = dp.DatasetManifest(tuple(dp.Sample(k, k, "leaf")
-                                 for k in sorted(images_a)))
-man_b = dp.DatasetManifest(tuple(dp.Sample(k, k, "leaf")
-                                 for k in sorted(images_b)))
+images_a = np.stack([rng.random((3, 32, 32)) for _ in range(25)])
+images_b = np.stack([rng.random((3, 32, 32)) for _ in range(25)])
+images_b[7] = images_a[3].copy()
+man_a = dp.DatasetManifest(tuple(dp.Sample(f"a{i:02d}", f"a{i:02d}", "leaf")
+                                 for i in range(25)))
+man_b = dp.DatasetManifest(tuple(dp.Sample(f"b{i:02d}", f"b{i:02d}", "leaf")
+                                 for i in range(25)))
 
 matches, filtered = dp.find_overlaps(man_a, man_b, threshold=0.99,
                                      images_a=images_a, images_b=images_b)

@@ -103,7 +103,8 @@ def cmd_prepare(args) -> int:
     if args.splits:
         splits = dp.random_class_splits(capped, args.train_per_class,
                                         args.max_test_per_class, args.splits,
-                                        args.split_seed)
+                                        args.seed if args.split_seed is None
+                                        else args.split_seed)
         for i, (train, test) in enumerate(splits):
             dp.save_manifest(train, out / f"train_{i}.csv")
             dp.save_manifest(test, out / f"test_{i}.csv")
@@ -113,12 +114,11 @@ def cmd_prepare(args) -> int:
 def cmd_dedup(args) -> int:
     man_a = dp.load_manifest(args.manifest_a)
     man_b = dp.load_manifest(args.manifest_b or args.manifest_a)
-    store_a = dp.RawFileStore(args.images_a)
-    images_a = {s.sample_id: store_a.load(s) for s in man_a.samples}
+    images_a = dp.load_batch(dp.RawFileStore(args.images_a), man_a.samples)
     images_b = images_a
     if args.manifest_b or args.images_b:
-        store_b = dp.RawFileStore(args.images_b or args.images_a)
-        images_b = {s.sample_id: store_b.load(s) for s in man_b.samples}
+        images_b = dp.load_batch(dp.RawFileStore(args.images_b or args.images_a),
+                                 man_b.samples)
     matches, filtered = dp.find_overlaps(man_a, man_b, args.threshold,
                                          images_a, images_b)
     out = resolve_out(args.out)
@@ -245,7 +245,7 @@ def cmd_train(args) -> int:
         if "transfer" in config:
             results = transfer.evaluate_probe(
                 [ckpt for _, ckpt, _ in outcomes], manifest, bundle.images,
-                probe, labelmap)
+                [probe], labelmap)
             for (name, _, _), result in zip(outcomes, results):
                 transfer.save_probe_result(
                     result, (out if single else out / name) / "transfer")
@@ -285,10 +285,8 @@ def cmd_probe(args) -> int:
     manifest, images, labelmap, specs = _probe_inputs(args, [ckpt])
     out = resolve_out(args.out)
     rows = []
-    for spec in specs:
-        n_train = spec.n_train_per_class
-        # one call per value: a different N gives different batch sizes
-        (result,) = transfer.evaluate_probe([ckpt], manifest, images, spec, labelmap)
+    for result in transfer.evaluate_probe([ckpt], manifest, images, specs, labelmap):
+        n_train = result.n_train_per_class
         transfer.save_probe_result(result, out / f"n{n_train}")
         rows.append((n_train, repr(result.aggregate["mean"]),
                      repr(result.aggregate["std"])))
@@ -407,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "split_seed", 0) is None:
-        args.split_seed = args.seed
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -130,10 +130,10 @@ _SECTIONS = {
                "data": _section("data"), "model": _section("model"),
                "regime": _check_regime, "regimes": [_check_regime],
                "transfer": transfer.ProbeSpec},
-    "output": {"directory": "non-empty str"},
-    "taxonomy": {"synsets": "str", "marks": "str"},
-    "data": {"synthetic": build_synth_spec, "manifest": "str",
-             "images_root": "str", "cap": _section("cap"),
+    "output": {"directory": "non-empty str, no NUL byte"},
+    "taxonomy": {"synsets": "str, no NUL byte", "marks": "str, no NUL byte"},
+    "data": {"synthetic": build_synth_spec, "manifest": "str, no NUL byte",
+             "images_root": "str, no NUL byte", "cap": _section("cap"),
              "split": _section("split")},
     "cap": {"level": ("basic", "sub"), "cap": "int >= 1", "seed": "int"},
     "split": {"n_train_per_class": "int >= 1", "max_test_per_class": "int >= 1",

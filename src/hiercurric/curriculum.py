@@ -322,7 +322,7 @@ def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest,
     iterations = [c.iteration for c in checkpoints]
     if any(b <= a for a, b in zip(iterations, iterations[1:])):
         raise ValidationError(f"checkpoint iterations must ascend, got {iterations}")
-    results = transfer.evaluate_probe(checkpoints, manifest, images, probe, labelmap)
+    results = transfer.evaluate_probe(checkpoints, manifest, images, [probe], labelmap)
     report = RunReport(curves=[(c.iteration, "transfer", "mean_class_recall",
                                 r.aggregate["mean"]) for c, r in zip(checkpoints, results)])
     report.final["last_mean_class_recall"] = report.curves[-1][3]

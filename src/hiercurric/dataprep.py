@@ -17,7 +17,7 @@ import numpy as np
 
 from . import files
 from . import nnkernel as nk
-from .errors import ValidationError, ZeroVarianceError
+from .errors import ParseError, ValidationError, ZeroVarianceError
 from .taxonomy import LabelMap, SynsetGraph, build_graph
 
 log = logging.getLogger(__name__)
@@ -205,32 +205,32 @@ COMPARISON_RESOLUTION = 32
 DEFAULT_OVERLAP_THRESHOLD = 0.99
 
 
-def _resize_bilinear(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = plane.shape
-    if (h, w) == (out_h, out_w):
-        return plane
-    ys = np.linspace(0, h - 1, out_h)
-    xs = np.linspace(0, w - 1, out_w)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    top = plane[np.ix_(y0, x0)] * (1 - fx) + plane[np.ix_(y0, x1)] * fx
-    bot = plane[np.ix_(y1, x0)] * (1 - fx) + plane[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bot * fy
+def _comparison_forms(images: np.ndarray) -> np.ndarray:
+    """Each image of the ``(N, C, H, W)`` array averaged over channels, then
+    bilinearly resampled to the comparison square: one row per image, made
+    256 images at a time so that the temporaries stay small."""
+    if images.ndim != 4:
+        raise ValidationError(f"expected (N, C, H, W) images, got shape {images.shape}")
+    h, w = images.shape[2:]
+    ys, xs = (np.linspace(0, n - 1, COMPARISON_RESOLUTION) for n in (h, w))
+    y0, x0 = np.floor(ys).astype(int)[:, None], np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    fy, fx = ys[:, None] - y0, xs - x0
+    forms = np.empty((len(images), COMPARISON_RESOLUTION ** 2))
+    for i in range(0, len(images), 256):
+        gray = np.asarray(images[i:i + 256], dtype=np.float64).mean(axis=1)
+        if (h, w) != (COMPARISON_RESOLUTION,) * 2:
+            top = gray[:, y0, x0] * (1 - fx) + gray[:, y0, x1] * fx
+            bot = gray[:, y1, x0] * (1 - fx) + gray[:, y1, x1] * fx
+            gray = top * (1 - fy) + bot * fy
+        forms[i:i + 256] = gray.reshape(len(gray), -1)
+    return forms
 
 
-def comparison_form(image: np.ndarray) -> np.ndarray:
-    """Mean over channels, then bilinear resample to the comparison square."""
-    if image.ndim == 2:
-        gray = image
-    elif image.ndim == 3:
-        gray = image.mean(axis=0)
-    else:
-        raise ValidationError(f"expected CHW or HW image, got shape {image.shape}")
-    return _resize_bilinear(gray, COMPARISON_RESOLUTION, COMPARISON_RESOLUTION)
+def _standardize(rows: np.ndarray):
+    """Each row less its own mean, and the norm of each centred row."""
+    centred = rows - np.array([row.mean() for row in rows])[:, None]
+    return centred, np.sqrt([row @ row for row in centred])
 
 
 def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -241,10 +241,7 @@ def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    av = a.ravel() - a.mean()
-    bv = b.ravel() - b.mean()
-    na = np.sqrt(av @ av)
-    nb = np.sqrt(bv @ bv)
+    (av, bv), (na, nb) = _standardize(np.stack([a.ravel(), b.ravel()]))
     if na == 0.0 or nb == 0.0:
         raise ZeroVarianceError("constant image has no correlation")
     if np.array_equal(a, b):
@@ -253,49 +250,48 @@ def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
-                  threshold: float, images_a: Mapping[str, np.ndarray],
-                  images_b: Mapping[str, np.ndarray]):
+                  threshold: float, images_a: np.ndarray, images_b: np.ndarray):
     """All cross-set pairs whose correlation reaches ``threshold``.
 
-    Returns (matches, filtered_set_a): matches are (id_a, id_b, score)
-    sorted by descending score then ids; filtered_set_a drops every matched
-    a-sample. Pairs sharing a sample_id are skipped (self-comparison).
-    Constant images are skipped with a warning.
+    ``images_a`` and ``images_b`` are ``(N, C, H, W)`` arrays of each set's
+    samples, in order, compared in their channel means resampled to 32x32,
+    so the two may differ in image shape. Returns (matches, filtered_set_a):
+    matches are (id_a, id_b, score) sorted by descending score then ids;
+    filtered_set_a drops every matched a-sample. Pairs sharing a sample_id
+    are skipped (self-comparison). Constant images are skipped with a warning.
     """
     if not 0 < threshold <= 1:
         raise ValidationError("threshold must be in (0, 1]")
+    for name, manifest, images in (("a", set_a, images_a), ("b", set_b, images_b)):
+        if len(images) != len(manifest):
+            raise ValidationError(f"set {name}: {len(images)} images for "
+                                  f"{len(manifest)} manifest samples")
 
-    def standardize(manifest, images):
-        ids, rows, exact = [], [], []
-        for s in manifest.samples:
-            form = comparison_form(np.asarray(images[s.sample_id], dtype=np.float64))
-            v = form.ravel() - form.mean()
-            norm = np.sqrt(v @ v)
-            if norm == 0.0:
-                log.warning("skipping constant image %s in overlap search",
-                            s.sample_id)
-                continue
-            ids.append(s.sample_id)
-            rows.append(v / norm)
-            exact.append(form)
-        return ids, np.array(rows), exact
-
-    ids_a, mat_a, forms_a = standardize(set_a, images_a)
-    ids_b, mat_b, forms_b = standardize(set_b, images_b)
+    forms_a = _comparison_forms(images_a)
+    forms_b = forms_a if images_b is images_a else _comparison_forms(images_b)
+    sides = []  # per set: its forms' unit rows, and which forms vary
+    for manifest, forms in ((set_a, forms_a), (set_b, forms_b)):
+        rows, norms = _standardize(forms)
+        for i in np.flatnonzero(norms == 0.0):
+            log.warning("skipping constant image %s in overlap search",
+                        manifest.samples[i].sample_id)
+        np.divide(rows, norms[:, None], out=rows, where=norms[:, None] != 0.0)
+        sides.append((rows, norms != 0.0))
+    (mat_a, varies_a), (mat_b, varies_b) = sides
+    scores = np.clip(mat_a @ mat_b.T, -1.0, 1.0)
+    # candidate band below threshold absorbs float rounding, so that
+    # bit-identical pairs cannot be lost at threshold 1.0
+    candidates = (scores >= threshold - 1e-9) & varies_a[:, None] & varies_b
     matches = []
-    if len(ids_a) and len(ids_b):
-        scores = np.clip(mat_a @ mat_b.T, -1.0, 1.0)
-        # candidate band below threshold absorbs float rounding, so that
-        # bit-identical pairs cannot be lost at threshold 1.0
-        candidates = scores >= threshold - 1e-9
-        for i, j in zip(*np.nonzero(candidates)):
-            if ids_a[i] == ids_b[j]:
-                continue
-            score = scores[i, j]
-            if np.array_equal(forms_a[i], forms_b[j]):
-                score = 1.0
-            if score >= threshold:
-                matches.append((ids_a[i], ids_b[j], float(score)))
+    for i, j in zip(*np.nonzero(candidates)):
+        id_a, id_b = set_a.samples[i].sample_id, set_b.samples[j].sample_id
+        if id_a == id_b:
+            continue
+        score = scores[i, j]
+        if np.array_equal(forms_a[i], forms_b[j]):
+            score = 1.0
+        if score >= threshold:
+            matches.append((id_a, id_b, float(score)))
     matches.sort(key=lambda m: (-m[2], m[0], m[1]))
     matched_a = {m[0] for m in matches}
     filtered = set_a.subset(s.sample_id for s in set_a.samples
@@ -327,17 +323,20 @@ class RawFileStore:
 
 
 def load_batch(store, samples) -> np.ndarray:
-    """The samples' images stacked into one ``(N, C, H, W)`` array; each
-    image must have the first one's shape."""
+    """The samples' images in one ``(N, C, H, W)`` array, filled as they
+    load; each image must have the first one's shape, and takes its dtype."""
     if not samples:
         raise ValidationError("no samples to load: the manifest is empty")
-    images = [store.load(s) for s in samples]
-    for sample, image in zip(samples, images):
-        if image.shape != images[0].shape:
+    first = store.load(samples[0])
+    batch = np.empty((len(samples), *first.shape), first.dtype)
+    for i, sample in enumerate(samples):
+        image = store.load(sample) if i else first
+        if image.shape != first.shape:
             raise ValidationError(
                 f"image {sample.sample_id!r} has shape {image.shape}, but "
-                f"{samples[0].sample_id!r} has {images[0].shape}")
-    return np.stack(images)
+                f"{samples[0].sample_id!r} has {first.shape}")
+        batch[i] = image
+    return batch
 
 
 def epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
@@ -358,8 +357,12 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    return DatasetManifest(tuple(Sample(row["sample_id"], row["path"], row["leaf_id"])
-                                 for _, row in files.read_csv(path, MANIFEST_COLUMNS)))
+    samples = []
+    for line, row in files.read_csv(path, MANIFEST_COLUMNS):
+        if "\0" in row["path"]:
+            raise ParseError("path holds a NUL byte", line)
+        samples.append(Sample(row["sample_id"], row["path"], row["leaf_id"]))
+    return DatasetManifest(tuple(samples))
 
 
 def save_dataset(data: SyntheticData, out_dir) -> None:

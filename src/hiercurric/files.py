@@ -65,8 +65,12 @@ def read_csv(path, columns):
     missing = [col for col in columns if col not in (reader.fieldnames or ())]
     if missing:
         raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
-    for row in reader:
-        if None in row or None in row.values():
-            raise ParseError(f"expected {len(reader.fieldnames)} fields",
-                             reader.line_num)
-        yield reader.line_num, row
+    try:
+        for row in reader:
+            if None in row or None in row.values():
+                raise ParseError(f"expected {len(reader.fieldnames)} fields",
+                                 reader.line_num)
+            yield reader.line_num, row
+    except csv.Error as exc:
+        # Python 3.10's reader rejects a NUL byte before it counts that line
+        raise ParseError(str(exc), reader.line_num + 1) from None

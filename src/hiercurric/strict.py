@@ -17,7 +17,8 @@ TYPES = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool),
          "float": lambda v: TYPES["int"](v) or isinstance(v, float),
          "float in [0, 1]": lambda v: TYPES["float"](v) and 0 <= v <= 1,
          "str": lambda v: isinstance(v, str),
-         "non-empty str": lambda v: isinstance(v, str) and v != "",
+         "str, no NUL byte": lambda v: isinstance(v, str) and "\0" not in v,
+         "non-empty str, no NUL byte": lambda v: TYPES["str, no NUL byte"](v) and v != "",
          "non-empty str, one path component": lambda v: isinstance(v, str) and not (
              v in ("", ".", "..") or {"/", "\\", "\0"} & set(v)),
          "str | None": lambda v: v is None or isinstance(v, str),

@@ -139,57 +139,62 @@ def _class_labels(manifest: dp.DatasetManifest, labelmap: LabelMap | None):
 
 
 def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
-                   probe: ProbeSpec,
-                   labelmap: LabelMap | None = None) -> list[ProbeResult]:
-    """Random-split probe protocol on frozen backbone features, one result
-    per checkpoint. ``images`` is the ``(N, C, H, W)`` array of
-    ``manifest.samples``, in order. Per checkpoint and split, one head of a
-    single stacked probe trains on n_train_per_class features per class and
-    is scored by mean class recall on up to max_test_per_class held-out
-    samples. Classes come from the label map's subordinate index, or from
-    sorted leaf ids when no map is given (external datasets).
+                   probes, labelmap: LabelMap | None = None) -> list[ProbeResult]:
+    """Random-split probe protocol on frozen backbone features: one result
+    per probe spec and checkpoint, spec-major. ``images`` is the
+    ``(N, C, H, W)`` array of ``manifest.samples``, in order; each
+    checkpoint's features, at the specs' shared layer, are computed once.
+    Per spec, one stacked probe trains a head per checkpoint and split on
+    n_train_per_class features per class, scored by mean class recall on up
+    to max_test_per_class held-out samples. Classes come from the label
+    map's subordinate index, or from sorted leaf ids (external datasets).
     """
+    if len({probe.layer for probe in probes}) != 1:
+        raise ValidationError("evaluate_probe needs probe specs sharing one layer")
     backbones_before = [md.body_hash(ckpt) for ckpt in ckpts]
     labels, n_classes = _class_labels(manifest, labelmap)
     if len(images) != len(manifest):
         raise ValidationError(f"{len(images)} images for {len(manifest)} manifest samples")
     digests = [hashlib.sha256(image.tobytes()).hexdigest() for image in images]
     position = manifest.positions()
-    splits = [[[position[s.sample_id] for s in part.samples] for part in split]
-              for split in dp.random_class_splits(
-                  manifest, probe.n_train_per_class, probe.max_test_per_class,
-                  probe.n_splits, probe.seed)]
-    for train_idx, test_idx in splits:
+    splits = [[[[position[s.sample_id] for s in part.samples] for part in split]
+               for split in dp.random_class_splits(
+                   manifest, probe.n_train_per_class, probe.max_test_per_class,
+                   probe.n_splits, probe.seed)] for probe in probes]
+    every_split = [split for spec_splits in splits for split in spec_splits]
+    for train_idx, test_idx in every_split:
         if {digests[i] for i in train_idx} & {digests[i] for i in test_idx}:
             raise ValidationError("exact-duplicate images span train and test within "
                                   "a split; run overlap removal first")
 
     # only the rows some split reads outlive extraction, renumbered in order
-    used = np.unique(np.concatenate([idx for split in splits for idx in split]))
-    splits = [[np.searchsorted(used, idx) for idx in split] for split in splits]
+    used = np.unique(np.concatenate([idx for split in every_split for idx in split]))
     labels = labels[used]
-    features = [extract_features(ckpt, images, probe.layer)[used] for ckpt in ckpts]
-    w, b = train_softmax_probe(
-        [rows[train_idx] for rows in features for train_idx, _ in splits],
-        [labels[train_idx] for _ in features for train_idx, _ in splits],
-        PROBE_SGD, probe.iters,
-        [probe.seed + split_i for _ in features for split_i in range(len(splits))])
-
+    features = [extract_features(ckpt, images, probes[0].layer)[used] for ckpt in ckpts]
     results = []
-    for ckpt_i, (ckpt, rows) in enumerate(zip(ckpts, features)):
-        per_split = []
-        for split_i, (_, test_idx) in enumerate(splits):
-            p = ckpt_i * len(splits) + split_i
-            logits = rows[test_idx] @ w[p].T + b[p]
-            per_split.append((split_i, *mean_class_recall(
-                logits.argmax(axis=1), labels[test_idx], n_classes)))
-        means = np.array([m for _, m, _ in per_split])
-        results.append(ProbeResult(
-            per_split=tuple(per_split),
-            aggregate={"mean": float(means.mean()), "std": float(means.std())},
-            n_train_per_class=probe.n_train_per_class))
-        if md.body_hash(ckpt) != backbones_before[ckpt_i]:
-            raise AssertionError("probe evaluation mutated the backbone")
+    for probe, spec_splits in zip(probes, splits):
+        spec_splits = [[np.searchsorted(used, idx) for idx in split]
+                       for split in spec_splits]
+        w, b = train_softmax_probe(
+            [rows[train_idx] for rows in features for train_idx, _ in spec_splits],
+            [labels[train_idx] for _ in features for train_idx, _ in spec_splits],
+            PROBE_SGD, probe.iters,
+            [probe.seed + split_i for _ in features
+             for split_i in range(len(spec_splits))])
+        for ckpt_i, rows in enumerate(features):
+            per_split = []
+            for split_i, (_, test_idx) in enumerate(spec_splits):
+                p = ckpt_i * len(spec_splits) + split_i
+                logits = rows[test_idx] @ w[p].T + b[p]
+                per_split.append((split_i, *mean_class_recall(
+                    logits.argmax(axis=1), labels[test_idx], n_classes)))
+            means = np.array([m for _, m, _ in per_split])
+            results.append(ProbeResult(
+                per_split=tuple(per_split),
+                aggregate={"mean": float(means.mean()), "std": float(means.std())},
+                n_train_per_class=probe.n_train_per_class))
+    if [md.body_hash(ckpt) for ckpt in ckpts] != backbones_before:
+        raise AssertionError("probe evaluation mutated the backbone")
     return results
 
 

@@ -165,9 +165,9 @@ def curriculum_experiment():
             bundle.model_spec.with_outputs(bundle.labelmap.n_sub),
             seed=seed * 10 + 4, init="scaled")
         (trained,) = transfer.evaluate_probe([fac_ckpt], data.manifest, bundle.images,
-                                             probe, bundle.labelmap)
+                                             [probe], bundle.labelmap)
         (random,) = transfer.evaluate_probe([random_ckpt], data.manifest,
-                                            bundle.images, probe, bundle.labelmap)
+                                            bundle.images, [probe], bundle.labelmap)
         results[seed] = {
             "basic_top1": fac_rep.final["phase_a.top1"],
             "facilitated_sub_top1": fac_rep.final["phase_b.top1"],
@@ -261,13 +261,13 @@ class TestCriterion8DedupOracle:
         recovered = []
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
-            images_a = {f"a{i:03d}": rng.random((3, 32, 32)) for i in range(30)}
-            images_b = {f"b{i:03d}": rng.random((3, 32, 32)) for i in range(30)}
-            images_b["b011"] = images_a["a004"].copy()
+            images_a = np.stack([rng.random((3, 32, 32)) for _ in range(30)])
+            images_b = np.stack([rng.random((3, 32, 32)) for _ in range(30)])
+            images_b[11] = images_a[4].copy()
             man_a = dp.DatasetManifest(tuple(
-                dp.Sample(k, k, "leaf") for k in sorted(images_a)))
+                dp.Sample(f"a{i:03d}", f"a{i:03d}", "leaf") for i in range(30)))
             man_b = dp.DatasetManifest(tuple(
-                dp.Sample(k, k, "leaf") for k in sorted(images_b)))
+                dp.Sample(f"b{i:03d}", f"b{i:03d}", "leaf") for i in range(30)))
             matches, _ = dp.find_overlaps(man_a, man_b, 0.99,
                                           images_a, images_b)
             recovered.append(matches == [("a004", "b011", 1.0)])

@@ -258,7 +258,8 @@ class TestDedupCmd:
     @pytest.mark.parametrize("text, match", [
         ("sample_id,leaf_id\ns0,poodle\n", "missing column(s) path"),
         ("sample_id,path,leaf_id\ns0,t/0.tnsr\n", "line 2: expected 3 fields"),
-    ], ids=["missing-column", "short-row"])
+        ("sample_id,path,leaf_id\n", "the manifest is empty"),
+    ], ids=["missing-column", "short-row", "header-only"])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, text, match):
         (tmp_path / "m.csv").write_text(text)
         code = cli.main(["dedup", "--manifest-a", str(tmp_path / "m.csv"),
@@ -267,6 +268,29 @@ class TestDedupCmd:
         assert code == EXIT_VALIDATION
         assert match in capsys.readouterr().err
         assert not (tmp_path / "dedup").exists()
+
+    def test_nul_in_manifest_path_exits_2(self, tmp_path, capsys):
+        (tmp_path / "m.csv").write_text("sample_id,path,leaf_id\ns0,t/0\0.tnsr,poodle\n")
+        code = cli.main(["dedup", "--manifest-a", str(tmp_path / "m.csv"),
+                         "--images-a", str(tmp_path),
+                         "--out", str(tmp_path / "dedup")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "line 2: " in err and "NUL" in err
+        assert not (tmp_path / "dedup").exists()
+
+    def test_side_with_two_shapes_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(synth_args(data_dir, seed=14)) == EXIT_OK
+        samples = dp.load_manifest(data_dir / "manifest.csv").samples
+        nk.save_tensor(np.zeros((1, 4, 4), np.float32), data_dir / samples[3].source)
+        out = tmp_path / "dedup"
+        code = cli.main(["dedup", "--manifest-a", str(data_dir / "manifest.csv"),
+                         "--images-a", str(data_dir), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert samples[3].sample_id in err and samples[0].sample_id in err
+        assert not out.exists()
 
 
 class TestTrainCmd:
@@ -534,6 +558,17 @@ CONFIG_REJECTIONS = [
     _case("type-directory", ("output.directory", 5),
           "output.directory: must be non-empty str"),
     _case("type-manifest", ("data.manifest", 5), "data.manifest: must be str"),
+    # a NUL byte in a path the OS would refuse to open
+    _case("nul-directory", ("output.directory", "x\0y"),
+          "output.directory: must be non-empty str, no NUL byte"),
+    _case("nul-synsets", ("taxonomy", {"synsets": "s\0", "marks": "m"}),
+          "taxonomy.synsets: must be str, no NUL byte"),
+    _case("nul-marks", ("taxonomy", {"synsets": "s", "marks": "\0m"}),
+          "taxonomy.marks: must be str, no NUL byte"),
+    _case("nul-manifest", ("data.manifest", "m\0.csv"),
+          "data.manifest: must be str, no NUL byte"),
+    _case("nul-images-root", ("data.images_root", "\0"),
+          "data.images_root: must be str, no NUL byte"),
     _case("type-layers", ("model", dict(INLINE, layers={})),
           "model.layers: must be a non-empty list"),
     _case("type-layer-item", ("model", dict(INLINE, layers=[5])),
@@ -899,6 +934,39 @@ class TestProbeCmd:
                          "--n-train", "2", "--seed", "33", "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert "--n-train values repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_train_values_share_one_feature_extraction(self, probe_fixtures,
+                                                         tmp_path, monkeypatch):
+        data_dir, ckpt_path, _ = probe_fixtures
+        calls = []
+        extract = transfer.extract_features
+
+        def counting_extract(*args, **kwargs):
+            calls.append(1)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "extract_features", counting_extract)
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--n-train", "3", "--n-train", "4", "--max-test", "2",
+                         "--splits", "2", "--seed", "33", "--iters", "10",
+                         "--out", str(tmp_path / "probe")])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
+    def test_n_train_too_large_for_a_class_writes_nothing(self, probe_fixtures,
+                                                          tmp_path, capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--n-train", "8", "--seed", "33", "--iters", "10",
+                         "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "needs at least 9" in capsys.readouterr().err
         assert not out.exists()
 
     def test_labelmap_missing_a_leaf_exits_2(self, probe_fixtures, tmp_path,

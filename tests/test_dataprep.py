@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hiercurric import dataprep as dp
 from hiercurric import taxonomy
-from hiercurric.errors import ValidationError, ZeroVarianceError
+from hiercurric.errors import ParseError, ValidationError, ZeroVarianceError
 
 
 def make_manifest(counts: dict[str, int]) -> dp.DatasetManifest:
@@ -216,21 +216,67 @@ class TestNcc:
             dp.normalized_correlation(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)))
 
 
+def reference_forms(images):
+    """Per image and output pixel: the channel mean, interpolated bilinearly
+    between its four nearest pixels on the 32x32 comparison grid."""
+    out = np.empty((len(images), 32 * 32))
+    for n, image in enumerate(images):
+        gray = image.mean(axis=0)
+        h, w = gray.shape
+        for r, y in enumerate(np.linspace(0, h - 1, 32)):
+            y0 = int(np.floor(y))
+            y1, fy = min(y0 + 1, h - 1), y - y0
+            for c, x in enumerate(np.linspace(0, w - 1, 32)):
+                x0 = int(np.floor(x))
+                x1, fx = min(x0 + 1, w - 1), x - x0
+                top = gray[y0, x0] * (1 - fx) + gray[y0, x1] * fx
+                bot = gray[y1, x0] * (1 - fx) + gray[y1, x1] * fx
+                out[n, r * 32 + c] = top * (1 - fy) + bot * fy
+    return out
+
+
+class TestComparisonForms:
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (1, 32, 32), (3, 32, 32),
+                                       (2, 7, 45), (4, 33, 31), (1, 1, 1)])
+    def test_batch_bytes_equal_per_pixel_reference(self, shape):
+        images = np.random.default_rng(sum(shape)).random((3, *shape))
+        assert (dp._comparison_forms(images).tobytes()
+                == reference_forms(images).tobytes())
+
+    def test_chunks_equal_one_image_at_a_time(self):
+        images = np.random.default_rng(11).random((300, 2, 9, 9)).astype(np.float32)
+        alone = np.concatenate([dp._comparison_forms(images[i:i + 1])
+                                for i in range(len(images))])
+        assert dp._comparison_forms(images).tobytes() == alone.tobytes()
+
+    def test_standardize_equals_one_row_at_a_time(self):
+        rows = dp._comparison_forms(np.random.default_rng(12).random((50, 3, 16, 16)))
+        centred, norms = dp._standardize(rows)
+        for row, got, norm in zip(rows, centred, norms):
+            want = row - row.mean()
+            assert got.tobytes() == want.tobytes()
+            assert norm == np.sqrt(want @ want)
+
+    def test_not_four_dimensional_rejected(self):
+        with pytest.raises(ValidationError, match=r"\(N, C, H, W\)"):
+            dp._comparison_forms(np.zeros((2, 8, 8)))
+
+
 def noise_sets(seed, n_a=20, n_b=20, size=(1, 32, 32)):
     rng = np.random.default_rng(seed)
-    images_a = {f"a{i:03d}": rng.random(size) for i in range(n_a)}
-    images_b = {f"b{i:03d}": rng.random(size) for i in range(n_b)}
+    images_a = np.stack([rng.random(size) for _ in range(n_a)])
+    images_b = np.stack([rng.random(size) for _ in range(n_b)])
     man_a = dp.DatasetManifest(tuple(
-        dp.Sample(k, k, "leaf") for k in sorted(images_a)))
+        dp.Sample(f"a{i:03d}", f"a{i:03d}", "leaf") for i in range(n_a)))
     man_b = dp.DatasetManifest(tuple(
-        dp.Sample(k, k, "leaf") for k in sorted(images_b)))
+        dp.Sample(f"b{i:03d}", f"b{i:03d}", "leaf") for i in range(n_b)))
     return man_a, man_b, images_a, images_b
 
 
 class TestFindOverlaps:
     def test_exact_copy_recovered(self):
         man_a, man_b, images_a, images_b = noise_sets(0)
-        images_b["b005"] = images_a["a007"].copy()
+        images_b[5] = images_a[7].copy()
         matches, filtered = dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
         assert matches == [("a007", "b005", 1.0)]
         assert len(filtered) == len(man_a) - 1
@@ -245,7 +291,7 @@ class TestFindOverlaps:
 
     def test_threshold_one_equality(self):
         man_a, man_b, images_a, images_b = noise_sets(4)
-        images_b["b000"] = images_a["a000"].copy()
+        images_b[0] = images_a[0].copy()
         matches, _ = dp.find_overlaps(man_a, man_b, 1.0, images_a, images_b)
         assert matches == [("a000", "b000", 1.0)]
 
@@ -257,7 +303,7 @@ class TestFindOverlaps:
 
     def test_constant_image_skipped_with_warning(self, caplog):
         man_a, man_b, images_a, images_b = noise_sets(6)
-        images_a["a000"] = np.full((1, 32, 32), 0.5)
+        images_a[0] = np.full((1, 32, 32), 0.5)
         with caplog.at_level("WARNING"):
             matches, _ = dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
         assert "a000" in caplog.text
@@ -265,9 +311,33 @@ class TestFindOverlaps:
 
     def test_filtered_never_grows(self):
         man_a, man_b, images_a, images_b = noise_sets(7)
-        images_b["b001"] = images_a["a001"].copy()
+        images_b[1] = images_a[1].copy()
         _, filtered = dp.find_overlaps(man_a, man_b, 0.9, images_a, images_b)
         assert len(filtered) <= len(man_a)
+
+    def test_resampled_copy_across_shapes_found(self):
+        man_a, man_b, images_a, _ = noise_sets(8, n_b=3, size=(3, 16, 16))
+        images_b = np.random.default_rng(9).random((3, 1, 32, 32))
+        # image a002's channel mean, resampled bilinearly to 32x32 one axis
+        # at a time
+        gray = images_a[2].mean(axis=0)
+        grid = np.linspace(0, 15, 32)
+        rows = np.stack([np.interp(grid, np.arange(16), col) for col in gray.T], 1)
+        images_b[1, 0] = np.stack([np.interp(grid, np.arange(16), row) for row in rows])
+        matches, filtered = dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
+        assert [m[:2] for m in matches] == [("a002", "b001")]
+        assert matches[0][2] >= 1 - 1e-12
+        assert len(filtered) == len(man_a) - 1
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_images_not_aligned_to_manifest_rejected(self, side):
+        man_a, man_b, images_a, images_b = noise_sets(10)
+        if side == "a":
+            images_a = images_a[1:]
+        else:
+            images_b = images_b[:-1]
+        with pytest.raises(ValidationError, match=f"set {side}: 19 images for 20"):
+            dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
 
 
 class TestManifestIO:
@@ -277,6 +347,27 @@ class TestManifestIO:
         dp.save_manifest(manifest, path)
         back = dp.load_manifest(path)
         assert back.samples == manifest.samples
+
+    def test_nul_in_path_names_its_line(self, tmp_path):
+        (tmp_path / "m.csv").write_text(
+            "sample_id,path,leaf_id\ns0,t/0.tnsr,a\ns1,t/1\0.tnsr,a\n")
+        with pytest.raises(ParseError, match="line 3: .*NUL"):
+            dp.load_manifest(tmp_path / "m.csv")
+
+    def test_load_batch_fills_first_images_dtype(self):
+        images = {"s0": np.zeros((1, 2, 2), np.float32), "s1": np.ones((1, 2, 2))}
+        samples = [dp.Sample(k, k, "leaf") for k in images]
+
+        class Store:
+            def load(self, sample):
+                return images[sample.sample_id]
+
+        batch = dp.load_batch(Store(), samples)
+        assert batch.dtype == np.float32 and batch.shape == (2, 1, 2, 2)
+        assert batch[1].tolist() == np.ones((1, 2, 2)).tolist()
+        images["s1"] = np.ones((1, 3, 2))
+        with pytest.raises(ValidationError, match="'s1' has shape .*'s0' has"):
+            dp.load_batch(Store(), samples)
 
     def test_save_dataset_reruns_byte_identical(self, tmp_path):
         spec = dp.SynthSpec(2, 2, noise_scale=0.05, samples_per_sub=2, seed=9)

@@ -240,9 +240,9 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=3, iters=60)
-        (a,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+        (a,) = transfer.evaluate_probe([ckpt], manifest, images, [probe],
                                        bundle.labelmap)
-        (b,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+        (b,) = transfer.evaluate_probe([ckpt], manifest, images, [probe],
                                        bundle.labelmap)
         assert a.aggregate == b.aggregate
         assert a.per_split[0][1] == b.per_split[0][1]
@@ -255,7 +255,7 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=3, seed=4, iters=60)
-        (result,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+        (result,) = transfer.evaluate_probe([ckpt], manifest, images, [probe],
                                             bundle.labelmap)
         means = np.array([m for _, m, _ in result.per_split])
         assert abs(result.aggregate["mean"] - means.mean()) <= 1e-12
@@ -271,7 +271,7 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=5, iters=40)
-        transfer.evaluate_probe([ckpt], manifest, images, probe,
+        transfer.evaluate_probe([ckpt], manifest, images, [probe],
                                 bundle.labelmap)
         assert md.body_hash(ckpt) == before
 
@@ -283,7 +283,7 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
-        (result,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+        (result,) = transfer.evaluate_probe([ckpt], manifest, images, [probe],
                                             labelmap=None)
         assert 0 <= result.aggregate["mean"] <= 1
 
@@ -296,9 +296,9 @@ class TestEvaluateProbe:
                                      seed=100, init="scaled")
         probe = bm.probe_spec(seed=7)
         (t,) = transfer.evaluate_probe([trained], data.manifest, bundle.images,
-                                       probe, bundle.labelmap)
+                                       [probe], bundle.labelmap)
         (r,) = transfer.evaluate_probe([random_ckpt], data.manifest, bundle.images,
-                                       probe, bundle.labelmap)
+                                       [probe], bundle.labelmap)
         assert t.aggregate["mean"] > r.aggregate["mean"]
 
     def test_n_train_sweep_non_decreasing_median(self, bundle_pair):
@@ -313,7 +313,7 @@ class TestEvaluateProbe:
                                        max_test_per_class=20, n_splits=3,
                                        seed=8, iters=200)
             (result,) = transfer.evaluate_probe([ckpt], data.manifest, images,
-                                                probe, bundle.labelmap)
+                                                [probe], bundle.labelmap)
             medians.append(float(np.median([m for _, m, _ in result.per_split])))
         assert medians[0] <= medians[1] + 1e-9
         assert medians[1] <= medians[2] + 1e-9
@@ -331,7 +331,7 @@ class TestEvaluateProbe:
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=1,
                                    n_splits=3, seed=2, iters=10)
         with pytest.raises(ValidationError, match="duplicate"):
-            transfer.evaluate_probe([ckpt], manifest, images, probe,
+            transfer.evaluate_probe([ckpt], manifest, images, [probe],
                                     labelmap=None)
 
     def test_images_not_aligned_to_manifest_rejected(self, bundle_pair):
@@ -341,7 +341,35 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples[1:])
         probe = transfer.ProbeSpec(n_train_per_class=4)
         with pytest.raises(ValidationError, match="manifest samples"):
-            transfer.evaluate_probe([ckpt], manifest, images, probe,
+            transfer.evaluate_probe([ckpt], manifest, images, [probe],
+                                    bundle.labelmap)
+
+    def test_specs_in_one_call_equal_one_call_each(self, bundle_pair):
+        data, bundle = bundle_pair
+        ckpts = [md.build_model(bundle.model_spec.with_outputs(12), seed=seed,
+                                init="scaled") for seed in (9, 10)]
+        manifest = small_manifest(data, per_class=8)
+        images = rows_of(bundle, manifest.samples)
+        probes = [transfer.ProbeSpec(n_train_per_class=n, max_test_per_class=4,
+                                     n_splits=2, seed=6, iters=40) for n in (2, 4)]
+        together = transfer.evaluate_probe(ckpts, manifest, images, probes,
+                                           bundle.labelmap)
+        alone = [result for probe in probes for result in transfer.evaluate_probe(
+            ckpts, manifest, images, [probe], bundle.labelmap)]
+        assert [r.n_train_per_class for r in together] == [2, 2, 4, 4]
+        for a, b in zip(together, alone):
+            assert a.aggregate == b.aggregate
+            assert [m for _, m, _ in a.per_split] == [m for _, m, _ in b.per_split]
+
+    def test_specs_on_different_layers_rejected(self, bundle_pair):
+        data, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9)
+        manifest = small_manifest(data, per_class=8)
+        probes = [transfer.ProbeSpec(n_train_per_class=4, layer=layer)
+                  for layer in (None, bundle.model_spec.layers[0].name)]
+        with pytest.raises(ValidationError, match="one layer"):
+            transfer.evaluate_probe([ckpt], manifest,
+                                    rows_of(bundle, manifest.samples), probes,
                                     bundle.labelmap)
 
     def test_save_probe_result_files(self, bundle_pair, tmp_path):
@@ -352,7 +380,7 @@ class TestEvaluateProbe:
         images = rows_of(bundle, manifest.samples)
         probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
                                    n_splits=2, seed=6, iters=40)
-        (result,) = transfer.evaluate_probe([ckpt], manifest, images, probe,
+        (result,) = transfer.evaluate_probe([ckpt], manifest, images, [probe],
                                             bundle.labelmap)
         transfer.save_probe_result(result, tmp_path)
         assert (tmp_path / "probe.json").exists()
