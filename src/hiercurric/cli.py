@@ -180,9 +180,10 @@ def cmd_train(args) -> int:
                                    probe.max_test_per_class, probe.n_splits,
                                    probe.seed)
 
-    regime_sections = config.get("regimes") or [config["regime"]]
-    regimes = {sec.get("name", sec["kind"]): cf.build_regime(sec, graph, labelmap)
-               for sec in regime_sections}
+    sections = ([("regime", config["regime"])] if "regime" in config else
+                [(f"regimes[{i}]", sec) for i, sec in enumerate(config["regimes"])])
+    regimes = {sec.get("name", sec["kind"]): cf.build_regime(sec, graph, labelmap, path)
+               for path, sec in sections}
 
     if args.dry_run:
         _print_shape_chain(model_spec)

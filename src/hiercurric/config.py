@@ -68,20 +68,23 @@ def build_phase(section: dict, task_level: str) -> cu.TrainConfig:
         seed=section["seed"], task_level=task_level, **lowered)
 
 
-def build_regime(section: dict, graph, labelmap) -> cu.Regime:
-    """The regime of a checked section; ``pretrain_sample`` draws its
-    categories from the graph's leaves that carry no basic mark."""
+def build_regime(section: dict, graph, labelmap, path: str = "regime") -> cu.Regime:
+    """The regime of a checked section at key ``path``, its pretrain
+    categories checked against the graph; ``pretrain_sample`` draws them
+    from the graph's leaves that carry no basic mark."""
     categories = section.get("pretrain_categories", ())
     if "pretrain_sample" in section:
         sample = section["pretrain_sample"]
         pool = sorted(set(graph.leaf_set) - set(graph.basic_marks))
         if sample["count"] > len(pool):
             raise ValidationError(
-                f"cannot sample {sample['count']} pretrain categories "
-                f"from {len(pool)} unmarked leaves")
+                f"{path}.pretrain_sample.count: cannot sample {sample['count']} "
+                f"pretrain categories from {len(pool)} unmarked leaves")
         rng = np.random.default_rng(sample["seed"])
         chosen = rng.choice(len(pool), size=sample["count"], replace=False)
         categories = [pool[i] for i in sorted(chosen)]
+    with strict.at(f"{path}.pretrain_categories"):
+        cu.check_pretrain_categories(graph, categories)
     return _regime(section, categories)
 
 

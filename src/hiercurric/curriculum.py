@@ -19,7 +19,7 @@ from . import model as md
 from . import nnkernel as nk
 from . import transfer
 from .errors import NumericFault, ValidationError
-from .taxonomy import LabelMap, SynsetGraph, first_marked_ancestor
+from .taxonomy import LabelMap, SynsetGraph, first_marks
 
 
 @dataclass(frozen=True)
@@ -219,26 +219,31 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     return work, report
 
 
+def check_pretrain_categories(graph: SynsetGraph, categories) -> None:
+    """Reject pretrain categories that are basic marks or not graph nodes."""
+    overlap = sorted(set(categories) & graph.basic_marks)
+    if overlap:
+        raise ValidationError(
+            f"pretrain categories overlap basic marks: {', '.join(overlap)}")
+    unknown = sorted(set(categories) - graph.nodes)
+    if unknown:
+        raise ValidationError(f"unknown pretrain categories: {', '.join(unknown)}")
+
+
 def _subset_task(graph: SynsetGraph, categories,
                  manifests) -> tuple[LabelMap, list[dp.DatasetManifest]]:
     """Pretraining task over a category set disjoint from the basic marks.
 
     The categories act as basic marks: each is one basic class, and leaves
-    reach their class through the same first-marked-ancestor walk used for
+    reach their class through the same first-marked-ancestor rule used for
     basic labels. Returns that label map and the manifests without the
     samples under no category.
     """
+    check_pretrain_categories(graph, categories)
     cats = sorted(set(categories))
-    overlap = set(cats) & set(graph.basic_marks)
-    if overlap:
-        raise ValidationError(
-            f"pretrain categories overlap basic marks: {', '.join(sorted(overlap))}")
-    unknown = [c for c in cats if c not in graph.nodes]
-    if unknown:
-        raise ValidationError(f"unknown pretrain categories: {', '.join(unknown)}")
+    leaves = sorted({leaf for m in manifests for leaf in m.leaf_ids()})
     entries: dict[str, tuple[int, int]] = {}
-    for leaf in sorted({leaf for m in manifests for leaf in m.leaf_ids()}):
-        hit = first_marked_ancestor(graph, leaf, set(cats))
+    for leaf, hit in first_marks(graph, cats, leaves).items():
         if hit is not None:
             entries[leaf] = (len(entries), cats.index(hit))
     kept = [m.subset(s.sample_id for s in m.samples if s.leaf_id in entries)

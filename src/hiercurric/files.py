@@ -45,18 +45,29 @@ def write_json(path, obj) -> None:
 def read_text(path) -> str:
     """The file's text, line ends untouched; ParseError unless UTF-8."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _utf8(fh.read(), path)
+
+
+def _utf8(data: bytes, name) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+        raise ParseError(f"{name} is not UTF-8 text: {exc}") from None
+
+
+def parse_json(data: bytes, name):
+    """The value UTF-8 JSON ``data`` holds; ValidationError naming ``name``
+    unless it decodes and parses, within the parser's nesting limit."""
+    text = _utf8(data, name)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{name} is not valid JSON: {exc}") from None
 
 
 def read_json(path):
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path)
 
 
 def read_csv(path, columns):

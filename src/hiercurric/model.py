@@ -10,7 +10,6 @@ CRC32-sealed binary file byte-identically.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 import zlib
@@ -507,10 +506,8 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
         raise ValidationError(f"unsupported checkpoint version {version}")
     if 16 + length > len(buf):
         raise ValidationError("truncated checkpoint manifest")
-    try:
-        manifest = json.loads(buf[16:16 + length].decode("utf-8"))
-    except ValueError as exc:
-        raise ValidationError(f"corrupt checkpoint manifest: {exc}") from exc
+    with strict.at("corrupt checkpoint manifest"):
+        manifest = files.parse_json(buf[16:16 + length], "manifest")
     strict.check(manifest, "checkpoint", _MANIFEST, tuple(_MANIFEST))
     spec = ModelSpec.from_dict(manifest["spec"], "checkpoint.spec")
     shapes = {}

@@ -2,15 +2,15 @@
 
 The hierarchy is a DAG (a leaf may have several parents, e.g. a minivan that
 is both a car and a van). Basic-level categories are a user-supplied antichain
-of nodes; every leaf is assigned to the first basic-marked node found by an
-upward breadth-first search that expands parents in file edge order.
+of nodes; every leaf is assigned to its nearest basic-marked ancestor-or-self,
+the first-listed parent's on a tie, in one pass over a topological order.
 """
 
 from __future__ import annotations
 
 import graphlib
 import logging
-from collections import deque
+import math
 from dataclasses import dataclass, field, replace
 
 from . import files
@@ -26,22 +26,23 @@ class SynsetGraph:
     """Directed acyclic category hierarchy with optional basic-level marks.
 
     ``edges`` keeps exactly the order read from file; that order defines the
-    tie-break when a leaf reaches two basic ancestors at the same BFS depth.
+    tie-break when a leaf reaches two basic ancestors at the same distance.
     """
 
-    nodes: dict[str, str]                 # node_id -> display name
+    nodes: frozenset[str]
     edges: tuple[tuple[str, str], ...]    # (parent_id, child_id), file order
     basic_marks: frozenset[str] = frozenset()
     _parents: dict[str, list[str]] = field(repr=False, default_factory=dict)
     _children: dict[str, list[str]] = field(repr=False, default_factory=dict)
+    _order: tuple[str, ...] = field(repr=False, default=())  # children first
 
     @property
     def leaf_set(self) -> frozenset[str]:
-        return frozenset(n for n in self.nodes if not self._children.get(n))
+        return frozenset(n for n in self._order if n not in self._children)
 
     @property
     def roots(self) -> frozenset[str]:
-        return frozenset(n for n in self.nodes if not self._parents.get(n))
+        return frozenset(n for n in self._order if n not in self._parents)
 
     def parents_of(self, node_id: str) -> list[str]:
         return self._parents.get(node_id, [])
@@ -81,7 +82,6 @@ class LabelMap:
 
 def build_graph(edges) -> SynsetGraph:
     """Construct a validated graph from (parent, child) pairs in order."""
-    nodes: dict[str, str] = {}
     parents: dict[str, list[str]] = {}
     children: dict[str, list[str]] = {}
     seen = set()
@@ -89,18 +89,16 @@ def build_graph(edges) -> SynsetGraph:
         if (parent, child) in seen:
             raise ValidationError(f"duplicate edge {parent}>{child}")
         seen.add((parent, child))
-        nodes.setdefault(parent, parent)
-        nodes.setdefault(child, child)
         parents.setdefault(child, []).append(parent)
         children.setdefault(parent, []).append(child)
 
     try:
-        graphlib.TopologicalSorter(children).prepare()
+        order = tuple(graphlib.TopologicalSorter(children).static_order())
     except graphlib.CycleError as exc:
         raise ValidationError(
             f"cycle detected through node {exc.args[1][0]!r}") from None
-    return SynsetGraph(nodes=nodes, edges=tuple(edges),
-                       _parents=parents, _children=children)
+    return SynsetGraph(nodes=frozenset(order), edges=tuple(edges),
+                       _parents=parents, _children=children, _order=order)
 
 
 def parse_synset_file(path) -> SynsetGraph:
@@ -133,35 +131,37 @@ def parse_marks_file(path) -> set[str]:
     return marks
 
 
-def _ancestors(graph: SynsetGraph, node: str) -> set[str]:
-    out: set[str] = set()
-    queue = deque(graph.parents_of(node))
-    while queue:
-        cur = queue.popleft()
-        if cur in out:
-            continue
-        out.add(cur)
-        queue.extend(graph.parents_of(cur))
-    return out
+def _marks_above(graph: SynsetGraph, marks) -> dict[str, str | None]:
+    """Each node's nearest marked strict ancestor, or None: one pass over the
+    topological order, parents first, in which a node takes the nearest mark
+    its parents offer (a marked parent offers itself), the first-listed
+    parent's on a tie. That is the mark an upward breadth-first search that
+    expands parents in edge order meets first: paths through different
+    parents differ in their first step, so each parent's answer decides."""
+    parents = graph._parents
+    dist, above = {}, {}  # node -> distance to, and name of, its nearest mark
+    for node in reversed(graph._order):
+        best, nearest = math.inf, None
+        for parent in parents.get(node, ()):
+            d, hit = (0, parent) if parent in marks else (dist[parent], above[parent])
+            if d < best:
+                best, nearest = d, hit
+        dist[node], above[node] = best + 1, nearest
+    return above
 
 
-def first_marked_ancestor(graph: SynsetGraph, leaf: str, marks) -> str | None:
-    """Upward BFS from ``leaf``; first marked node wins, the leaf itself first.
+def first_marks(graph: SynsetGraph, marks, nodes) -> dict[str, str | None]:
+    """Each of ``nodes``' first marked ancestor-or-self: itself if marked,
+    else its nearest marked ancestor (see :func:`_marks_above`); None for a
+    node with neither, or not in the graph."""
+    marks = frozenset(marks)
+    above = _marks_above(graph, marks)
+    return {n: n if n in marks else above.get(n) for n in nodes}
 
-    Parents are expanded in file edge order, so a multi-parent leaf whose
-    parents are both marked resolves to the parent listed first.
-    """
-    queue = deque([leaf])
-    visited = {leaf}
-    while queue:
-        node = queue.popleft()
-        if node in marks:
-            return node
-        for parent in graph.parents_of(node):
-            if parent not in visited:
-                visited.add(parent)
-                queue.append(parent)
-    return None
+
+def first_marked_ancestor(graph: SynsetGraph, node: str, marks) -> str | None:
+    """One node's first marked ancestor-or-self (see :func:`first_marks`)."""
+    return first_marks(graph, marks, [node])[node]
 
 
 def validate_basic_marks(graph: SynsetGraph, marks) -> SynsetGraph:
@@ -178,16 +178,15 @@ def validate_basic_marks(graph: SynsetGraph, marks) -> SynsetGraph:
     if unknown:
         raise ValidationError(f"unknown node ids in marks: {', '.join(unknown)}")
 
+    above = _marks_above(graph, marks)
     for m in sorted(marks):
-        nested = _ancestors(graph, m) & marks
-        if nested:
-            other = sorted(nested)[0]
+        other = above[m]
+        if other is not None:
             raise ValidationError(
                 f"nested basic marks: {other!r} is an ancestor of {m!r}")
 
-    uncovered = sorted(
-        leaf for leaf in graph.leaf_set
-        if first_marked_ancestor(graph, leaf, marks) is None)
+    uncovered = sorted(leaf for leaf in graph.leaf_set
+                       if leaf not in marks and above[leaf] is None)
     if uncovered:
         raise ValidationError(
             "leaves with no basic ancestor-or-self: " + ", ".join(uncovered))
@@ -204,12 +203,9 @@ def allocate_descendants(graph: SynsetGraph) -> LabelMap:
     if not graph.basic_marks:
         raise ValidationError("graph has no validated basic marks")
 
-    assignment: dict[str, str] = {}
-    for leaf in sorted(graph.leaf_set):
-        basic = first_marked_ancestor(graph, leaf, graph.basic_marks)
-        assert basic is not None  # guaranteed by validate_basic_marks
-        assignment[leaf] = basic
-
+    sub_names = tuple(sorted(graph.leaf_set))
+    # every leaf has a mark: validate_basic_marks checked coverage
+    assignment = first_marks(graph, graph.basic_marks, sub_names)
     used_basics = sorted(set(assignment.values()))
     empty = sorted(graph.basic_marks - set(used_basics))
     if empty:
@@ -217,7 +213,6 @@ def allocate_descendants(graph: SynsetGraph) -> LabelMap:
         log.warning("basic marks with no assigned leaves dropped from the "
                     "label map: %s", ", ".join(empty))
 
-    sub_names = tuple(sorted(graph.leaf_set))
     basic_names = tuple(used_basics)
     basic_pos = {b: i for i, b in enumerate(basic_names)}
     entries = {leaf: (i, basic_pos[assignment[leaf]])
@@ -236,20 +231,15 @@ def category_height_histogram(graph: SynsetGraph, mode: str = "longest") -> dict
     if not graph.basic_marks:
         raise ValidationError("graph has no validated basic marks")
     pick = max if mode == "longest" else min
-    memo: dict[str, int] = {}
-
-    def height(node: str) -> int:
-        if node in memo:
-            return memo[node]
-        kids = graph.children_of(node)
-        h = 0 if not kids else 1 + pick(height(k) for k in kids)
-        memo[node] = h
-        return h
+    children = graph._children
+    height: dict[str, int] = {}
+    for node in graph._order:  # children first
+        kids = children.get(node)
+        height[node] = 1 + pick([height[k] for k in kids]) if kids else 0
 
     hist: dict[int, int] = {}
     for mark in sorted(graph.basic_marks):
-        h = height(mark)
-        hist[h] = hist.get(h, 0) + 1
+        hist[height[mark]] = hist.get(height[mark], 0) + 1
     return hist
 
 

@@ -24,7 +24,7 @@ from hiercurric import model as md, taxonomy, transfer
 from hiercurric import nnkernel as nk
 from hiercurric.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION
 from conftest import ANIMAL_EDGES
-from test_model import rewrite_manifest
+from test_model import replace_manifest, rewrite_manifest
 
 MARKS = "dog\nfish\ncar\n"
 
@@ -130,6 +130,20 @@ class TestTaxonomyCmd:
                 == (outs["shortest"] / "labelmap.csv").read_bytes())
         assert ((outs["longest"] / "height_histogram.csv").read_bytes()
                 != (outs["shortest"] / "height_histogram.csv").read_bytes())
+
+
+    @pytest.mark.parametrize("mode", ["longest", "shortest"])
+    def test_5000_level_chain_exits_0(self, tmp_path, mode):
+        synsets, marks = tmp_path / "s.txt", tmp_path / "m.txt"
+        synsets.write_text("".join(f"n{i}>n{i + 1}\n" for i in range(5000)))
+        marks.write_text("n0\n")
+        out = tmp_path / "tax"
+        assert cli.main(["taxonomy", "--synsets", str(synsets), "--marks",
+                         str(marks), "--out", str(out),
+                         "--height-mode", mode]) == EXIT_OK
+        assert (out / "labelmap.csv").read_text().splitlines()[1] == "n5000,0,0,n0"
+        assert (out / "height_histogram.csv").read_text() == (
+            "height,count\n5000,1\n")
 
 
 class TestSynthCmd:
@@ -490,6 +504,12 @@ INLINE = {"input_shape": [1, 8, 8],
 NAME_KIND = "non-empty str, one path component"
 MATRIX = [("regime", DELETE),
           ("regimes", [{"name": "a", "kind": "Reference", "phase_b": phase()}])]
+LATE_MATRIX = [("regime", DELETE), ("regimes", [
+    {"name": "a", "kind": "Reference", "phase_b": phase()},
+    {"name": "b", "kind": "RandomSubsetPretrain", "phase_a": phase(seed=8),
+     "phase_b": phase(), "pretrain_categories": ["sub_00_00"]},
+    {"name": "c", "kind": "FacilitatedReplicatedHead",
+     "phase_a": phase(seed=8), "phase_b": phase()}])]
 
 
 def _case(case_id, edits, message=None):
@@ -764,6 +784,47 @@ CONFIG_REJECTIONS = [
           f"regimes[1].name: must be {NAME_KIND}"),
     _case("transfer-too-few-samples", ("transfer", dict(PROBE, n_train_per_class=12)),
           "transfer: class 'sub_00_00' has 12 samples, needs at least 13"),
+    # keys that contradict each other, or the data
+    _case("regime-and-regimes", ("regimes", MATRIX[1][1]),
+          "config needs exactly one of 'regime' or 'regimes'"),
+    _case("no-regime", ("regime", DELETE),
+          "config needs exactly one of 'regime' or 'regimes'"),
+    _case("regime-names-repeat", MATRIX + [("regimes", [
+        {"name": "a", "kind": "Reference", "phase_b": phase()},
+        {"name": "a", "kind": "Reference", "phase_b": phase(seed=9)}])],
+          "regime names must be unique"),
+    _case("regime-kinds-repeat", MATRIX + [("regimes", [
+        {"kind": "Reference", "phase_b": phase()},
+        {"kind": "Reference", "phase_b": phase(seed=9)}])],
+          "regime names must be unique"),
+    _case("synthetic-and-manifest", ("data.manifest", "m.csv"),
+          "data needs exactly one of 'synthetic' or 'manifest'"),
+    _case("no-data-source", ("data.synthetic", DELETE),
+          "data needs exactly one of 'synthetic' or 'manifest'"),
+    _case("manifest-no-images-root", [("data.synthetic", DELETE),
+                                      ("data.manifest", "m.csv")],
+          "manifest data needs 'images_root'"),
+    _case("manifest-no-taxonomy", [("data.synthetic", DELETE),
+                                   ("data.manifest", "m.csv"),
+                                   ("data.images_root", "images")],
+          "manifest data needs a 'taxonomy' section"),
+    _case("model-name-and-layers", ("model", dict(INLINE, name="benchmark")),
+          "model: needs exactly one of 'name' or 'layers'"),
+    _case("inline-layers-no-shape", ("model", {"layers": INLINE["layers"]}),
+          "model: inline layers need input_shape"),
+    _case("sample-count-above-pool", [("regime", SUBSET),
+                                      ("regime.pretrain_sample.count", 5)],
+          "regime.pretrain_sample.count: cannot sample 5 pretrain categories "
+          "from 4 unmarked leaves"),
+    # pretrain categories the graph rejects, in a matrix whose other
+    # regimes would run
+    _case("categories-basic-mark", LATE_MATRIX + [
+        ("regimes.1.pretrain_categories", ["basic_00", "sub_01_01"])],
+          "regimes[1].pretrain_categories: pretrain categories overlap basic "
+          "marks: basic_00"),
+    _case("categories-unknown", LATE_MATRIX + [
+        ("regimes.1.pretrain_categories", ["nope", "sub_01_01"])],
+          "regimes[1].pretrain_categories: unknown pretrain categories: nope"),
 ]
 
 
@@ -1242,6 +1303,44 @@ class TestTextInputs:
         path.write_bytes(path.read_bytes().replace(b"o", b"\xf6", 1))
         assert cli.main(argv) == EXIT_VALIDATION
         assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
+DEEP = 100_000
+
+
+class TestDeepJson:
+    """JSON nested past the parser's recursion limit exits 2, as other
+    invalid JSON does, from each of the three JSON inputs."""
+
+    def test_deep_config_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"data": ' + "[" * DEEP + "]" * DEEP + "}")
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+        assert f"error: {config_path} is not valid JSON" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_deep_run_manifest_exits_2(self, tmp_path, capsys):
+        config_path, _ = train_config(tmp_path)
+        manifest = tmp_path / "run" / "MANIFEST.json"
+        manifest.parent.mkdir()
+        manifest.write_text("[" * DEEP + "]" * DEEP)
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_VALIDATION
+        assert f"error: {manifest} is not valid JSON" in capsys.readouterr().err
+        assert [p.name for p in manifest.parent.iterdir()] == ["MANIFEST.json"]
+
+    def test_deep_checkpoint_manifest_exits_2(self, probe_fixtures, tmp_path,
+                                              capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        ckpt_path.write_bytes(replace_manifest(
+            ckpt_path.read_bytes(), b"[" * DEEP + b"]" * DEEP))
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "error: corrupt checkpoint manifest" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _write_run_report(d, variant):

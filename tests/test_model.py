@@ -411,7 +411,13 @@ def rewrite_manifest(buf: bytes, edit) -> bytes:
     (length,) = struct.unpack_from("<Q", buf, 8)
     manifest = json.loads(buf[16:16 + length])
     edit(manifest)
-    payload = json.dumps(manifest, sort_keys=True).encode()
+    return replace_manifest(buf, json.dumps(manifest, sort_keys=True).encode())
+
+
+def replace_manifest(buf: bytes, payload: bytes) -> bytes:
+    """Checkpoint bytes with ``payload`` as the manifest, the header's
+    manifest length and the CRC32 trailer updated; tensors unchanged."""
+    (length,) = struct.unpack_from("<Q", buf, 8)
     body = buf[:8] + struct.pack("<Q", len(payload)) + payload + buf[16 + length:-4]
     return body + struct.pack("<I", zlib.crc32(body))
 

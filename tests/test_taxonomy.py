@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,3 +258,62 @@ class TestProperties:
         labelmap = taxonomy.allocate_descendants(graph)
         hit = {bi for _, bi in labelmap.entries.values()}
         assert hit == set(range(len(labelmap.basic_names)))
+
+
+def _bfs_first_mark(graph, node, marks):
+    """Reference rule: the first marked node an upward breadth-first search
+    from ``node`` meets, expanding parents in edge order."""
+    queue, visited = deque([node]), {node}
+    while queue:
+        cur = queue.popleft()
+        if cur in marks:
+            return cur
+        for parent in graph.parents_of(cur):
+            if parent not in visited:
+                visited.add(parent)
+                queue.append(parent)
+    return None
+
+
+def _random_dag(rng):
+    """2-40 nodes, each after the first with 1-3 earlier parents; names,
+    edge order and marks shuffled so none follows the topological order."""
+    n = rng.randint(2, 40)
+    names = [f"n{i:02d}" for i in range(n)]
+    rng.shuffle(names)
+    edges = [(names[p], names[c]) for c in range(1, n)
+             for p in rng.sample(range(c), min(c, rng.randint(1, 3)))]
+    rng.shuffle(edges)
+    return edges, {m for m in names if rng.random() < 0.3}
+
+
+class TestOnePassMatchesBfs:
+    def test_random_dags(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            edges, marks = _random_dag(rng)
+            graph = taxonomy.build_graph(edges)
+            got = taxonomy.first_marks(graph, marks, graph.nodes)
+            assert got == {n: _bfs_first_mark(graph, n, marks)
+                           for n in graph.nodes}, edges
+            for node in graph.nodes:
+                assert taxonomy.first_marked_ancestor(graph, node, marks) == got[node]
+
+    def test_random_nested_marks_name_the_bfs_hit(self):
+        rng = random.Random(23)
+        named = 0
+        for _ in range(500):
+            edges, marks = _random_dag(rng)
+            graph = taxonomy.build_graph(edges)
+            nested = sorted(m for m in marks if _bfs_first_mark(
+                graph, m, marks - {m}) is not None)
+            if not marks or not nested:
+                continue
+            inner = nested[0]
+            outer = _bfs_first_mark(graph, inner, marks - {inner})
+            with pytest.raises(ValidationError) as exc:
+                taxonomy.validate_basic_marks(graph, marks)
+            assert str(exc.value) == (
+                f"nested basic marks: {outer!r} is an ancestor of {inner!r}")
+            named += 1
+        assert named > 100
