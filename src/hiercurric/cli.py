@@ -227,7 +227,8 @@ def cmd_train(args) -> int:
         cu.save_run_report(report, run_dir)
         return name, ckpt, report
 
-    # a thread per regime up to the usable CPUs (conv backward then runs inline)
+    # a thread per regime up to the usable CPUs; there conv work runs inline,
+    # forward halves and backward alike (nnkernel._two_chains)
     workers = min(len(regimes), len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     prev_checked = nk.set_checked(not args.unchecked)

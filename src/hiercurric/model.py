@@ -90,8 +90,10 @@ class Conv(Layer):
         return (self.maps, shape_in[0] // self.groups, self.kh, self.kw)
 
     def forward(self, params, x, mode, rng):
+        """A training forward splits its GEMM by batch half, run on two
+        threads from the main thread; an eval forward is one GEMM."""
         return nk.conv2d_forward(x, *self._weights(params), self.stride,
-                                 self.pad, self.groups)
+                                 self.pad, self.groups, mode == "train")
 
     def backward(self, grad, cache, need_dx):
         return self._grads(*nk.conv2d_backward(grad, cache, need_dx))

@@ -138,26 +138,39 @@ class ConvCache:
     groups: int
 
 
-def _im2col(xp, kh, kw, stride, groups, out=None):
-    """(groups, C/groups*kh*kw, N*OH*OW) column matrix of xp, written into
-    the C-contiguous buffer ``out`` when one is given."""
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (n, c, oh, ow, kh, kw) -> (c, kh, kw, n, oh, ow): rows match the kernels
+def _im2col(xp, kh, kw, stride, cols, lo, hi):
+    """Write the im2col columns of samples [lo, hi) of xp into their own
+    columns of ``cols``, a C-contiguous (groups, C/groups*kh*kw, N*OH*OW)
+    buffer laid out (c, kh, kw, n, oh, ow), so its rows match the kernels."""
+    win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    # (n, c, oh, ow, kh, kw) -> (c, kh, kw, n, oh, ow)
     win = win.transpose(1, 4, 5, 0, 2, 3)
-    if out is None:
-        out = np.empty(win.shape, xp.dtype)
-    np.copyto(out.reshape(win.shape), win)
-    c, _, _, n, oh, ow = win.shape
-    return out.reshape(groups, c // groups * kh * kw, n * oh * ow)
+    c, _, _, _, oh, ow = win.shape
+    np.copyto(cols.reshape(c, kh, kw, len(xp), oh, ow)[:, :, :, lo:hi], win)
+
+
+def _conv_gemm(kmat, xp, kh, kw, stride, cols, out, lo, hi):
+    """Samples [lo, hi) of a forward: their im2col columns into ``cols``,
+    then their GEMM into the same columns of ``out``. It writes only the
+    caller's buffers, so on the worker thread it allocates nothing large."""
+    _im2col(xp, kh, kw, stride, cols, lo, hi)
+    per = cols.shape[2] // len(xp)
+    np.matmul(kmat, cols[:, :, lo * per:hi * per], out=out[:, :, lo * per:hi * per])
 
 
 def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
-                   groups: int = 1):
+                   groups: int = 1, train: bool = False):
     """Cross-correlation of NCHW input with (K, C/groups, kh, kw) kernels.
 
     Returns (output, cache). Output spatial dims follow
     floor((H + 2*pad - kh) / stride) + 1; padding is zero-fill. Each group
-    is one GEMM of its kernels against the im2col matrix (Caffe's scheme).
+    is a GEMM of its kernels against the im2col matrix (Caffe's scheme).
+
+    An eval forward (``train`` false) is one GEMM per group. A training
+    forward of n >= 2 samples is two, one per batch half [0, n//2) and
+    [n//2, n), each writing its own columns of the one column buffer and
+    the one output buffer; from the main thread the worker runs the second
+    half. The split is the same on every thread, so the bytes are too.
     """
     n, c, h, w = x.shape
     k, cg, kh, kw = kernels.shape
@@ -177,8 +190,16 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
         xp[:, :, pad:pad + h, pad:pad + w] = x
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    out = np.matmul(kernels.reshape(groups, k // groups, -1),
-                    _im2col(xp, kh, kw, stride, groups))
+    kmat = kernels.reshape(groups, k // groups, -1)
+    cols = np.empty((groups, cg * kh * kw, n * out_h * out_w), xp.dtype)
+    out = np.empty((groups, k // groups, n * out_h * out_w),
+                   np.result_type(kmat, cols))
+    args = (kmat, xp, kh, kw, stride, cols, out)
+    if train and n >= 2:
+        _two_chains(functools.partial(_conv_gemm, *args, 0, n // 2),
+                    functools.partial(_conv_gemm, *args, n // 2, n))
+    else:
+        _conv_gemm(*args, 0, n)
     out = out.reshape(k, n, out_h, out_w).transpose(1, 0, 2, 3)
     out += bias[None, :, None, None]
     _guard(out)
@@ -187,17 +208,35 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
 
 @functools.cache
 def _dw_worker():
-    """The one thread that runs the main thread's conv kernel gradients,
-    made on first use."""
+    """The one thread that runs the main thread's second chain of conv work,
+    made on first use: a training forward's second batch half, or
+    backward's kernel gradient, into buffers the caller allocated."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(1, thread_name_prefix="conv-dw")
+
+
+def _two_chains(mine, theirs):
+    """Run the chains ``theirs`` and ``mine``; returns mine's result. From
+    the main thread ``theirs`` runs on the worker meanwhile, and both are
+    done before this returns or raises, so their buffers may be freed. A
+    matrix run's regime threads, which share the cores, run both in turn."""
+    if threading.current_thread() is not threading.main_thread():
+        theirs()
+        return mine()
+    job = _dw_worker().submit(theirs)
+    try:
+        result = mine()
+    finally:
+        job.exception()  # joins
+    job.result()  # re-raises the worker's error, if any
+    return result
 
 
 def _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw):
     """Kernel gradient dout_mat @ im2col(xp)^T into ``dw``. It writes only
     the caller's ``cols`` and ``dw`` buffers, so on the worker thread it
     allocates nothing large."""
-    cols = _im2col(xp, kh, kw, stride, len(cols), cols)
+    _im2col(xp, kh, kw, stride, cols, 0, len(xp))
     np.matmul(dout_mat, cols.transpose(0, 2, 1), out=dw)
 
 
@@ -251,19 +290,13 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
     cols = np.empty((groups, cg * kh * kw, n * out_h * out_w), xp.dtype)
     dw = np.empty((groups, k // groups, cg * kh * kw),
                   np.result_type(dout_mat, cols))
-    if need_dx and threading.current_thread() is threading.main_thread():
-        job = _dw_worker().submit(_conv_dw, dout_mat, xp, kh, kw, stride,
-                                  cols, dw)
-        try:
-            dx = _conv_dx(dout_mat, cache, dout.dtype)
-        finally:
-            job.exception()  # joins: the worker's buffers are done with
-        job.result()  # re-raises the worker's error, if any
+    dw_chain = functools.partial(_conv_dw, dout_mat, xp, kh, kw, stride, cols, dw)
+    if need_dx:
+        dx = _two_chains(
+            functools.partial(_conv_dx, dout_mat, cache, dout.dtype), dw_chain)
     else:
-        # nothing to overlap, or a matrix run's regime thread (they share the cores)
-        _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw)
-        dx = (_conv_dx(dout_mat, cache, dout.dtype) if need_dx
-              else np.empty((0, c, h, w), dtype=dout.dtype))
+        dw_chain()
+        dx = np.empty((0, c, h, w), dtype=dout.dtype)
     dw = dw.reshape(kernels.shape).astype(kernels.dtype, copy=False)
     _guard(dx, dw, db)
     return dx, dw, db

@@ -8,6 +8,7 @@ the first-listed parent's on a tie, in one pass over a topological order.
 
 from __future__ import annotations
 
+import functools
 import graphlib
 import logging
 import math
@@ -36,12 +37,14 @@ class SynsetGraph:
     _children: dict[str, list[str]] = field(repr=False, default_factory=dict)
     _order: tuple[str, ...] = field(repr=False, default=())  # children first
 
-    @property
+    @functools.cached_property
     def leaf_set(self) -> frozenset[str]:
+        """The childless nodes, computed once per graph."""
         return frozenset(n for n in self._order if n not in self._children)
 
-    @property
+    @functools.cached_property
     def roots(self) -> frozenset[str]:
+        """The parentless nodes, computed once per graph."""
         return frozenset(n for n in self._order if n not in self._parents)
 
     def parents_of(self, node_id: str) -> list[str]:

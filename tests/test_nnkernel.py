@@ -230,6 +230,28 @@ class TestConvBackward:
             assert a.tobytes() == b.tobytes()
 
 
+def column_matrix(xp, kh, kw, stride, groups):
+    """The whole (groups, C/groups*kh*kw, N*OH*OW) im2col matrix of xp."""
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    c = xp.shape[1]
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        groups, c // groups * kh * kw, -1)
+
+
+def column_conv2d_forward(x, kernels, bias, stride, pad, groups):
+    """conv2d_forward as one GEMM of the kernels against the whole im2col
+    matrix."""
+    n, c, h, w = x.shape
+    k, cg, kh, kw = kernels.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    out = kernels.reshape(groups, k // groups, -1) @ column_matrix(
+        xp, kh, kw, stride, groups)
+    out = out.reshape(k, n, out_h, out_w).transpose(1, 0, 2, 3)
+    return out + bias[None, :, None, None]
+
+
 def column_conv2d_backward(dout, cache, need_dx):
     """conv2d_backward as one full column-gradient GEMM, then col2im, plus a
     single kernel-gradient GEMM over the whole im2col matrix."""
@@ -241,10 +263,7 @@ def column_conv2d_backward(dout, cache, need_dx):
     out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     db = dout.sum(axis=(0, 2, 3))
     dout_mat = dout.transpose(1, 0, 2, 3).reshape(groups, k // groups, -1)
-    win = np.lib.stride_tricks.sliding_window_view(
-        xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
-        groups, cg * kh * kw, -1)
+    cols = column_matrix(xp, kh, kw, stride, groups)
     dw = (dout_mat @ cols.transpose(0, 2, 1)).reshape(kernels.shape)
     dw = dw.astype(kernels.dtype, copy=False)
     if not need_dx:
@@ -388,6 +407,130 @@ class TestConvBackwardWorker:
             sys.setswitchinterval(interval)
         for i, result in enumerate(got + on_main):
             TestConvBackwardBytes.assert_same_bytes(result, want[i % 3])
+
+
+def forward_case(x_shape, k_shape, stride, pad, groups, dtype=np.float64,
+                 batch=None, seed=0):
+    """Arguments of conv2d_forward on random input, kernels and bias, at
+    ``batch`` samples when one is given."""
+    if batch is not None:
+        x_shape = (batch,) + x_shape[1:]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    kernels = (rng.standard_normal(k_shape) * 0.1).astype(dtype)
+    bias = rng.standard_normal(k_shape[0]).astype(dtype)
+    return x, kernels, bias, stride, pad, groups
+
+
+class TestConvForwardBytes:
+    """A training forward splits its GEMM by batch half, the second half on
+    the worker thread from the main thread; an eval forward is one GEMM."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 33])
+    @pytest.mark.parametrize("case", list(CONV_CASES))
+    def test_training_forward_same_on_every_thread(self, case, batch):
+        """Equal bytes on the main thread and a pool thread, and equal to
+        the one-GEMM forward up to rounding; byte for byte at the benchmark
+        and desk specs' batch of 32, whose trees must not change."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        args = forward_case(*CONV_CASES[case], batch=batch)
+        on_main, _ = nk.conv2d_forward(*args, train=True)
+        with ThreadPoolExecutor(1) as pool:
+            inline, _ = pool.submit(nk.conv2d_forward, *args, train=True).result()
+        TestConvBackwardBytes.assert_same_bytes([on_main], [inline])
+        whole = column_conv2d_forward(*args)
+        rtol = 1e-5 if on_main.dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(on_main, whole, rtol=rtol, atol=rtol)
+        if batch is None and case.startswith(("benchmark-", "desk-")):
+            TestConvBackwardBytes.assert_same_bytes([on_main], [whole])
+
+    @pytest.mark.parametrize("batch", [None, 1, 33])
+    @pytest.mark.parametrize("case", list(CONV_CASES))
+    def test_eval_forward_equals_one_column_gemm(self, case, batch):
+        args = forward_case(*CONV_CASES[case], batch=batch)
+        TestConvBackwardBytes.assert_same_bytes(
+            [nk.conv2d_forward(*args)[0]], [column_conv2d_forward(*args)])
+
+
+class TestConvForwardWorker:
+    def test_worker_error_is_reraised_and_the_next_call_is_sound(
+            self, monkeypatch):
+        args = forward_case(*CONV_CASES["stride2-groups2"])
+        want = nk.conv2d_forward(*args, train=True)[0]
+
+        def fail(*gemm_args):
+            raise RuntimeError("forward half failed")
+
+        monkeypatch.setattr(nk, "_conv_gemm", fail)
+        with pytest.raises(RuntimeError, match="forward half failed"):
+            nk.conv2d_forward(*args, train=True)
+        monkeypatch.undo()
+        TestConvBackwardBytes.assert_same_bytes(
+            [nk.conv2d_forward(*args, train=True)[0]], [want])
+
+    def test_worker_error_surfaces_after_the_main_half_is_done(
+            self, monkeypatch):
+        args = forward_case(*CONV_CASES["stride2-groups2"])
+        real_gemm, finished = nk._conv_gemm, []
+
+        def second_half_fails(*gemm_args):
+            lo = gemm_args[-2]
+            if lo > 0:
+                assert threading.current_thread() is not threading.main_thread()
+                raise RuntimeError("second half failed")
+            time.sleep(0.2)
+            real_gemm(*gemm_args)
+            finished.append(True)
+
+        monkeypatch.setattr(nk, "_conv_gemm", second_half_fails)
+        with pytest.raises(RuntimeError, match="second half failed"):
+            nk.conv2d_forward(*args, train=True)
+        assert finished == [True]
+
+    def test_eval_forwards_and_other_threads_never_use_the_worker(
+            self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        args = forward_case(*CONV_CASES["desk-conv3"])
+        want_train = nk.conv2d_forward(*args, train=True)[0]
+        want_eval = column_conv2d_forward(*args)
+
+        def no_worker():
+            raise AssertionError("the conv worker was asked for")
+
+        monkeypatch.setattr(nk, "_dw_worker", no_worker)
+        with pytest.raises(AssertionError, match="worker was asked for"):
+            nk.conv2d_forward(*args, train=True)
+        TestConvBackwardBytes.assert_same_bytes(
+            [nk.conv2d_forward(*args)[0]], [want_eval])
+        with ThreadPoolExecutor(1) as pool:
+            for train, want in ((True, want_train), (False, want_eval)):
+                got = pool.submit(nk.conv2d_forward, *args, train=train).result()
+                TestConvBackwardBytes.assert_same_bytes([got[0]], [want])
+
+    def test_callers_on_several_threads_get_their_own_outputs(self):
+        """Training forwards from more callers than cores, switching often,
+        the main thread's worker running second halves at the same time:
+        each caller still gets its own output, byte for byte."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        cases = [forward_case(*CONV_CASES[name], seed=i)
+                 for i, name in enumerate(["desk-conv3", "stride2-groups2",
+                                           "benchmark-conv2"])]
+        want = [nk.conv2d_forward(*args, train=True)[0] for args in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                jobs = [pool.submit(nk.conv2d_forward, *args, train=True)
+                        for args in cases * 4]
+                on_main = [nk.conv2d_forward(*args, train=True) for args in cases * 2]
+                got = [job.result(timeout=120) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, (out, _) in enumerate(got + on_main):
+            TestConvBackwardBytes.assert_same_bytes([out], [want[i % 3]])
 
 
 class TestMaxPool:

@@ -20,6 +20,18 @@ class TestParse:
         assert graph.roots == {"root"}
         assert graph.edges == (("root", "a"), ("root", "b"), ("a", "c"))
 
+    def test_leaves_and_roots_are_computed_once(self):
+        edges = [("r1", "a"), ("r2", "a"), ("a", "b"), ("a", "c"), ("r1", "d"),
+                 ("d", "c")]
+        graph = taxonomy.build_graph(edges)
+        nodes = {n for edge in edges for n in edge}
+        childless = nodes - {parent for parent, _ in edges}
+        parentless = nodes - {child for _, child in edges}
+        assert graph.leaf_set == childless == {"b", "c"}
+        assert graph.roots == parentless == {"r1", "r2"}
+        assert graph.leaf_set is graph.leaf_set
+        assert graph.roots is graph.roots
+
     def test_two_node_cycle(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("a>b\nb>a\n")
