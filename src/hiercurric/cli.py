@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from collections import Counter
@@ -36,6 +37,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# glibc mallopt (malloc.h): M_ARENA_MAX 1, M_MMAP_THRESHOLD 256 MiB and
+# M_TRIM_THRESHOLD 1 GiB, so freed memory stays in one heap for reuse
+_MALLOPT = ((-8, 1), (-3, 256 << 20), (-1, 1 << 30))
+_MALLOC_VARIABLES = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_",
+                     "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
 
 
 def resolve_out(value: str) -> Path:
@@ -404,7 +411,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed memory mapped for reuse, so a training step's large
+    temporaries are not unmapped or trimmed, then faulted in and zeroed
+    again the next step. A user's malloc setting wins; no-op where libc has
+    no ``mallopt``."""
+    if not os.environ.keys().isdisjoint(_MALLOC_VARIABLES):
+        return
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

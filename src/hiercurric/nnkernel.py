@@ -354,10 +354,13 @@ def pool_backward(dout, cache: PoolCache):
     if dout.shape != cache.argmax.shape:
         raise ValidationError(
             f"upstream gradient shape {dout.shape} != pooled shape {cache.argmax.shape}")
-    rows = (stride * np.arange(out_h))[None, None, :, None] + cache.argmax // window
-    cols = (stride * np.arange(out_w))[None, None, None, :] + cache.argmax % window
-    plane = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
-    idx = plane + rows * w + cols
+    # offset k of a window sits k + (k // window) * (w - window) elements past
+    # its corner; integer % has no fast path, so the column is never formed
+    idx = cache.argmax // window
+    idx *= w - window
+    idx += cache.argmax
+    idx += np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+    idx += stride * (w * np.arange(out_h)[:, None] + np.arange(out_w))
     dx = np.bincount(idx.ravel(), weights=dout.ravel(), minlength=n * c * h * w)
     dx = dx.reshape(n, c, h, w).astype(dout.dtype, copy=False)
     _guard(dx)

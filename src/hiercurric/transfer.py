@@ -27,6 +27,12 @@ log = logging.getLogger(__name__)
 PROBE_SGD = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.0,
                          lr_gamma=1.0, lr_step=10_000, batch_size=32)
 
+# images per eval forward in extract_features: an eval conv builds the whole
+# batch's im2col matrix (desk conv2: 1.6 MiB an image), so this bounds its
+# memory. The features keep the bytes of 256-image batches, except an fc
+# layer's in a one-image batch, whose one-row product rounds differently
+FEATURE_BATCH = 32
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -66,7 +72,8 @@ def extract_features(ckpt: md.Checkpoint, images: np.ndarray,
     """Eval-mode outputs of ``layer`` (default: the output head's input),
     flattened to one row per image of the ``(N, C, H, W)`` array."""
     name = feature_layer(ckpt.spec, layer)
-    batches = (images[i:i + 256] for i in range(0, len(images), 256))
+    batches = (images[i:i + FEATURE_BATCH]
+               for i in range(0, len(images), FEATURE_BATCH))
     rows = np.concatenate([md.forward_eval(ckpt, batch, name).reshape(len(batch), -1)
                            for batch in batches])
     if not np.all(np.isfinite(rows)):

@@ -1563,6 +1563,70 @@ def test_cli_import_pins_blas_threads_for_train_unless_user_sets_one(
     assert result.stdout.strip() == repr(expected)
 
 
+class FakeLibc:
+    """Records mallopt calls; like a ctypes function, it takes argtypes."""
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+MALLOC_VARIABLES = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_",
+                    "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+class TestKeepFreedMemory:
+    @pytest.fixture
+    def fake_libc(self, monkeypatch):
+        """A libc that records mallopt calls, with no malloc variable set;
+        the helper's once-per-process memo is cleared around the test."""
+        import ctypes
+        libc = FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        for name in MALLOC_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        cli._keep_freed_memory.cache_clear()
+        yield libc
+        cli._keep_freed_memory.cache_clear()
+
+    def test_sets_three_parameters_once_per_process(self, fake_libc, tmp_path):
+        argv = ["taxonomy", "--synsets", str(tmp_path / "none.txt"),
+                "--marks", str(tmp_path / "none.txt"), "--out", str(tmp_path)]
+        assert cli.main(argv) == EXIT_VALIDATION
+        assert cli.main(argv) == EXIT_VALIDATION
+        # M_ARENA_MAX 1, M_MMAP_THRESHOLD 256 MiB, M_TRIM_THRESHOLD 1 GiB
+        assert fake_libc.calls == [(-8, 1), (-3, 256 << 20), (-1, 1 << 30)]
+
+    @pytest.mark.parametrize("name", MALLOC_VARIABLES)
+    def test_user_setting_wins(self, fake_libc, monkeypatch, name):
+        monkeypatch.setenv(name, "glibc.malloc.arena_max=2" if name == "GLIBC_TUNABLES"
+                           else "2")
+        cli._keep_freed_memory()
+        assert fake_libc.calls == []
+
+    def test_no_mallopt_is_a_no_op(self, fake_libc, monkeypatch):
+        import ctypes
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        cli._keep_freed_memory()
+        assert fake_libc.calls == []
+
+    def test_train_bytes_do_not_depend_on_malloc_settings(self, tmp_path):
+        """The same `train` in two processes, once under the CLI's malloc
+        settings and once under a user's MALLOC_ARENA_MAX=8."""
+        config_path, _ = train_config(tmp_path, iters=12)
+        env = {k: v for k, v in os.environ.items() if k not in MALLOC_VARIABLES}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        for out, given in (("as-is", {}), ("user", {"MALLOC_ARENA_MAX": "8"})):
+            subprocess.run(
+                [sys.executable, "-m", "hiercurric.cli", "train", "--config",
+                 str(config_path), "--out", str(tmp_path / out)],
+                env={**env, **given}, capture_output=True, check=True, timeout=120)
+        assert _tree(tmp_path / "as-is") == _tree(tmp_path / "user")
+
+
 def test_cli_module_runs_without_warnings():
     src = Path(cli.__file__).parents[1]
     result = subprocess.run(

@@ -589,6 +589,21 @@ class TestMaxPool:
         dx = nk.pool_backward(np.array([[[[5.0]]]]), cache)
         np.testing.assert_array_equal(dx.reshape(2, 2), [[0, 0], [5.0, 0]])
 
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
+    def test_backward_matches_naive_scatter(self, window, stride):
+        """Each upstream value lands on its window's argmax, added in pooled
+        order, on a plane wider than it is tall."""
+        rng = np.random.default_rng([window, stride])
+        x = rng.integers(0, 4, size=(2, 3, 9, 11)).astype(float)
+        out, cache = nk.maxpool_forward(x, window, stride)
+        dout = rng.standard_normal(out.shape)
+        ref = np.zeros_like(x)
+        for ni, ci, y, xo in np.ndindex(out.shape):
+            k = cache.argmax[ni, ci, y, xo]
+            ref[ni, ci, y * stride + k // window, xo * stride + k % window] += (
+                dout[ni, ci, y, xo])
+        assert nk.pool_backward(dout, cache).tobytes() == ref.tobytes()
+
     def test_backward_accumulates_overlaps(self):
         # window 2 stride 1 on a plane whose max repeats across windows
         x = np.array([[0.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 0.0]])

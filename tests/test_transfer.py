@@ -43,6 +43,23 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(
             rows, md.forward_eval(desk_ckpt, images, "drop1"))
 
+    def test_batches_match_per_image_forwards(self, desk_ckpt):
+        """70 images run as 32 + 32 + 6. Conv features equal each image's
+        own forward. fc1's equal it to float64 rounding (a one-row GEMM
+        takes another BLAS path) and one 70-image forward exactly."""
+        assert 70 % transfer.FEATURE_BATCH
+        images = np.random.default_rng(40).random((70, 3, 32, 32))
+        for layer, exact in (("pool2", True), ("fc1", False)):
+            rows = transfer.extract_features(desk_ckpt, images, layer)
+            alone = np.concatenate([md.forward_eval(desk_ckpt, image[None], layer)
+                                    .reshape(1, -1) for image in images])
+            if exact:
+                np.testing.assert_array_equal(rows, alone)
+            else:
+                np.testing.assert_allclose(rows, alone, rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(
+                    rows, md.forward_eval(desk_ckpt, images, layer).reshape(70, -1))
+
     def test_bit_identical_on_rerun(self, desk_ckpt):
         images = np.random.default_rng(10).random((4, 3, 32, 32))
         a = transfer.extract_features(desk_ckpt, images)
