@@ -138,24 +138,52 @@ class ConvCache:
     groups: int
 
 
-def _im2col(xp, kh, kw, stride, cols, lo, hi):
-    """Write the im2col columns of samples [lo, hi) of xp into their own
-    columns of ``cols``, a C-contiguous (groups, C/groups*kh*kw, N*OH*OW)
-    buffer laid out (c, kh, kw, n, oh, ow), so its rows match the kernels."""
-    win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+# A conv builds its im2col matrix in spans of at most this many bytes, each
+# of whole samples (forward) or whole channels of one group (kernel
+# gradient), one at least. A layer whose whole matrix fits takes one span.
+# A span's width can change a GEMM's last bits: at 8 MiB desk conv2's
+# kernel gradient runs in 4-5-channel spans, which differ from the one-GEMM
+# product under a two-thread OpenBLAS; its 8-channel spans at 16 MiB do not
+IM2COL_BYTES = 16 << 20
+
+
+def _spans(lo, hi, unit_bytes):
+    """[lo, hi) cut into the fewest runs of whole units of ``unit_bytes``
+    that each fit IM2COL_BYTES (one unit at least), as even as integer cuts
+    make them, so no run is a small remainder."""
+    parts = -(-(hi - lo) // max(1, IM2COL_BYTES // unit_bytes))
+    if parts <= 1:
+        return ((lo, hi),)
+    cuts = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+    return tuple(zip(cuts, cuts[1:]))
+
+
+def _span_bytes(lo, hi, unit_bytes):
+    """Bytes of the largest of ``_spans(lo, hi, unit_bytes)``."""
+    return max(b - a for a, b in _spans(lo, hi, unit_bytes)) * unit_bytes
+
+
+def _im2col(x, kh, kw, stride, cols):
+    """Write the im2col columns of x into ``cols``, a C-contiguous buffer of
+    C*kh*kw rows and N*OH*OW columns laid out (c, kh, kw, n, oh, ow), so its
+    rows match the kernels."""
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     # (n, c, oh, ow, kh, kw) -> (c, kh, kw, n, oh, ow)
     win = win.transpose(1, 4, 5, 0, 2, 3)
-    c, _, _, _, oh, ow = win.shape
-    np.copyto(cols.reshape(c, kh, kw, len(xp), oh, ow)[:, :, :, lo:hi], win)
+    np.copyto(cols.reshape(win.shape), win)
 
 
-def _conv_gemm(kmat, xp, kh, kw, stride, cols, out, lo, hi):
-    """Samples [lo, hi) of a forward: their im2col columns into ``cols``,
-    then their GEMM into the same columns of ``out``. It writes only the
-    caller's buffers, so on the worker thread it allocates nothing large."""
-    _im2col(xp, kh, kw, stride, cols, lo, hi)
-    per = cols.shape[2] // len(xp)
-    np.matmul(kmat, cols[:, :, lo * per:hi * per], out=out[:, :, lo * per:hi * per])
+def _conv_gemm(kmat, xp, kh, kw, stride, buf, out, lo, hi):
+    """Samples [lo, hi) of a forward, one span of whole samples at a time:
+    the span's im2col columns into ``buf``, then its GEMM into the span's
+    columns of ``out``. It writes only the caller's buffers, so on the
+    worker thread it allocates nothing large."""
+    groups, _, rows = kmat.shape
+    per = out.shape[2] // len(xp)
+    for a, b in _spans(lo, hi, groups * rows * per * buf.itemsize):
+        cols = buf[:groups * rows * (b - a) * per].reshape(groups, rows, -1)
+        _im2col(xp[a:b], kh, kw, stride, cols)
+        np.matmul(kmat, cols, out=out[:, :, a * per:b * per])
 
 
 def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
@@ -164,13 +192,15 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
 
     Returns (output, cache). Output spatial dims follow
     floor((H + 2*pad - kh) / stride) + 1; padding is zero-fill. Each group
-    is a GEMM of its kernels against the im2col matrix (Caffe's scheme).
+    is a GEMM of its kernels against the im2col matrix (Caffe's scheme),
+    built and multiplied in spans of whole samples of at most IM2COL_BYTES,
+    each into its own columns of the one output buffer.
 
-    An eval forward (``train`` false) is one GEMM per group. A training
+    An eval forward is one chain of spans over the batch. A training
     forward of n >= 2 samples is two, one per batch half [0, n//2) and
-    [n//2, n), each writing its own columns of the one column buffer and
-    the one output buffer; from the main thread the worker runs the second
-    half. The split is the same on every thread, so the bytes are too.
+    [n//2, n), each with a span buffer of its own; from the main thread the
+    worker runs the second half. The split is the same on every thread,
+    and a span is an N-split of the same GEMM, so the bytes are too.
     """
     n, c, h, w = x.shape
     k, cg, kh, kw = kernels.shape
@@ -191,15 +221,19 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
     kmat = kernels.reshape(groups, k // groups, -1)
-    cols = np.empty((groups, cg * kh * kw, n * out_h * out_w), xp.dtype)
+    sample_bytes = c * kh * kw * out_h * out_w * xp.itemsize
+    chains = [(0, n // 2), (n // 2, n)] if train and n >= 2 else [(0, n)]
+    sizes = [_span_bytes(lo, hi, sample_bytes) // xp.itemsize for lo, hi in chains]
+    buf = np.empty(sum(sizes), xp.dtype)  # one allocation, a part per chain
     out = np.empty((groups, k // groups, n * out_h * out_w),
-                   np.result_type(kmat, cols))
-    args = (kmat, xp, kh, kw, stride, cols, out)
-    if train and n >= 2:
-        _two_chains(functools.partial(_conv_gemm, *args, 0, n // 2),
-                    functools.partial(_conv_gemm, *args, n // 2, n))
+                   np.result_type(kmat, xp))
+    gemms = [functools.partial(_conv_gemm, kmat, xp, kh, kw, stride,
+                               buf[start:start + size], out, lo, hi)
+             for (lo, hi), start, size in zip(chains, (0, sizes[0]), sizes)]
+    if len(gemms) == 2:
+        _two_chains(*gemms)
     else:
-        _conv_gemm(*args, 0, n)
+        gemms[0]()
     out = out.reshape(k, n, out_h, out_w).transpose(1, 0, 2, 3)
     out += bias[None, :, None, None]
     _guard(out)
@@ -232,12 +266,20 @@ def _two_chains(mine, theirs):
     return result
 
 
-def _conv_dw(dout_mat, xp, kh, kw, stride, cols, dw):
-    """Kernel gradient dout_mat @ im2col(xp)^T into ``dw``. It writes only
-    the caller's ``cols`` and ``dw`` buffers, so on the worker thread it
-    allocates nothing large."""
-    _im2col(xp, kh, kw, stride, cols, 0, len(xp))
-    np.matmul(dout_mat, cols.transpose(0, 2, 1), out=dw)
+def _conv_dw(dout_mat, xp, kh, kw, stride, buf, dw):
+    """Kernel gradient dout_mat @ im2col(xp)^T into ``dw``, one span of
+    whole channels of one group at a time: the span's im2col rows into
+    ``buf``, then its GEMM into the span's columns of ``dw``. It writes
+    only the caller's buffers, so on the worker thread it allocates
+    nothing large."""
+    groups, _, rows = dw.shape
+    taps, cg = kh * kw, rows // (kh * kw)
+    width = dout_mat.shape[2]
+    for g in range(groups):
+        for a, b in _spans(0, cg, taps * width * buf.itemsize):
+            cols = buf[:(b - a) * taps * width].reshape(-1, width)
+            _im2col(xp[:, g * cg + a:g * cg + b], kh, kw, stride, cols)
+            np.matmul(dout_mat[g], cols.T, out=dw[g, :, a * taps:b * taps])
 
 
 def _conv_dx(dout_mat, cache: ConvCache, dtype):
@@ -270,10 +312,13 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
 
     With ``need_dx`` false the input gradient is not computed, and dx is an
     empty (0, C, H, W) array in dout's dtype. Otherwise, on the main thread,
-    the kernel gradient (im2col, one GEMM) runs on a worker thread while the
-    caller builds dx one kernel offset at a time (``_conv_dx``). Any other
-    thread runs both in turn, so regimes trained on parallel threads add no
-    threads of their own. The bytes are the same either way.
+    the kernel gradient runs on a worker thread while the caller builds dx
+    one kernel offset at a time (``_conv_dx``). Any other thread runs both
+    in turn, so regimes trained on parallel threads add no threads of their
+    own. The bytes are the same either way. The kernel gradient builds the
+    im2col matrix in spans of whole channels of at most IM2COL_BYTES, into
+    one buffer the caller allocates, and multiplies each span into its own
+    columns of dw.
     """
     xp, kernels, stride, groups = cache.xp, cache.kernels, cache.stride, cache.groups
     n, c, h, w = cache.x_shape
@@ -287,10 +332,11 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
 
     db = dout.sum(axis=(0, 2, 3))
     dout_mat = dout.transpose(1, 0, 2, 3).reshape(groups, k // groups, -1)
-    cols = np.empty((groups, cg * kh * kw, n * out_h * out_w), xp.dtype)
+    channel_bytes = kh * kw * n * out_h * out_w * xp.itemsize
+    buf = np.empty(_span_bytes(0, cg, channel_bytes) // xp.itemsize, xp.dtype)
     dw = np.empty((groups, k // groups, cg * kh * kw),
-                  np.result_type(dout_mat, cols))
-    dw_chain = functools.partial(_conv_dw, dout_mat, xp, kh, kw, stride, cols, dw)
+                  np.result_type(dout_mat, xp))
+    dw_chain = functools.partial(_conv_dw, dout_mat, xp, kh, kw, stride, buf, dw)
     if need_dx:
         dx = _two_chains(
             functools.partial(_conv_dx, dout_mat, cache, dout.dtype), dw_chain)

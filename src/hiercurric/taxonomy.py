@@ -9,7 +9,6 @@ the first-listed parent's on a tie, in one pass over a topological order.
 from __future__ import annotations
 
 import functools
-import graphlib
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -95,13 +94,31 @@ def build_graph(edges) -> SynsetGraph:
         parents.setdefault(child, []).append(parent)
         children.setdefault(parent, []).append(child)
 
-    try:
-        order = tuple(graphlib.TopologicalSorter(children).static_order())
-    except graphlib.CycleError as exc:
+    # Kahn's pass, children first: a node follows once all its children have
+    pending = {node: len(kids) for node, kids in children.items()}
+    order = [node for node in parents if node not in children]
+    n_nodes = len(order) + len(children)
+    for node in order:  # grows as parents come free
+        for parent in parents.get(node, ()):
+            pending[parent] -= 1
+            if not pending[parent]:
+                order.append(parent)
+    if len(order) < n_nodes:
         raise ValidationError(
-            f"cycle detected through node {exc.args[1][0]!r}") from None
+            f"cycle detected through node {_on_cycle(children, pending)!r}")
     return SynsetGraph(nodes=frozenset(order), edges=tuple(edges),
-                       _parents=parents, _children=children, _order=order)
+                       _parents=parents, _children=children, _order=tuple(order))
+
+
+def _on_cycle(children, pending) -> str:
+    """A node on a cycle, given Kahn's leftover child counts: every node
+    left over has a child left over, so following those must come back."""
+    node = next(node for node, left in pending.items() if left)
+    seen = set()
+    while node not in seen:
+        seen.add(node)
+        node = next(child for child in children[node] if pending.get(child))
+    return node
 
 
 def parse_synset_file(path) -> SynsetGraph:

@@ -27,10 +27,10 @@ log = logging.getLogger(__name__)
 PROBE_SGD = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.0,
                          lr_gamma=1.0, lr_step=10_000, batch_size=32)
 
-# images per eval forward in extract_features: an eval conv builds the whole
-# batch's im2col matrix (desk conv2: 1.6 MiB an image), so this bounds its
-# memory. The features keep the bytes of 256-image batches, except an fc
-# layer's in a one-image batch, whose one-row product rounds differently
+# images per eval forward in extract_features: it bounds the batch's layer
+# activations (a conv's im2col matrix is bounded by nnkernel.IM2COL_BYTES).
+# The features keep the bytes of 256-image batches. A one-image tail joins
+# the batch before it, since an fc layer's one-row product rounds differently
 FEATURE_BATCH = 32
 
 
@@ -72,8 +72,10 @@ def extract_features(ckpt: md.Checkpoint, images: np.ndarray,
     """Eval-mode outputs of ``layer`` (default: the output head's input),
     flattened to one row per image of the ``(N, C, H, W)`` array."""
     name = feature_layer(ckpt.spec, layer)
-    batches = (images[i:i + FEATURE_BATCH]
-               for i in range(0, len(images), FEATURE_BATCH))
+    starts = list(range(0, len(images), FEATURE_BATCH))
+    if len(starts) > 1 and len(images) % FEATURE_BATCH == 1:
+        del starts[-1]  # a one-image tail joins the batch before it
+    batches = (images[a:b] for a, b in zip(starts, starts[1:] + [len(images)]))
     rows = np.concatenate([md.forward_eval(ckpt, batch, name).reshape(len(batch), -1)
                            for batch in batches])
     if not np.all(np.isfinite(rows)):

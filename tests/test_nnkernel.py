@@ -533,6 +533,99 @@ class TestConvForwardWorker:
             TestConvBackwardBytes.assert_same_bytes([out], [want[i % 3]])
 
 
+def conv_pass(args):
+    """Bytes of a training forward, an eval forward and both backward chains
+    of one conv case."""
+    out, cache = nk.conv2d_forward(*args, train=True)
+    dout = np.random.default_rng(3).standard_normal(out.shape).astype(out.dtype)
+    return [out, nk.conv2d_forward(*args)[0], *nk.conv2d_backward(dout, cache)]
+
+
+def traced_peak(call):
+    """tracemalloc's peak in bytes over ``call()``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestConvSpans:
+    """Each chain builds its im2col matrix in spans of at most IM2COL_BYTES:
+    whole samples in a forward, whole channels of one group in the kernel
+    gradient. A span is an N-split of the same GEMM."""
+
+    @pytest.mark.parametrize("case", ["desk-conv1", "desk-conv2", "desk-conv3"])
+    def test_desk_shapes_equal_one_span(self, case, monkeypatch):
+        args = forward_case(*CONV_CASES[case])
+        spanned = conv_pass(args)
+        monkeypatch.setattr(nk, "IM2COL_BYTES", 1 << 40)
+        TestConvBackwardBytes.assert_same_bytes(spanned, conv_pass(args))
+
+    def test_desk_conv2_takes_several_spans(self):
+        x, kernels = forward_case(*CONV_CASES["desk-conv2"])[:2]
+        (n, c, h, w), (k, cg, kh, kw) = x.shape, kernels.shape
+        assert len(nk._spans(0, n // 2, c * kh * kw * h * w * 8)) >= 2
+        assert len(nk._spans(0, cg, kh * kw * n * h * w * 8)) >= 2
+
+    def test_grouped_conv_in_several_spans_equals_one_span(self, monkeypatch):
+        args = forward_case((8, 8, 12, 12), (16, 4, 3, 3), 1, 1, 2)
+        whole = conv_pass(args)
+        # one sample's columns: 72 rows x 144 pixels; one channel's: 9 x 1152
+        monkeypatch.setattr(nk, "IM2COL_BYTES", 2 * 72 * 144 * 8)
+        assert len(nk._spans(0, 4, 72 * 144 * 8)) == 2
+        assert len(nk._spans(0, 4, 9 * 1152 * 8)) == 2
+        TestConvBackwardBytes.assert_same_bytes(conv_pass(args), whole)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_forward_temporaries_bounded_at_desk_conv2(self, train):
+        args = forward_case(*CONV_CASES["desk-conv2"])
+        (n, c, h, w), (k, cg, kh, kw), pad = args[0].shape, args[1].shape, args[4]
+        span = max(nk.IM2COL_BYTES, c * kh * kw * h * w * 8)
+        # kept: the padded input and the output
+        kept = (c * (h + 2 * pad) * (w + 2 * pad) + k * h * w) * n * 8
+        chains = 2 if train else 1
+        assert chains * span + kept < c * kh * kw * n * h * w * 8
+        peak = traced_peak(lambda: nk.conv2d_forward(*args, train=train))
+        assert peak <= chains * span + kept + (1 << 20)
+
+    def test_backward_temporaries_bounded_at_desk_conv2(self):
+        dout, cache = conv_case(*CONV_CASES["desk-conv2"])
+        n, c, h, w = cache.x_shape
+        k, cg, kh, kw = cache.kernels.shape
+        hp, wp = cache.xp.shape[2:]
+        span = max(nk.IM2COL_BYTES, kh * kw * n * h * w * 8)
+        # kept: dout's GEMM copy, the padded input gradient, one offset's
+        # column gradient and the kernel gradient
+        kept = (k * n * h * w + c * n * hp * wp + c * n * h * w + k * cg * kh * kw) * 8
+        assert span + kept < c * kh * kw * n * h * w * 8
+        assert traced_peak(lambda: nk.conv2d_backward(dout, cache)) <= span + kept + (1 << 20)
+
+    def test_the_worker_allocates_no_span_buffer(self, monkeypatch):
+        real, large = np.empty, []
+
+        def recording(shape, *args, **kwargs):
+            arr = real(shape, *args, **kwargs)
+            if arr.nbytes >= 1 << 20:
+                large.append(threading.current_thread())
+            return arr
+
+        monkeypatch.setattr(np, "empty", recording)
+        real_gemm, chains = nk._conv_gemm, []
+
+        def recording_gemm(*args):
+            chains.append(threading.current_thread())
+            real_gemm(*args)
+
+        monkeypatch.setattr(nk, "_conv_gemm", recording_gemm)
+        conv_pass(forward_case(*CONV_CASES["desk-conv2"]))
+        assert any(t is not threading.main_thread() for t in chains)
+        assert large and set(large) == {threading.main_thread()}
+
+
 class TestMaxPool:
     def test_hand_case(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)

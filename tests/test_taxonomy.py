@@ -38,6 +38,29 @@ class TestParse:
         with pytest.raises(ValidationError, match="cycle"):
             taxonomy.parse_synset_file(path)
 
+    def test_cycle_error_names_a_node_on_the_cycle(self):
+        """Ancestors of a cycle and its leaves are left out of the message."""
+        edges = [("r", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "leaf"),
+                 ("r", "x")]
+        with pytest.raises(ValidationError,
+                           match=r"cycle detected through node '[abc]'$"):
+            taxonomy.build_graph(edges)
+
+    def test_random_cycles_name_a_node_on_them(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            edges, _ = _random_dag(rng)
+            graph = taxonomy.build_graph(edges)
+            top = rng.choice(sorted(graph.nodes - graph.leaf_set))
+            below = sorted(_descendants(graph, top))
+            edges.insert(rng.randrange(len(edges) + 1), (rng.choice(below), top))
+            with pytest.raises(ValidationError) as exc:
+                taxonomy.build_graph(edges)
+            named = str(exc.value).split("node ")[1].strip("'")
+            cyclic = taxonomy.SynsetGraph(frozenset(), (), _children={
+                p: [c for q, c in edges if q == p] for p, _ in edges})
+            assert named in _descendants(cyclic, named), edges
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("root>a\nnonsense\n")
@@ -297,6 +320,17 @@ def _random_dag(rng):
              for p in rng.sample(range(c), min(c, rng.randint(1, 3)))]
     rng.shuffle(edges)
     return edges, {m for m in names if rng.random() < 0.3}
+
+
+def _descendants(graph, node):
+    """Nodes reachable from ``node`` by one or more child steps."""
+    seen, todo = set(), deque(graph.children_of(node))
+    while todo:
+        child = todo.popleft()
+        if child not in seen:
+            seen.add(child)
+            todo.extend(graph.children_of(child))
+    return seen
 
 
 class TestOnePassMatchesBfs:

@@ -60,6 +60,16 @@ class TestExtractFeatures:
                 np.testing.assert_array_equal(
                     rows, md.forward_eval(desk_ckpt, images, layer).reshape(70, -1))
 
+    def test_one_image_tail_joins_the_batch_before(self, desk_ckpt):
+        """33 images run as one batch, so the last image's fc1 features keep
+        the bytes they have inside a batch of 32."""
+        images = np.random.default_rng(41).random((64, 3, 32, 32))
+        assert transfer.FEATURE_BATCH == 32
+        for layer in ("pool2", "fc1"):
+            whole = transfer.extract_features(desk_ckpt, images, layer)
+            head = transfer.extract_features(desk_ckpt, images[:33], layer)
+            assert head.tobytes() == whole[:33].tobytes()
+
     def test_bit_identical_on_rerun(self, desk_ckpt):
         images = np.random.default_rng(10).random((4, 3, 32, 32))
         a = transfer.extract_features(desk_ckpt, images)
