@@ -278,10 +278,14 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
         np.divide(rows, norms[:, None], out=rows, where=norms[:, None] != 0.0)
         sides.append((rows, norms != 0.0))
     (mat_a, varies_a), (mat_b, varies_b) = sides
-    scores = np.clip(mat_a @ mat_b.T, -1.0, 1.0)
+    # clipped in place, since a clipped copy would hold a second N x M matrix
+    scores = mat_a @ mat_b.T
+    np.clip(scores, -1.0, 1.0, out=scores)
     # candidate band below threshold absorbs float rounding, so that
     # bit-identical pairs cannot be lost at threshold 1.0
-    candidates = (scores >= threshold - 1e-9) & varies_a[:, None] & varies_b
+    candidates = scores >= threshold - 1e-9
+    candidates &= varies_a[:, None]
+    candidates &= varies_b
     matches = []
     for i, j in zip(*np.nonzero(candidates)):
         id_a, id_b = set_a.samples[i].sample_id, set_b.samples[j].sample_id

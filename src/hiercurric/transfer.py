@@ -86,8 +86,12 @@ def extract_features(ckpt: md.Checkpoint, images: np.ndarray,
 def train_softmax_probe(rows, labels, cfg: nk.SgdConfig, iters: int, seeds):
     """Train P fc + softmax heads as one stacked problem per step; problem p
     has rows[p] (N, D) and labels[p] (N,), and draws its initial weights,
-    then its batches, from seeds[p]. Returns (W, b), (P, K, D) and (P, K),
-    each head's bytes equal to those of its problem trained alone."""
+    then its batches, from seeds[p]. Problems sharing a seed share its
+    initial weights and batches, drawn once from one generator. All heads
+    live in one parameter entry of shape (P, K*(D+1)), so a step is one
+    momentum update and one NaN scan. Returns (W, b), (P, K, D) and (P, K)
+    views of it, each head's bytes equal to those of its problem trained
+    alone."""
     if len({np.shape(r) for r in rows}) != 1:
         raise ValidationError("stacked probe problems differ in row shape")
     x, labels = np.asarray(rows), np.asarray(labels)
@@ -99,21 +103,35 @@ def train_softmax_probe(rows, labels, cfg: nk.SgdConfig, iters: int, seeds):
     if labels.min() < 0 or any(len(np.unique(y)) < 2 for y in labels):
         raise ValidationError("probe needs labels >= 0 and at least two classes")
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    w = nk.ParamEntry(np.stack([nk.default_init((*counts, x.shape[2]), rng)
-                                for rng in rngs]))
-    b = nk.ParamEntry(np.zeros(w.weight.shape[:2]))
-    problem = np.arange(len(x))[:, None]
-    batches = zip(*(dp.epoch_batches(rng, x.shape[1], cfg.batch_size) for rng in rngs))
-    for it, idx in zip(range(iters), map(np.stack, batches)):
-        xb = x[problem, idx]
-        logits = np.matmul(xb, w.weight.transpose(0, 2, 1)) + b.weight[:, None]
+    (k,), (n_problems, n, d) = counts, x.shape
+    distinct = list(dict.fromkeys(seeds))
+    stream = np.array([distinct.index(seed) for seed in seeds])
+    rngs = [np.random.default_rng(seed) for seed in distinct]
+    heads = nk.ParamEntry(np.zeros((n_problems, k * (d + 1))))
+    grads = np.empty_like(heads.weight)
+    (w, b), (dw, db) = _head_views(heads.weight, k, d), _head_views(grads, k, d)
+    w[...] = np.stack([nk.default_init((k, d), rng) for rng in rngs])[stream]
+    # problem p's batch rows, as rows of the (P*N, D) stack of all problems
+    first_row = np.arange(0, n_problems * n, n)[:, None]
+    x_rows, labels = x.reshape(-1, d), labels.ravel()
+    batches = zip(*(dp.epoch_batches(rng, n, cfg.batch_size) for rng in rngs))
+    for it, drawn in zip(range(iters), batches):
+        idx = np.stack(drawn)[stream]
+        idx += first_row
+        xb = np.take(x_rows, idx, axis=0)
+        logits = np.matmul(xb, w.transpose(0, 2, 1)) + b[:, None]
         nk._guard(logits)
-        _, grad = nk._xent_grad(logits, labels[problem, idx])
-        lr = nk.lr_schedule(cfg, it)
-        nk._momentum_step(w, np.matmul(grad.transpose(0, 2, 1), xb), lr, cfg)
-        nk._momentum_step(b, grad.sum(axis=1), lr, cfg)
-    return w.weight, b.weight
+        _, grad = nk._xent_grad(logits, np.take(labels, idx))
+        np.matmul(grad.transpose(0, 2, 1), xb, out=dw)
+        grad.sum(axis=1, out=db)
+        nk._momentum_step(heads, grads, nk.lr_schedule(cfg, it), cfg)
+    return w, b
+
+
+def _head_views(flat, k: int, d: int):
+    """(W, b) views, (P, K, D) and (P, K), of a (P, K*(D+1)) array; the
+    reshape raises rather than return a copy that writes would miss."""
+    return flat[:, :k * d].reshape(len(flat), k, d, copy=False), flat[:, k * d:]
 
 
 def mean_class_recall(predictions, labels, n_classes: int):

@@ -351,6 +351,22 @@ class TestCheckpointSweep:
         assert report.curves[0][0] == 640
         assert report.curves[0][1:3] == ("transfer", "mean_class_recall")
 
+    def test_three_checkpoints_equal_three_one_checkpoint_sweeps(self, bundle_pair):
+        data, bundle = bundle_pair
+        ckpts = []
+        for i, seed in enumerate((91, 92, 93)):
+            ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=seed,
+                                  init="scaled")
+            ckpt.iteration = 10 * (i + 1)
+            ckpts.append(ckpt)
+        probe = bm.probe_spec(seed=4)
+        report = cu.checkpoint_sweep(ckpts, data.manifest, bundle.images, probe,
+                                     bundle.labelmap)
+        alone = [cu.checkpoint_sweep([ckpt], data.manifest, bundle.images, probe,
+                                     bundle.labelmap).curves[0] for ckpt in ckpts]
+        assert [(it, split, metric, repr(v)) for it, split, metric, v in report.curves] \
+            == [(it, split, metric, repr(v)) for it, split, metric, v in alone]
+
     def test_descending_iterations_rejected(self, bundle_pair):
         data, bundle = bundle_pair
         a = md.build_model(bundle.model_spec.with_outputs(12), seed=1)

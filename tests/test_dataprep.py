@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,6 +330,33 @@ class TestFindOverlaps:
         assert [m[:2] for m in matches] == [("a002", "b001")]
         assert matches[0][2] >= 1 - 1e-12
         assert len(filtered) == len(man_a) - 1
+
+    def test_self_dedup_holds_one_score_matrix(self):
+        # 2,000 1x8x8 images: the 2,000 x 2,000 float64 scores are 30.5 MiB
+        # and each side's 32x32 comparison rows 15.6 MiB; a clipped copy of
+        # the scores on top of them peaked at 107.9 MiB
+        n = 2000
+        images = np.random.default_rng(13).random((n, 1, 8, 8))
+        images[1000] = images[3]
+        images[1500] = images[9]
+        images[1999] = images[7] * 2.0 + 1.0  # an affine copy scores 1 too
+        manifest = dp.DatasetManifest(tuple(
+            dp.Sample(f"s{i:04d}", f"s{i:04d}", "leaf") for i in range(n)))
+        tracemalloc.start()
+        try:
+            matches, filtered = dp.find_overlaps(manifest, manifest, 0.99,
+                                                 images, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90 * 2**20
+        copies = [("s0003", "s1000"), ("s0009", "s1500")]
+        assert matches[:4] == sorted([(a, b, 1.0) for a, b in copies]
+                                     + [(b, a, 1.0) for a, b in copies])
+        assert sorted(m[:2] for m in matches[4:]) == [("s0007", "s1999"),
+                                                      ("s1999", "s0007")]
+        assert all(1.0 - 1e-12 <= m[2] <= 1.0 for m in matches[4:])
+        assert len(filtered) == n - 6
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_images_not_aligned_to_manifest_rejected(self, side):

@@ -182,12 +182,22 @@ class TestStackedProbe:
                            for _ in range(n_problems)])
         return rows, labels
 
-    @pytest.mark.parametrize("n_problems,n,d,k,batch", CASES)
-    def test_each_head_equals_its_problem_alone(self, n_problems, n, d, k, batch):
+    # the CASES give each problem its own seed, 11, 12, ..; the repeated
+    # seeds share a generator, as a sweep's checkpoints repeat their splits'
+    REPEATED = [(5, 100, 64, 12, 32, [11, 12, 11, 12, 11]),
+                (3, 64, 16, 4, 32, [12, 11, 12]), (4, 37, 3, 2, 37, [7, 7, 7, 7])]
+    HEAD_CASES = (
+        [pytest.param(*case, None, id="-".join(map(str, case))) for case in CASES]
+        + [pytest.param(*case, id="-".join(map(str, case[:5])) + "-seeds-"
+                        + "-".join(map(str, case[5]))) for case in REPEATED])
+
+    @pytest.mark.parametrize("n_problems,n,d,k,batch,seeds", HEAD_CASES)
+    def test_each_head_equals_its_problem_alone(self, n_problems, n, d, k, batch,
+                                                seeds):
         rows, labels = self.problems(n_problems, n, d, k, seed=d)
         cfg = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.001,
                            lr_gamma=0.5, lr_step=20, batch_size=batch)
-        seeds = [11 + p for p in range(n_problems)]
+        seeds = seeds or [11 + p for p in range(n_problems)]
         w, b = transfer.train_softmax_probe(rows, labels, cfg, 60, seeds)
         assert w.shape == (n_problems, k, d) and b.shape == (n_problems, k)
         for p in range(n_problems):
@@ -195,6 +205,27 @@ class TestStackedProbe:
                                                   cfg, 60, seeds[p:p + 1])
             assert w[p].tobytes() == w1[0].tobytes()
             assert b[p].tobytes() == b1[0].tobytes()
+
+    def test_one_batch_stream_per_distinct_seed(self, monkeypatch):
+        rows, labels = self.problems(5, 40, 6, 3, seed=2)
+        epoch_batches, drawn = dp.epoch_batches, []
+
+        def spy(rng, n, batch_size):
+            drawn.append(n)
+            return epoch_batches(rng, n, batch_size)
+
+        monkeypatch.setattr(dp, "epoch_batches", spy)
+        w, _ = transfer.train_softmax_probe(rows, labels, nk.SgdConfig(batch_size=8),
+                                            30, [11, 12, 11, 12, 11])
+        assert drawn == [40, 40]
+        assert w[0].tobytes() != w[2].tobytes()  # same seed, other rows
+
+    def test_heads_are_views_of_one_entry(self):
+        rows, labels = self.problems(3, 20, 5, 4, seed=3)
+        w, b = transfer.train_softmax_probe(rows, labels, nk.SgdConfig(batch_size=8),
+                                            5, [1, 2, 1])
+        assert w.base is not None and w.base is b.base
+        assert w.base.shape == (3, 4 * (5 + 1))
 
     @pytest.mark.parametrize("n_problems,n,d,k,batch", CASES[:3])
     def test_heads_equal_the_kernel_path(self, n_problems, n, d, k, batch):
