@@ -4,7 +4,8 @@ A config is a JSON object, checked whole before any work happens. Each
 section is checked against its row of the key table below, or built into
 its dataclass, whose own range checks then run; each regime is built into
 its ``curriculum.Regime``, whose recipe checks run, and the model spec runs
-its shape chain. An unknown key, a missing required key, a value of the
+its shape chain; phase B's lowering must lower some of the model's conv
+layers. An unknown key, a missing required key, a value of the
 wrong type or out of range exits 2 with a message naming its dotted key
 path. Every seed must be written out explicitly; nothing is ever seeded
 from the clock.
@@ -126,6 +127,18 @@ def _check_regime(value, path):
         _regime(value, value.get("pretrain_categories", given))
 
 
+def _check_lowering(phase: dict, path: str, n_convs: int) -> None:
+    """Phase B's lowering keys lower at least one of the model's convs."""
+    prefix = phase.get("lowered_prefix", 0)
+    given = [k for k in ("lowered_prefix", "lowered_mult") if k in phase]
+    if given and (prefix == 0 or phase.get("lowered_mult", 1.0) == 1.0):
+        raise ValidationError(f"{path}.{given[0]}: lowers nothing; lowering "
+                              f"needs lowered_prefix >= 1 and lowered_mult < 1")
+    if prefix > n_convs:
+        raise ValidationError(f"{path}.lowered_prefix: {prefix} exceeds the "
+                              f"model's {n_convs} conv layers")
+
+
 # the keys of each section that has no dataclass, and their kinds; any key
 # named seed is required, and so is each key in _REQUIRED
 _SECTIONS = {
@@ -185,9 +198,14 @@ def validate_config(config: dict) -> dict:
     names = [r.get("name", r["kind"]) for r in config.get("regimes", [])]
     if len(set(names)) != len(names):
         raise ValidationError("regime names must be unique")
+    regimes = config.get("regimes") or [config["regime"]]
+    for i, regime in enumerate(regimes):
+        path = f"regimes[{i}]" if "regimes" in config else "regime"
+        _check_lowering(regime["phase_b"], f"{path}.phase_b",
+                        len(spec.conv_names()))
     if "cap" in data and all(
             cu.RECIPES[r["kind"]].phase_a not in ("basic", "subset")
-            for r in config.get("regimes") or [config["regime"]]):
+            for r in regimes):
         raise ValidationError("data.cap: no regime reads it; only a basic or "
                               "subset phase A trains on the capped set")
     if "transfer" in config:

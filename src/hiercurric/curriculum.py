@@ -145,16 +145,6 @@ def topk_accuracy(logits, labels, k: int) -> float:
     return float((ranked == labels[:, None]).any(axis=1).mean())
 
 
-def _eval_metrics(ckpt, images, rows, labels, batch_size):
-    logits = np.concatenate([
-        md.forward_eval(ckpt, images[rows[i:i + batch_size]])
-        for i in range(0, len(rows), batch_size)])
-    metrics = {"top1": topk_accuracy(logits, labels, 1)}
-    if logits.shape[1] >= 5:
-        metrics["top5"] = topk_accuracy(logits, labels, 5)
-    return metrics
-
-
 def _step(work, sgd, batch, labels, rng, iteration: int) -> float:
     """One SGD iteration; returns its loss. Its logits, caches and gradients
     are freed on return, before the next forward or an evaluation runs."""
@@ -170,10 +160,11 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
                 out_dir=None) -> tuple[md.Checkpoint, RunReport]:
     """Seeded mini-batch SGD at cfg.task_level; returns final state + curves.
 
-    Each batch is read from ``images`` through ``rows`` (sample id -> row),
-    so no split is copied. The input checkpoint is not mutated. Batches come
-    from a full seeded shuffle per epoch with the last partial batch kept;
-    the learning-rate schedule restarts at iteration 0 for the phase.
+    Each batch and each evaluation read ``images`` through ``rows`` (sample
+    id -> row), so no split is copied. The input checkpoint is not mutated.
+    Batches come from a full seeded shuffle per epoch with the last partial
+    batch kept; the learning-rate schedule restarts at iteration 0 for the
+    phase.
     """
     train_labels = np.array(labelmap.indices(train.leaf_ids(), cfg.task_level))
     val_labels = np.array(labelmap.indices(val.leaf_ids(), cfg.task_level))
@@ -191,8 +182,7 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     report = RunReport()
     out_path = Path(out_dir) if out_dir is not None else None
 
-    bs = cfg.sgd.batch_size
-    batches = dp.epoch_batches(rng, len(train_rows), bs)
+    batches = dp.epoch_batches(rng, len(train_rows), cfg.sgd.batch_size)
     for it, batch_idx in zip(range(cfg.max_iterations), batches):
         try:
             loss = _step(work, cfg.sgd, images[train_rows[batch_idx]],
@@ -203,7 +193,9 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
 
         done = it + 1
         if done % cfg.eval_every == 0 or done == cfg.max_iterations:
-            metrics = _eval_metrics(work, images, val_rows, val_labels, bs)
+            logits = md.forward_eval(work, images, rows=val_rows)
+            metrics = {f"top{k}": topk_accuracy(logits, val_labels, k)
+                       for k in (1, 5) if k <= logits.shape[1]}
             for name, value in metrics.items():
                 report.curves.append((done, "val", name, value))
         if done % cfg.checkpoint_every == 0 or done == cfg.max_iterations:

@@ -249,6 +249,17 @@ def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip((av @ bv) / (na * nb), -1.0, 1.0))
 
 
+def _unit_rows(manifest: DatasetManifest, forms: np.ndarray):
+    """The forms' standardized unit rows, and which forms vary; a constant
+    form's row stays zero, with a warning naming its sample."""
+    rows, norms = _standardize(forms)
+    for i in np.flatnonzero(norms == 0.0):
+        log.warning("skipping constant image %s in overlap search",
+                    manifest.samples[i].sample_id)
+    np.divide(rows, norms[:, None], out=rows, where=norms[:, None] != 0.0)
+    return rows, norms != 0.0
+
+
 def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
                   threshold: float, images_a: np.ndarray, images_b: np.ndarray):
     """All cross-set pairs whose correlation reaches ``threshold``.
@@ -268,16 +279,13 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
                                   f"{len(manifest)} manifest samples")
 
     forms_a = _comparison_forms(images_a)
-    forms_b = forms_a if images_b is images_a else _comparison_forms(images_b)
-    sides = []  # per set: its forms' unit rows, and which forms vary
-    for manifest, forms in ((set_a, forms_a), (set_b, forms_b)):
-        rows, norms = _standardize(forms)
-        for i in np.flatnonzero(norms == 0.0):
-            log.warning("skipping constant image %s in overlap search",
-                        manifest.samples[i].sample_id)
-        np.divide(rows, norms[:, None], out=rows, where=norms[:, None] != 0.0)
-        sides.append((rows, norms != 0.0))
-    (mat_a, varies_a), (mat_b, varies_b) = sides
+    mat_a, varies_a = _unit_rows(set_a, forms_a)
+    if images_b is images_a:
+        # a copy: numpy sends A @ A.T on one buffer to syrk, whose bytes differ
+        forms_b, mat_b, varies_b = forms_a, mat_a.copy(), varies_a
+    else:
+        forms_b = _comparison_forms(images_b)
+        mat_b, varies_b = _unit_rows(set_b, forms_b)
     # clipped in place, since a clipped copy would hold a second N x M matrix
     scores = mat_a @ mat_b.T
     np.clip(scores, -1.0, 1.0, out=scores)

@@ -375,21 +375,38 @@ def backward(params: dict[str, nk.ParamEntry], caches, dlogits) -> dict:
     return grads
 
 
-def forward_eval(ckpt: Checkpoint, batch, layer: str | None = None) -> np.ndarray:
-    """Deterministic output of ``layer`` (the logits when None).
+# rows of every eval forward, the last batch zero-padded: BLAS may round
+# other row counts differently, so one count makes an image's eval outputs
+# depend only on the checkpoint and that image. It also bounds activations.
+EVAL_BATCH = 32
 
-    Dropout runs in eval mode and no generator is consumed. Each layer's
-    cache is dropped as soon as it is made and the layers after ``layer``
-    do not run, so only the running activation stays alive.
+
+def forward_eval(ckpt: Checkpoint, images, layer: str | None = None,
+                 rows=None) -> np.ndarray:
+    """Deterministic output of ``layer`` (the logits when None), one row per
+    image of the ``(N, C, H, W)`` array ``images``, or of ``images[rows]``.
+
+    Each EVAL_BATCH-image batch is gathered on its own, so no selection is
+    copied. Dropout runs in eval mode and no generator is consumed. Each
+    layer's cache is dropped as soon as it is made and the layers after
+    ``layer`` do not run, so only the running activation stays alive.
     """
-    expected = (batch.shape[0],) + tuple(ckpt.spec.input_shape)
-    if tuple(batch.shape) != expected:
-        raise ValidationError(f"batch shape {batch.shape} != {expected}")
+    shape = tuple(ckpt.spec.input_shape)
+    if tuple(images.shape[1:]) != shape:
+        raise ValidationError(f"images shape {images.shape} != (N, *{shape})")
+    rows = np.arange(len(images)) if rows is None else np.asarray(rows)
+    if len(rows) == 0:
+        raise ValidationError("no images to evaluate")
     stop = len(ckpt.spec.layers) if layer is None else ckpt.spec.layer_index(layer) + 1
-    act = batch
-    for step in ckpt.spec.layers[:stop]:
-        act = _layer_forward(step, ckpt.params, act, "eval", None)[0]
-    return act
+    outs = []
+    for start in range(0, len(rows), EVAL_BATCH):
+        part = rows[start:start + EVAL_BATCH]
+        act = np.zeros((EVAL_BATCH,) + shape, images.dtype)
+        np.take(images, part, axis=0, out=act[:len(part)])
+        for step in ckpt.spec.layers[:stop]:
+            act = _layer_forward(step, ckpt.params, act, "eval", None)[0]
+        outs.append(act[:len(part)])
+    return np.concatenate(outs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,6 @@ log = logging.getLogger(__name__)
 PROBE_SGD = nk.SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.0,
                          lr_gamma=1.0, lr_step=10_000, batch_size=32)
 
-# images per eval forward in extract_features: it bounds the batch's layer
-# activations (a conv's im2col matrix is bounded by nnkernel.IM2COL_BYTES).
-# The features keep the bytes of 256-image batches. A one-image tail joins
-# the batch before it, since an fc layer's one-row product rounds differently
-FEATURE_BATCH = 32
-
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -68,19 +62,15 @@ def feature_layer(spec: md.ModelSpec, layer: str | None) -> str:
 
 
 def extract_features(ckpt: md.Checkpoint, images: np.ndarray,
-                     layer: str | None = None) -> np.ndarray:
+                     layer: str | None = None, rows=None) -> np.ndarray:
     """Eval-mode outputs of ``layer`` (default: the output head's input),
-    flattened to one row per image of the ``(N, C, H, W)`` array."""
-    name = feature_layer(ckpt.spec, layer)
-    starts = list(range(0, len(images), FEATURE_BATCH))
-    if len(starts) > 1 and len(images) % FEATURE_BATCH == 1:
-        del starts[-1]  # a one-image tail joins the batch before it
-    batches = (images[a:b] for a, b in zip(starts, starts[1:] + [len(images)]))
-    rows = np.concatenate([md.forward_eval(ckpt, batch, name).reshape(len(batch), -1)
-                           for batch in batches])
-    if not np.all(np.isfinite(rows)):
+    flattened to one row per image of the ``(N, C, H, W)`` array, or of
+    ``images[rows]`` (see :func:`md.forward_eval`)."""
+    out = md.forward_eval(ckpt, images, feature_layer(ckpt.spec, layer), rows)
+    features = out.reshape(len(out), -1)
+    if not np.all(np.isfinite(features)):
         raise ValidationError("non-finite feature values")
-    return rows
+    return features
 
 
 def train_softmax_probe(rows, labels, cfg: nk.SgdConfig, iters: int, seeds):
@@ -194,10 +184,10 @@ def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
             raise ValidationError("exact-duplicate images span train and test within "
                                   "a split; run overlap removal first")
 
-    # only the rows some split reads outlive extraction, renumbered in order
+    # only the rows some split reads are extracted, renumbered in order
     used = np.unique(np.concatenate([idx for split in every_split for idx in split]))
     labels = labels[used]
-    features = [extract_features(ckpt, images, probes[0].layer)[used] for ckpt in ckpts]
+    features = [extract_features(ckpt, images, probes[0].layer, used) for ckpt in ckpts]
     results = []
     for probe, spec_splits in zip(probes, splits):
         spec_splits = [[np.searchsorted(used, idx) for idx in split]

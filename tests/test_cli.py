@@ -504,6 +504,8 @@ INLINE = {"input_shape": [1, 8, 8],
 NAME_KIND = "non-empty str, one path component"
 MATRIX = [("regime", DELETE),
           ("regimes", [{"name": "a", "kind": "Reference", "phase_b": phase()}])]
+FACILITATED = {"kind": "FacilitatedReplicatedHead", "phase_a": phase(seed=8),
+               "phase_b": phase()}
 LATE_MATRIX = [("regime", DELETE), ("regimes", [
     {"name": "a", "kind": "Reference", "phase_b": phase()},
     {"name": "b", "kind": "RandomSubsetPretrain", "phase_a": phase(seed=8),
@@ -724,6 +726,29 @@ CONFIG_REJECTIONS = [
           "regime: lowered_prefix and lowered_mult act only on phase B"),
     _case("lowered-on-reference", ("regime.phase_b.lowered_mult", 0.5),
           "regime: Reference lowers no conv layers"),
+    # phase B lowering that lowers nothing, or more conv layers than exist
+    _case("lowered-mult-without-prefix",
+          [("regime", FACILITATED), ("regime.phase_b.lowered_mult", 0.1)],
+          "regime.phase_b.lowered_mult: lowers nothing"),
+    _case("lowered-mult-with-prefix-zero",
+          [("regime", FACILITATED), ("regime.phase_b.lowered_prefix", 0),
+           ("regime.phase_b.lowered_mult", 0.1)],
+          "regime.phase_b.lowered_prefix: lowers nothing"),
+    _case("lowered-prefix-without-mult",
+          [("regime", FACILITATED), ("regime.phase_b.lowered_prefix", 1)],
+          "regime.phase_b.lowered_prefix: lowers nothing"),
+    _case("lowered-prefix-mult-one",
+          [("regime", FACILITATED), ("regime.phase_b.lowered_prefix", 1),
+           ("regime.phase_b.lowered_mult", 1.0)],
+          "regime.phase_b.lowered_prefix: lowers nothing"),
+    _case("lowered-prefix-beyond-convs",
+          [("regime", FACILITATED), ("regime.phase_b.lowered_prefix", 5),
+           ("regime.phase_b.lowered_mult", 0.1)],
+          "regime.phase_b.lowered_prefix: 5 exceeds the model's 2 conv layers"),
+    _case("matrix-lowered-prefix-beyond-convs",
+          LATE_MATRIX + [("regimes.2.phase_b.lowered_prefix", 3),
+                         ("regimes.2.phase_b.lowered_mult", 0.1)],
+          "regimes[2].phase_b.lowered_prefix: 3 exceeds the model's 2 conv layers"),
     _case("subset-needs-categories", [("regime", SUBSET),
                                       ("regime.pretrain_sample", DELETE)],
           "regime: RandomSubsetPretrain needs pretrain categories"),
@@ -861,6 +886,15 @@ class TestConfigRejections:
                              str(tmp_path / "run"), *dry_run]) == EXIT_VALIDATION
             assert (f"error: regimes[0].name: must be {NAME_KIND}"
                     in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("edits, message", [
+        case for case in CONFIG_REJECTIONS if "lowered" in case.id])
+    def test_lowering_rejected_by_dry_run(self, tmp_path, capsys, edits, message):
+        config_path = _bad_config(tmp_path, edits)
+        assert cli.main(["train", "--config", str(config_path),
+                         "--dry-run"]) == EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_cap_read_by_one_regime_of_a_matrix_is_accepted(self, tmp_path):

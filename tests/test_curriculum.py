@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ class TestTrainPhase:
         assert [w for w, nxt in zip(starts, starts[1:]) if nxt == "forward"] == [
             "eval", "eval"]
         assert len(refs) > 3 * len(ckpt.params)
+
+    def test_one_eval_forward_per_evaluation(self, bundle_pair, monkeypatch):
+        """With an SGD batch of 8, each evaluation of a 33-image val set is
+        one md.forward_eval over all 33 rows."""
+        _, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=3,
+                              init="scaled")
+        val = bundle.val.subset(s.sample_id for s in bundle.val.samples[:33])
+        cfg = tiny_cfg(iters=6, eval_every=2)
+        cfg = replace(cfg, sgd=replace(cfg.sgd, batch_size=8))
+        forward_eval, calls = md.forward_eval, []
+
+        def spy_eval(ckpt, images, layer=None, rows=None):
+            calls.append(len(images) if rows is None else len(rows))
+            return forward_eval(ckpt, images, layer, rows)
+
+        monkeypatch.setattr(md, "forward_eval", spy_eval)
+        _, report = cu.train_phase(ckpt, cfg, bundle.train, val, bundle.labelmap,
+                                   bundle.images, bundle.rows)
+        assert calls == [33, 33, 33]
+        assert [row[0] for row in report.curves if row[2] == "top1"] == [2, 4, 6]
 
     def test_float32_model_trains_in_float32(self, bundle_pair):
         _, bundle = bundle_pair

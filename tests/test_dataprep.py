@@ -311,6 +311,29 @@ class TestFindOverlaps:
         assert "a000" in caplog.text
         assert matches == []
 
+    def test_self_dedup_warns_once_per_constant_image(self, caplog):
+        images = np.random.default_rng(14).random((4, 1, 8, 8))
+        images[2] = 0.25
+        manifest = dp.DatasetManifest(tuple(
+            dp.Sample(f"s{i}", f"s{i}", "leaf") for i in range(4)))
+        with caplog.at_level("WARNING"):
+            dp.find_overlaps(manifest, manifest, 0.99, images, images)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping constant image s2 in overlap search"]
+
+    def test_self_dedup_equals_a_dedup_against_a_copy(self):
+        """Standardized once, the self-comparison scores keep the bytes of
+        two sets standardized apart."""
+        rng = np.random.default_rng(15)
+        images = rng.random((300, 1, 8, 8))
+        images[200:] = images[:100] + rng.normal(0, 0.02, (100, 1, 8, 8))
+        manifest = dp.DatasetManifest(tuple(
+            dp.Sample(f"s{i:03d}", f"s{i:03d}", "leaf") for i in range(300)))
+        got = dp.find_overlaps(manifest, manifest, 0.9, images, images)
+        want = dp.find_overlaps(manifest, manifest, 0.9, images, images.copy())
+        assert len(got[0]) >= 200
+        assert got == want
+
     def test_filtered_never_grows(self):
         man_a, man_b, images_a, images_b = noise_sets(7)
         images_b[1] = images_a[1].copy()

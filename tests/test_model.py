@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiercurric import benchmark as bm
 from hiercurric import model as md
 from hiercurric import nnkernel as nk
 from hiercurric import taxonomy
 from hiercurric.errors import NumericFault, ValidationError
+
+
+def padded(images):
+    """``images`` zero-padded to one eval batch of ``md.EVAL_BATCH`` rows."""
+    batch = np.zeros((md.EVAL_BATCH,) + images.shape[1:])
+    batch[:len(images)] = images
+    return batch
 
 
 def desk_param_count_closed_form(n_outputs):
@@ -257,9 +265,9 @@ class TestForwardEval:
         ))
         ckpt = md.build_model(spec, seed=4)
         batch = np.random.default_rng(5).random((2, 1, 6, 6))
-        train_logits, _ = md.forward(spec, ckpt.params, batch, "train",
+        train_logits, _ = md.forward(spec, ckpt.params, padded(batch), "train",
                                      np.random.default_rng(0))
-        np.testing.assert_array_equal(train_logits, md.forward_eval(ckpt, batch))
+        np.testing.assert_array_equal(train_logits[:2], md.forward_eval(ckpt, batch))
 
     def test_batch_shape_checked(self):
         ckpt = md.build_model(md.desk_spec(4), seed=1)
@@ -301,8 +309,37 @@ class TestForwardEval:
     def test_default_is_forward_logits(self):
         ckpt = md.build_model(md.desk_spec(5), seed=6, init="scaled")
         x = np.random.default_rng(8).standard_normal((3, 3, 32, 32))
-        logits, _ = md.forward(ckpt.spec, ckpt.params, x, "eval")
-        assert md.forward_eval(ckpt, x).tobytes() == logits.tobytes()
+        logits, _ = md.forward(ckpt.spec, ckpt.params, padded(x), "eval")
+        assert md.forward_eval(ckpt, x).tobytes() == logits[:3].tobytes()
+
+    @pytest.mark.parametrize("make_spec", [bm.model_spec, md.desk_spec])
+    def test_image_outputs_do_not_depend_on_the_set(self, make_spec):
+        """Every set size from 1 to 69, and a row selection, give each image
+        the logits and head-input bytes it has in the whole set. Run at its
+        own row count, a batch of 1-18 images rounded differently on the
+        benchmark spec."""
+        ckpt = md.build_model(make_spec(12), seed=6, init="scaled")
+        images = np.random.default_rng(11).random((69,) + ckpt.spec.input_shape)
+        rows = np.random.default_rng(12).permutation(69)[:23]
+        for layer in (None, ckpt.spec.layers[-2].name):
+            whole = md.forward_eval(ckpt, images, layer)
+            for n in range(1, 70):
+                got = md.forward_eval(ckpt, images[:n], layer)
+                assert got.tobytes() == whole[:n].tobytes(), n
+            got = md.forward_eval(ckpt, images, layer, rows)
+            assert got.tobytes() == whole[rows].tobytes()
+
+    def test_rows_equal_the_gathered_images(self, small_ckpt):
+        images = np.random.default_rng(13).random((40,) + small_ckpt.spec.input_shape)
+        for rows in ([5], [39, 0, 7, 7, 12], np.arange(38, -1, -1)):
+            got = md.forward_eval(small_ckpt, images, rows=rows)
+            assert got.tobytes() == md.forward_eval(small_ckpt, images[rows]).tobytes()
+
+    def test_empty_selection_rejected(self, small_ckpt):
+        images = np.zeros((3,) + small_ckpt.spec.input_shape)
+        for args in ((images[:0],), (images, None, [])):
+            with pytest.raises(ValidationError, match="no images"):
+                md.forward_eval(small_ckpt, *args)
 
     def test_unknown_layer_rejected(self, small_ckpt):
         x = np.zeros((2,) + small_ckpt.spec.input_shape)

@@ -44,10 +44,10 @@ class TestExtractFeatures:
             rows, md.forward_eval(desk_ckpt, images, "drop1"))
 
     def test_batches_match_per_image_forwards(self, desk_ckpt):
-        """70 images run as 32 + 32 + 6. Conv features equal each image's
-        own forward. fc1's equal it to float64 rounding (a one-row GEMM
-        takes another BLAS path) and one 70-image forward exactly."""
-        assert 70 % transfer.FEATURE_BATCH
+        """70 images run as 32 + 32 + 6 padded to 32. Conv features equal
+        each image's own forward. fc1's equal it to float64 rounding and one
+        70-image forward exactly."""
+        assert 70 % md.EVAL_BATCH
         images = np.random.default_rng(40).random((70, 3, 32, 32))
         for layer, exact in (("pool2", True), ("fc1", False)):
             rows = transfer.extract_features(desk_ckpt, images, layer)
@@ -61,10 +61,10 @@ class TestExtractFeatures:
                     rows, md.forward_eval(desk_ckpt, images, layer).reshape(70, -1))
 
     def test_one_image_tail_joins_the_batch_before(self, desk_ckpt):
-        """33 images run as one batch, so the last image's fc1 features keep
-        the bytes they have inside a batch of 32."""
+        """33 images run as 32 + 1 padded to 32, so the last image's fc1
+        features keep the bytes they have inside a batch of 32."""
         images = np.random.default_rng(41).random((64, 3, 32, 32))
-        assert transfer.FEATURE_BATCH == 32
+        assert md.EVAL_BATCH == 32
         for layer in ("pool2", "fc1"):
             whole = transfer.extract_features(desk_ckpt, images, layer)
             head = transfer.extract_features(desk_ckpt, images[:33], layer)
@@ -80,6 +80,10 @@ class TestExtractFeatures:
         images = np.random.default_rng(20).random((3, 3, 32, 32))
         rows = transfer.extract_features(desk_ckpt, images, "relu3")
         assert rows.min() >= 0.0
+
+    def test_empty_selection_rejected(self, desk_ckpt):
+        with pytest.raises(ValidationError, match="no images"):
+            transfer.extract_features(desk_ckpt, np.zeros((0, 3, 32, 32)))
 
     def test_unknown_layer(self, desk_ckpt):
         with pytest.raises(ValidationError, match="nope"):
@@ -304,6 +308,28 @@ class TestEvaluateProbe:
                                        bundle.labelmap)
         assert a.aggregate == b.aggregate
         assert a.per_split[0][1] == b.per_split[0][1]
+
+    def test_extracts_only_the_rows_splits_read(self, bundle_pair, monkeypatch):
+        """One eval forward per checkpoint, over the 2 train and 2 test
+        images per class that the one split reads, in manifest order."""
+        data, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
+                              init="scaled")
+        manifest = small_manifest(data, per_class=8)
+        images = rows_of(bundle, manifest.samples)
+        probe = transfer.ProbeSpec(n_train_per_class=2, max_test_per_class=2,
+                                   n_splits=1, seed=3, iters=10)
+        forward_eval, selections = md.forward_eval, []
+
+        def spy_eval(ckpt, images, layer=None, rows=None):
+            selections.append(rows)
+            return forward_eval(ckpt, images, layer, rows)
+
+        monkeypatch.setattr(md, "forward_eval", spy_eval)
+        transfer.evaluate_probe([ckpt], manifest, images, [probe], bundle.labelmap)
+        (rows,) = selections
+        assert len(rows) == 12 * 4 < len(images)
+        assert np.all(np.diff(rows) > 0)
 
     def test_aggregate_is_mean_of_splits(self, bundle_pair):
         data, bundle = bundle_pair
