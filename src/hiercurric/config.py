@@ -195,9 +195,13 @@ def validate_config(config: dict) -> dict:
     if ("regime" in config) == ("regimes" in config):
         raise ValidationError(
             "config needs exactly one of 'regime' or 'regimes'")
-    names = [r.get("name", r["kind"]) for r in config.get("regimes", [])]
-    if len(set(names)) != len(names):
-        raise ValidationError("regime names must be unique")
+    # a matrix writes <out>/<name> beside <out>/MANIFEST.json, and a
+    # case-folding file system makes names equal ignoring case one path
+    names = [r.get("name", r["kind"]).casefold() for r in config.get("regimes", [])]
+    for i, name in enumerate(names):
+        if name in ["manifest.json", *names[:i]]:
+            raise ValidationError(f"regime names must be unique ignoring case "
+                                  f"and not MANIFEST.json: regimes[{i}].name")
     regimes = config.get("regimes") or [config["regime"]]
     for i, regime in enumerate(regimes):
         path = f"regimes[{i}]" if "regimes" in config else "regime"

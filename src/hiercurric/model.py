@@ -478,7 +478,7 @@ def set_layer_lr_mults(ckpt: Checkpoint, prefix_count: int, mult: float) -> Chec
 # checkpoint files
 
 _CKPT_MAGIC = b"HCCK"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 # the manifest's keys and their kinds (see strict.check); all are required
 _MANIFEST = {
     "spec": lambda v, path: strict.check(
@@ -494,7 +494,7 @@ _MANIFEST = {
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     """Magic, version u32, manifest length u64, the JSON manifest, each
-    entry's weight and momentum tensors, then a u32 CRC32 of all before it."""
+    entry's weight tensor (no momentum), then a u32 CRC32 of all before it."""
     payload = files.canonical_json({
         "spec": ckpt.spec.to_dict(),
         "iteration": ckpt.iteration,
@@ -503,8 +503,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
                     for n, e in ckpt.params.items()],
     })
     parts = [_CKPT_MAGIC, struct.pack("<IQ", _CKPT_VERSION, len(payload)), payload]
-    for e in ckpt.params.values():
-        parts += (nk.tensor_to_bytes(e.weight), nk.tensor_to_bytes(e.momentum))
+    parts += [nk.tensor_to_bytes(e.weight) for e in ckpt.params.values()]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -542,14 +541,10 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
         name = entry["name"]
         weight, used = nk.tensor_from_bytes(buf, offset)
         offset += used
-        momentum, used = nk.tensor_from_bytes(buf, offset)
-        offset += used
-        for what, arr in (("weight", weight), ("momentum", momentum)):
-            if arr.shape != shapes[name]:
-                raise ValidationError(
-                    f"checkpoint entry {name!r}: {what} shape {arr.shape} "
-                    f"!= {shapes[name]} of the spec")
-        params[name] = nk.ParamEntry(weight, momentum, entry["lr_mult"])
+        if weight.shape != shapes[name]:
+            raise ValidationError(f"checkpoint entry {name!r}: weight shape "
+                                  f"{weight.shape} != {shapes[name]} of the spec")
+        params[name] = nk.ParamEntry(weight, lr_mult=entry["lr_mult"])
     end = len(buf) - 4
     if offset > end:
         raise ValidationError("truncated checkpoint CRC32 trailer")

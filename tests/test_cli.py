@@ -818,6 +818,17 @@ CONFIG_REJECTIONS = [
         {"name": "a", "kind": "Reference", "phase_b": phase()},
         {"name": "a", "kind": "Reference", "phase_b": phase(seed=9)}])],
           "regime names must be unique"),
+    _case("regime-name-manifest", MATRIX + [("regimes.0.name", "MANIFEST.json")],
+          "regime names must be unique ignoring case and not MANIFEST.json: "
+          "regimes[0].name"),
+    _case("regime-name-manifest-case", MATRIX + [("regimes.0.name", "manifest.JSON")],
+          "regime names must be unique ignoring case and not MANIFEST.json: "
+          "regimes[0].name"),
+    _case("regime-names-repeat-case", MATRIX + [("regimes", [
+        {"name": "a", "kind": "Reference", "phase_b": phase()},
+        {"name": "A", "kind": "Reference", "phase_b": phase(seed=9)}])],
+          "regime names must be unique ignoring case and not MANIFEST.json: "
+          "regimes[1].name"),
     _case("regime-kinds-repeat", MATRIX + [("regimes", [
         {"kind": "Reference", "phase_b": phase()},
         {"kind": "Reference", "phase_b": phase(seed=9)}])],
@@ -1137,17 +1148,19 @@ class TestSweepCmd:
         assert "the manifest is empty" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_v1_checkpoint_exits_2(self, probe_fixtures, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_version_exits_2(self, probe_fixtures, tmp_path,
+                                            capsys, version):
         data_dir, ckpt_path, _ = probe_fixtures
         buf = ckpt_path.read_bytes()
-        ckpt_path.write_bytes(buf[:4] + struct.pack("<I", 1) + buf[8:])
+        ckpt_path.write_bytes(buf[:4] + struct.pack("<I", version) + buf[8:])
         out = tmp_path / "sweep"
         code = cli.main(["sweep", "--checkpoints", str(ckpt_path),
                          "--manifest", str(data_dir / "manifest.csv"),
                          "--images", str(data_dir), "--n-train", "2",
                          "--seed", "44", "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert ("error: unsupported checkpoint version 1"
+        assert (f"error: unsupported checkpoint version {version}"
                 in capsys.readouterr().err)
         assert not out.exists()
 

@@ -589,7 +589,7 @@ class TestCheckpointManifestChecks:
 
     def test_manifest_holds_only_its_four_keys(self):
         buf = self._buf()
-        assert struct.unpack_from("<I", buf, 4) == (2,)
+        assert struct.unpack_from("<I", buf, 4) == (3,)
         manifest = json.loads(buf[16:16 + struct.unpack_from("<Q", buf, 8)[0]])
         assert sorted(manifest) == ["entries", "iteration", "phase_tag", "spec"]
 
@@ -604,6 +604,21 @@ class TestCheckpointIO:
         assert md.checkpoint_to_bytes(loaded) == first
         assert loaded.iteration == 123
         assert loaded.phase_tag == small_ckpt.phase_tag
+
+    def test_file_holds_each_weight_once_and_no_momentum(self, small_ckpt):
+        """Header, manifest, one tensor per entry and the CRC32 trailer;
+        a loaded entry's momentum is zero, whatever the saved one held."""
+        buf = md.checkpoint_to_bytes(small_ckpt)
+        (length,) = struct.unpack_from("<Q", buf, 8)
+        weights = sum(len(nk.tensor_to_bytes(e.weight))
+                      for e in small_ckpt.params.values())
+        assert len(buf) == 16 + length + weights + 4
+        loaded = md.checkpoint_from_bytes(buf)
+        for name, e in loaded.params.items():
+            assert small_ckpt.params[name].momentum.any(), name
+            assert e.weight.tobytes() == small_ckpt.params[name].weight.tobytes()
+            assert e.momentum.shape == e.weight.shape
+            assert not e.momentum.any(), name
 
     def test_lr_mults_survive_round_trip(self, small_ckpt, tmp_path):
         ckpt = md.set_layer_lr_mults(small_ckpt, 2, 0.1)

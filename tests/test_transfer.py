@@ -309,6 +309,29 @@ class TestEvaluateProbe:
         assert a.aggregate == b.aggregate
         assert a.per_split[0][1] == b.per_split[0][1]
 
+    def test_results_do_not_read_momentum(self, bundle_pair, tmp_path):
+        """A checkpoint file holds no momentum, so the probe must not read it:
+        randomizing every momentum buffer leaves the written results
+        byte-equal."""
+        data, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=9,
+                              init="scaled")
+        noisy = ckpt.copy()
+        rng = np.random.default_rng(4)
+        for e in noisy.params.values():
+            e.momentum[...] = rng.standard_normal(e.momentum.shape)
+        manifest = small_manifest(data, per_class=8)
+        images = rows_of(bundle, manifest.samples)
+        probe = transfer.ProbeSpec(n_train_per_class=4, max_test_per_class=4,
+                                   n_splits=2, seed=3, iters=30)
+        results = transfer.evaluate_probe([ckpt, noisy], manifest, images,
+                                          [probe], bundle.labelmap)
+        for name, result in zip(("plain", "noisy"), results):
+            transfer.save_probe_result(result, tmp_path / name)
+        for name in ("probe.json", "per_class_recall.csv"):
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "noisy" / name).read_bytes())
+
     def test_extracts_only_the_rows_splits_read(self, bundle_pair, monkeypatch):
         """One eval forward per checkpoint, over the 2 train and 2 test
         images per class that the one split reads, in manifest order."""
