@@ -203,12 +203,17 @@ def random_class_splits(manifest: DatasetManifest, n_train_per_class: int,
 
 COMPARISON_RESOLUTION = 32
 DEFAULT_OVERLAP_THRESHOLD = 0.99
+# rows per side of one score tile: every GEMM multiplies two tiles of this
+# many unit rows, so a pair's score bytes do not depend on either set's size,
+# order or the pair's place in it
+OVERLAP_TILE = 256
 
 
-def _comparison_forms(images: np.ndarray) -> np.ndarray:
+def _comparison_forms(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each image of the ``(N, C, H, W)`` array averaged over channels, then
-    bilinearly resampled to the comparison square: one row per image, made
-    256 images at a time so that the temporaries stay small."""
+    bilinearly resampled to the comparison square: one row per image, written
+    into ``out`` (a new array if None) 64 images at a time so that the
+    temporaries stay small."""
     if images.ndim != 4:
         raise ValidationError(f"expected (N, C, H, W) images, got shape {images.shape}")
     h, w = images.shape[2:]
@@ -216,20 +221,21 @@ def _comparison_forms(images: np.ndarray) -> np.ndarray:
     y0, x0 = np.floor(ys).astype(int)[:, None], np.floor(xs).astype(int)
     y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
     fy, fx = ys[:, None] - y0, xs - x0
-    forms = np.empty((len(images), COMPARISON_RESOLUTION ** 2))
-    for i in range(0, len(images), 256):
-        gray = np.asarray(images[i:i + 256], dtype=np.float64).mean(axis=1)
+    forms = np.empty((len(images), COMPARISON_RESOLUTION ** 2)) if out is None else out
+    for i in range(0, len(images), 64):
+        gray = np.asarray(images[i:i + 64], dtype=np.float64).mean(axis=1)
         if (h, w) != (COMPARISON_RESOLUTION,) * 2:
             top = gray[:, y0, x0] * (1 - fx) + gray[:, y0, x1] * fx
             bot = gray[:, y1, x0] * (1 - fx) + gray[:, y1, x1] * fx
             gray = top * (1 - fy) + bot * fy
-        forms[i:i + 256] = gray.reshape(len(gray), -1)
+        forms[i:i + 64] = gray.reshape(len(gray), -1)
     return forms
 
 
-def _standardize(rows: np.ndarray):
-    """Each row less its own mean, and the norm of each centred row."""
-    centred = rows - np.array([row.mean() for row in rows])[:, None]
+def _standardize(rows: np.ndarray, out: np.ndarray | None = None):
+    """Each row less its own mean, written into ``out`` (a new array if
+    None), and the norm of each centred row."""
+    centred = np.subtract(rows, np.array([row.mean() for row in rows])[:, None], out=out)
     return centred, np.sqrt([row @ row for row in centred])
 
 
@@ -249,15 +255,21 @@ def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip((av @ bv) / (na * nb), -1.0, 1.0))
 
 
-def _unit_rows(manifest: DatasetManifest, forms: np.ndarray):
-    """The forms' standardized unit rows, and which forms vary; a constant
+def _unit_rows(manifest: DatasetManifest, images: np.ndarray):
+    """The images' standardized unit comparison rows in a buffer zero-padded
+    to whole tiles, and which rows vary (never a padding row); a constant
     form's row stays zero, with a warning naming its sample."""
-    rows, norms = _standardize(forms)
+    n = len(images)
+    rows = np.zeros((-(-n // OVERLAP_TILE) * OVERLAP_TILE, COMPARISON_RESOLUTION ** 2))
+    forms = _comparison_forms(images, out=rows[:n])
+    _, norms = _standardize(forms, out=forms)
     for i in np.flatnonzero(norms == 0.0):
         log.warning("skipping constant image %s in overlap search",
                     manifest.samples[i].sample_id)
-    np.divide(rows, norms[:, None], out=rows, where=norms[:, None] != 0.0)
-    return rows, norms != 0.0
+    np.divide(forms, norms[:, None], out=forms, where=norms[:, None] != 0.0)
+    varies = np.zeros(len(rows), dtype=bool)
+    varies[:n] = norms != 0.0
+    return rows, varies
 
 
 def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
@@ -270,6 +282,13 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
     matches are (id_a, id_b, score) sorted by descending score then ids;
     filtered_set_a drops every matched a-sample. Pairs sharing a sample_id
     are skipped (self-comparison). Constant images are skipped with a warning.
+
+    Scores are computed one ``OVERLAP_TILE`` x ``OVERLAP_TILE`` tile at a
+    time, each one GEMM of two zero-padded tiles of unit rows, so a pair's
+    score depends only on its two images, and memory holds each side's unit
+    rows and one tile of scores. A pair whose comparison forms are equal
+    scores exactly 1.0; its forms are made again from its two images to
+    check that.
     """
     if not 0 < threshold <= 1:
         raise ValidationError("threshold must be in (0, 1]")
@@ -278,32 +297,44 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
             raise ValidationError(f"set {name}: {len(images)} images for "
                                   f"{len(manifest)} manifest samples")
 
-    forms_a = _comparison_forms(images_a)
-    mat_a, varies_a = _unit_rows(set_a, forms_a)
-    if images_b is images_a:
-        # a copy: numpy sends A @ A.T on one buffer to syrk, whose bytes differ
-        forms_b, mat_b, varies_b = forms_a, mat_a.copy(), varies_a
-    else:
-        forms_b = _comparison_forms(images_b)
-        mat_b, varies_b = _unit_rows(set_b, forms_b)
-    # clipped in place, since a clipped copy would hold a second N x M matrix
-    scores = mat_a @ mat_b.T
-    np.clip(scores, -1.0, 1.0, out=scores)
+    same = images_b is images_a
+    mat_a, varies_a = _unit_rows(set_a, images_a)
+    mat_b, varies_b = (mat_a, varies_a) if same else _unit_rows(set_b, images_b)
+    tile = OVERLAP_TILE
+    scores = np.empty((tile, tile))
+    candidates = np.empty((tile, tile), dtype=bool)
     # candidate band below threshold absorbs float rounding, so that
     # bit-identical pairs cannot be lost at threshold 1.0
-    candidates = scores >= threshold - 1e-9
-    candidates &= varies_a[:, None]
-    candidates &= varies_b
+    band = threshold - 1e-9
     matches = []
-    for i, j in zip(*np.nonzero(candidates)):
-        id_a, id_b = set_a.samples[i].sample_id, set_b.samples[j].sample_id
-        if id_a == id_b:
-            continue
-        score = scores[i, j]
-        if np.array_equal(forms_a[i], forms_b[j]):
-            score = 1.0
-        if score >= threshold:
-            matches.append((id_a, id_b, float(score)))
+    for a0 in range(0, len(mat_a), tile):
+        for b0 in range(0, len(mat_b), tile):
+            rows_b = mat_b[b0:b0 + tile]
+            if same and a0 == b0:
+                # a copy: numpy sends A @ A.T on one buffer to syrk, whose
+                # bytes can differ from gemm's
+                rows_b = rows_b.copy()
+            np.matmul(mat_a[a0:a0 + tile], rows_b.T, out=scores)
+            np.clip(scores, -1.0, 1.0, out=scores)
+            np.greater_equal(scores, band, out=candidates)
+            candidates &= varies_a[a0:a0 + tile, None]
+            candidates &= varies_b[b0:b0 + tile]
+            if not candidates.any():  # most tiles; far cheaper than nonzero
+                continue
+            for i, j in zip(*np.nonzero(candidates)):
+                score = float(scores[i, j])
+                i, j = a0 + i, b0 + j
+                id_a, id_b = set_a.samples[i].sample_id, set_b.samples[j].sample_id
+                if id_a == id_b:
+                    continue
+                # equal forms give equal unit rows, whose dot is within
+                # rounding of 1, so only such a score can need the check
+                if score >= 1.0 - 1e-9 and np.array_equal(
+                        _comparison_forms(images_a[i:i + 1]),
+                        _comparison_forms(images_b[j:j + 1])):
+                    score = 1.0
+                if score >= threshold:
+                    matches.append((id_a, id_b, score))
     matches.sort(key=lambda m: (-m[2], m[0], m[1]))
     matched_a = {m[0] for m in matches}
     filtered = set_a.subset(s.sample_id for s in set_a.samples

@@ -381,6 +381,49 @@ class TestFindOverlaps:
         assert all(1.0 - 1e-12 <= m[2] <= 1.0 for m in matches[4:])
         assert len(filtered) == n - 6
 
+    def test_self_dedup_of_8000_images_holds_tiles_not_scores(self):
+        # 8,000 1x32x32 images: the padded unit rows are 64 MiB and a score
+        # tile 0.5 MiB; the whole 8,000 x 8,000 score matrix peaked at 738 MiB
+        n = 8000
+        images = np.random.default_rng(16).random((n, 1, 32, 32))
+        copies = [(k * 7, n - 1 - k) for k in range(8)]
+        for i, j in copies:
+            images[j] = images[i] * 1.5 + 0.25
+        manifest = dp.DatasetManifest(tuple(
+            dp.Sample(f"s{i:04d}", f"s{i:04d}", "leaf") for i in range(n)))
+        tracemalloc.start()
+        try:
+            matches, filtered = dp.find_overlaps(manifest, manifest, 0.99,
+                                                 images, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * 2**20
+        want = [(f"s{i:04d}", f"s{j:04d}") for i, j in copies]
+        assert sorted(m[:2] for m in matches) == sorted(want + [p[::-1] for p in want])
+        assert all(1.0 - 1e-12 <= m[2] <= 1.0 for m in matches)
+        assert len(filtered) == n - 16
+
+    def test_equal_forms_score_one_and_affine_copies_keep_their_score(self):
+        """Images whose channels are swapped have other bytes but equal
+        comparison forms, so they score exactly 1.0; an affine copy keeps
+        the score its tile gives it, below 1.0, and sorts after."""
+        rng = np.random.default_rng(3)
+        x, z = rng.random((2, 2, 16, 16))
+        man_a = dp.DatasetManifest((dp.Sample("a0", "a0", "leaf"),
+                                    dp.Sample("a1", "a1", "leaf")))
+        man_b = dp.DatasetManifest((dp.Sample("b0", "b0", "leaf"),
+                                    dp.Sample("b1", "b1", "leaf")))
+        images_a = np.stack([z, x])
+        images_b = np.stack([z * 2.0 + 1.0, x[::-1]])
+        assert not np.array_equal(images_a[1], images_b[1])
+        matches, _ = dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
+        assert [m[:2] for m in matches] == [("a1", "b1"), ("a0", "b0")]
+        assert matches[0][2] == 1.0
+        assert 1.0 - 1e-12 <= matches[1][2] < 1.0
+        exact, _ = dp.find_overlaps(man_a, man_b, 1.0, images_a, images_b)
+        assert exact == [("a1", "b1", 1.0)]
+
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_images_not_aligned_to_manifest_rejected(self, side):
         man_a, man_b, images_a, images_b = noise_sets(10)
@@ -390,6 +433,81 @@ class TestFindOverlaps:
             images_b = images_b[:-1]
         with pytest.raises(ValidationError, match=f"set {side}: 19 images for 20"):
             dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
+
+
+def planted_pool(seed):
+    """120 filler noise images, then 40 images x_k and their noisy copies
+    y_k, interleaved, each pair scoring between about 0.8 and 1."""
+    rng = np.random.default_rng(seed)
+    images = rng.random((200, 1, 32, 32))
+    for k in range(40):
+        x = images[120 + 2 * k]
+        images[121 + 2 * k] = x + rng.normal(0, 0.005 + 0.005 * k, x.shape)
+    ids = [f"f{i:03d}" for i in range(120)] + [
+        f"{side}{k:02d}" for k in range(40) for side in "xy"]
+    return ids, images
+
+
+def overlap_scores(ids_a, images_a, ids_b=None, images_b=None):
+    """{(id_a, id_b): score as float.hex} of every pair scoring >= 0.5."""
+    man_a = dp.DatasetManifest(tuple(dp.Sample(i, i, "leaf") for i in ids_a))
+    if ids_b is None:
+        man_b, images_b = man_a, images_a
+    else:
+        man_b = dp.DatasetManifest(tuple(dp.Sample(i, i, "leaf") for i in ids_b))
+    matches, _ = dp.find_overlaps(man_a, man_b, 0.5, images_a, images_b)
+    return {m[:2]: m[2].hex() for m in matches}
+
+
+class TestOverlapScoresPerPair:
+    """A pair's score bytes depend only on its two images: not on the set's
+    size or order, nor on the pair's place in its score tile."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        ids, images = planted_pool(17)
+        scores = overlap_scores(ids, images)
+        assert {(f"x{k:02d}", f"y{k:02d}") for k in range(40)} <= scores.keys()
+        return ids, images, scores
+
+    @pytest.mark.parametrize("shift", [1, 3, 37, 101, 255, 256])
+    def test_row_shift(self, reference, shift):
+        ids, images, want = reference
+        fill = np.random.default_rng(shift).random((shift, 1, 32, 32))
+        got = overlap_scores([f"g{i:03d}" for i in range(shift)] + ids,
+                             np.concatenate([fill, images]))
+        assert got == want
+
+    def test_reversed_order(self, reference):
+        ids, images, want = reference
+        assert overlap_scores(ids[::-1], images[::-1]) == want
+
+    def test_subset_of_five_by_nine(self, reference):
+        ids, images, want = reference
+        pos = {i: n for n, i in enumerate(ids)}
+        ids_a = [f"x{k:02d}" for k in (3, 11, 20, 28, 39)]
+        ids_b = [f"y{k:02d}" for k in (39, 5, 20, 3, 33, 28, 11, 0, 17)]
+        got = overlap_scores(ids_a, images[[pos[i] for i in ids_a]],
+                             ids_b, images[[pos[i] for i in ids_b]])
+        assert got == {pair: want[pair] for pair in want
+                       if pair[0] in ids_a and pair[1] in ids_b}
+        assert len(got) == 5
+
+    def test_two_sided_300_by_517(self, reference):
+        ids, images, want = reference
+        pos = {i: n for n, i in enumerate(ids)}
+        rng = np.random.default_rng(18)
+        xs, ys = ([f"{side}{k:02d}" for k in range(40)] for side in "xy")
+        fill_a, fill_b = rng.random((260, 1, 32, 32)), rng.random((477, 1, 32, 32))
+        ids_a = [f"g{i:03d}" for i in range(260)] + xs
+        ids_b = ys + [f"h{i:03d}" for i in range(477)]
+        order_a, order_b = rng.permutation(300), rng.permutation(517)
+        images_a = np.concatenate([fill_a, images[[pos[i] for i in xs]]])[order_a]
+        images_b = np.concatenate([images[[pos[i] for i in ys]], fill_b])[order_b]
+        got = overlap_scores([ids_a[i] for i in order_a], images_a,
+                             [ids_b[i] for i in order_b], images_b)
+        assert got == {pair: want[pair] for pair in want
+                       if pair[0][0] == "x" and pair[1][0] == "y"}
 
 
 class TestManifestIO:
