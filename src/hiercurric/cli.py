@@ -3,7 +3,8 @@
 Subcommands: taxonomy, synth, prepare, dedup, train, probe, sweep. All
 writes land under the chosen output directory; inputs are never mutated.
 Exit codes: 0 success, 2 config or validation error, 3 numeric fault,
-4 I/O error. Relative output paths resolve against $HIERCURRIC_OUT when set.
+4 I/O error, 130 interrupted (Ctrl-C). Relative output paths resolve
+against $HIERCURRIC_OUT when set.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# `train` runs its own threads, so its BLAS gets one per compute thread (set
-# before numpy loads; a user's setting wins). Other commands keep BLAS's pool.
+# `train` runs its conv work on two threads of its own, so its BLAS gets one
+# per compute thread (set before numpy loads; a user's setting wins). Other
+# commands keep BLAS's pool.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if sys.argv[1:2] == ["train"] and os.environ.keys().isdisjoint(_BLAS_THREADS):
     os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130
 
 # glibc mallopt (malloc.h): M_ARENA_MAX 1, M_MMAP_THRESHOLD 256 MiB and
 # M_TRIM_THRESHOLD 1 GiB, so freed memory stays in one heap for reuse
@@ -223,41 +226,29 @@ def cmd_train(args) -> int:
     files.write_json(manifest_path, {"config_hash": digest,
                                      "code_version": __version__, "config": config})
 
-    single = "regime" in config
-
-    def run_one(item):
-        name, regime = item
-        run_dir = out if single else out / name
-        ckpt, report = cu.run_regime(regime, bundle, out_dir=run_dir)
-        report.checkpoints = [str(Path(p).relative_to(out))
-                              for p in report.checkpoints]
-        cu.save_run_report(report, run_dir)
-        return name, ckpt, report
-
-    # a thread per regime up to the usable CPUs; there conv work runs inline,
-    # forward halves and backward alike (nnkernel._two_chains)
-    workers = min(len(regimes), len(os.sched_getaffinity(0))
-                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    run_dirs = {name: out if "regime" in config else out / name for name in regimes}
+    # regimes run in turn on the main thread, so each step's conv work has the
+    # conv worker's second core (nnkernel._two_chains); a final checkpoint is
+    # kept only for the transfer probe
+    finals = {}
     prev_checked = nk.set_checked(not args.unchecked)
     try:
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_one, regimes.items()))
-        else:
-            outcomes = [run_one(item) for item in regimes.items()]
-
-        for name, _, report in outcomes:
+        for name, regime in regimes.items():
+            ckpt, report = cu.run_regime(regime, bundle, out_dir=run_dirs[name])
+            report.checkpoints = [str(Path(p).relative_to(out))
+                                  for p in report.checkpoints]
+            cu.save_run_report(report, run_dirs[name])
             print(f"{name}: " + " ".join(
-                f"{k}={v:.4f}" for k, v in sorted(report.final.items())))
+                f"{k}={v:.4f}" for k, v in sorted(report.final.items())), flush=True)
+            if "transfer" in config:
+                finals[name] = ckpt
+            del ckpt  # not held while the next regime trains
 
         if "transfer" in config:
-            results = transfer.evaluate_probe(
-                [ckpt for _, ckpt, _ in outcomes], manifest, bundle.images,
-                [probe], labelmap)
-            for (name, _, _), result in zip(outcomes, results):
-                transfer.save_probe_result(
-                    result, (out if single else out / name) / "transfer")
+            results = transfer.evaluate_probe(list(finals.values()), manifest,
+                                              bundle.images, [probe], labelmap)
+            for name, result in zip(finals, results):
+                transfer.save_probe_result(result, run_dirs[name] / "transfer")
                 print(f"{name}: probe mean_class_recall="
                       f"{result.aggregate['mean']:.4f}")
     finally:
@@ -448,6 +439,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:

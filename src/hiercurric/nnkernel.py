@@ -253,7 +253,8 @@ def _two_chains(mine, theirs):
     """Run the chains ``theirs`` and ``mine``; returns mine's result. From
     the main thread ``theirs`` runs on the worker meanwhile, and both are
     done before this returns or raises, so their buffers may be freed. A
-    matrix run's regime threads, which share the cores, run both in turn."""
+    library caller's own threads, which may share the cores, run both in
+    turn."""
     if threading.current_thread() is not threading.main_thread():
         theirs()
         return mine()
@@ -314,11 +315,10 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
     empty (0, C, H, W) array in dout's dtype. Otherwise, on the main thread,
     the kernel gradient runs on a worker thread while the caller builds dx
     one kernel offset at a time (``_conv_dx``). Any other thread runs both
-    in turn, so regimes trained on parallel threads add no threads of their
-    own. The bytes are the same either way. The kernel gradient builds the
-    im2col matrix in spans of whole channels of at most IM2COL_BYTES, into
-    one buffer the caller allocates, and multiplies each span into its own
-    columns of dw.
+    in turn, so a library caller's own threads add no threads. The bytes
+    are the same either way. The kernel gradient builds the im2col matrix
+    in spans of whole channels of at most IM2COL_BYTES, into one buffer the
+    caller allocates, and multiplies each span into its own columns of dw.
     """
     xp, kernels, stride, groups = cache.xp, cache.kernels, cache.stride, cache.groups
     n, c, h, w = cache.x_shape

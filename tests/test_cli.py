@@ -450,18 +450,19 @@ class TestTrainCmd:
             assert (out / name / "final.json").exists()
 
     def test_two_jobs_write_the_tree_of_one(self, tmp_path, monkeypatch):
-        """A matrix on one usable CPU runs its regimes on the main thread; on
-        two, on two pool threads. Both write the same bytes."""
+        """A matrix runs its regimes in turn on the main thread, in config
+        order, on one usable CPU or two, and writes the same bytes."""
         regimes = [
             {"name": "reference", "kind": "Reference", "phase_b": phase()},
             {"name": "facilitated", "kind": "FacilitatedReplicatedHead",
              "phase_a": phase(seed=21), "phase_b": phase(seed=22)},
         ]
         config_path, _ = train_config(tmp_path, regimes=regimes)
-        run_regime, on_main = cu.run_regime, []
+        run_regime, on_main, order = cu.run_regime, [], []
 
         def spy(*args, **kw):
             on_main.append(threading.current_thread() is threading.main_thread())
+            order.append(Path(kw["out_dir"]).name)
             return run_regime(*args, **kw)
 
         monkeypatch.setattr(cu, "run_regime", spy)
@@ -473,9 +474,40 @@ class TestTrainCmd:
             assert cli.main(["train", "--config", str(config_path), "--out",
                              str(out)]) == EXIT_OK
             trees.append(_tree(out))
-        assert on_main == [True, True, False, False]
+        assert on_main == [True] * 4
+        assert order == ["reference", "facilitated"] * 2
         assert len(trees[0]) > 5
         assert trees[0] == trees[1]
+
+    def test_every_regime_of_a_matrix_uses_the_conv_worker(self, tmp_path,
+                                                            monkeypatch):
+        """Each regime's training forwards run their second batch half on
+        the conv worker thread; every first half or whole eval batch runs on
+        the main thread."""
+        regimes = [
+            {"name": "first", "kind": "Reference", "phase_b": phase()},
+            {"name": "second", "kind": "Reference", "phase_b": phase(seed=8)},
+        ]
+        config_path, _ = train_config(tmp_path, regimes=regimes)
+        run_regime, real_gemm, running, calls = cu.run_regime, nk._conv_gemm, [], []
+
+        def spy(*args, **kw):
+            running.append(Path(kw["out_dir"]).name)
+            return run_regime(*args, **kw)
+
+        def recording_gemm(*args):
+            lo = args[-2]  # a chain that starts past sample 0 is a second half
+            calls.append((running[-1], lo > 0, threading.current_thread()))
+            real_gemm(*args)
+
+        monkeypatch.setattr(cu, "run_regime", spy)
+        monkeypatch.setattr(nk, "_conv_gemm", recording_gemm)
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_OK
+        for name in ("first", "second"):
+            second = {t.name for n, half, t in calls if n == name and half}
+            assert second and all(t.startswith("conv-dw") for t in second), second
+            assert {t for n, half, t in calls if n == name and not half} == {
+                threading.main_thread()}
 
     def test_transfer_section_runs_probe(self, tmp_path):
         extra = {"transfer": {"n_train_per_class": 4, "max_test_per_class": 4,
@@ -1491,6 +1523,44 @@ class TestKilledRun:
         assert cli.main([*argv, "--out", str(tmp_path / "clean")]) == EXIT_OK
         rerun = {k: v for k, v in _tree(run).items() if k.suffix != ".tmp"}
         assert rerun == _tree(tmp_path / "clean")
+
+
+class TestInterruptedRun:
+    @pytest.mark.parametrize("matrix", [False, True], ids=["single", "matrix"])
+    def test_sigint_exits_130_and_leaves_loadable_files(self, tmp_path, matrix):
+        """SIGINT a ``train`` subprocess once its first checkpoint is on
+        disk: it prints ``interrupted`` and no traceback, exits 130, and
+        leaves no ``.tmp`` file and only checkpoints that load."""
+        long = {"kind": "FacilitatedReplicatedHead",
+                "phase_a": phase(iters=500, seed=8, eval_every=100,
+                                 checkpoint_every=20),
+                "phase_b": phase(iters=500, eval_every=100, checkpoint_every=100)}
+        if matrix:
+            config_path, _ = train_config(tmp_path, regimes=[
+                dict(long, name="a"), dict(long, name="b", kind="FacilitatedRandomHead")])
+        else:
+            config_path, _ = train_config(tmp_path, regime=long)
+        run = tmp_path / "run"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hiercurric.cli", "train", "--config",
+             str(config_path)],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            # a shell's background job ignores SIGINT, and its children inherit that
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            while not any(run.rglob("*.ckpt")) and proc.poll() is None:
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGINT)
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == cli.EXIT_INTERRUPTED, err
+        assert "Traceback" not in err and err.splitlines()[-1] == "interrupted", err
+        assert not list(run.rglob("*.tmp"))
+        for path in run.rglob("*.ckpt"):
+            md.load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
