@@ -2,9 +2,11 @@
 
 Subcommands: taxonomy, synth, prepare, dedup, train, probe, sweep. All
 writes land under the chosen output directory; inputs are never mutated.
-Exit codes: 0 success, 2 config or validation error, 3 numeric fault,
-4 I/O error, 130 interrupted (Ctrl-C). Relative output paths resolve
-against $HIERCURRIC_OUT when set.
+Exit codes: 0 success, 2 config or validation error (images included: each
+must be a finite CxHxW tensor), 3 numeric fault (every kernel output is
+scanned for NaN/Inf), 4 I/O error, 130 interrupted (Ctrl-C, or SIGTERM when
+run through ``entry``). Relative output paths resolve against
+$HIERCURRIC_OUT when set.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -31,7 +34,6 @@ from . import curriculum as cu
 from . import dataprep as dp
 from . import files
 from . import model as md
-from . import nnkernel as nk
 from . import strict, taxonomy, transfer
 from .errors import NumericFault, ValidationError
 
@@ -231,28 +233,24 @@ def cmd_train(args) -> int:
     # conv worker's second core (nnkernel._two_chains); a final checkpoint is
     # kept only for the transfer probe
     finals = {}
-    prev_checked = nk.set_checked(not args.unchecked)
-    try:
-        for name, regime in regimes.items():
-            ckpt, report = cu.run_regime(regime, bundle, out_dir=run_dirs[name])
-            report.checkpoints = [str(Path(p).relative_to(out))
-                                  for p in report.checkpoints]
-            cu.save_run_report(report, run_dirs[name])
-            print(f"{name}: " + " ".join(
-                f"{k}={v:.4f}" for k, v in sorted(report.final.items())), flush=True)
-            if "transfer" in config:
-                finals[name] = ckpt
-            del ckpt  # not held while the next regime trains
-
+    for name, regime in regimes.items():
+        ckpt, report = cu.run_regime(regime, bundle, out_dir=run_dirs[name])
+        report.checkpoints = [str(Path(p).relative_to(out))
+                              for p in report.checkpoints]
+        cu.save_run_report(report, run_dirs[name])
+        print(f"{name}: " + " ".join(
+            f"{k}={v:.4f}" for k, v in sorted(report.final.items())), flush=True)
         if "transfer" in config:
-            results = transfer.evaluate_probe(list(finals.values()), manifest,
-                                              bundle.images, [probe], labelmap)
-            for name, result in zip(finals, results):
-                transfer.save_probe_result(result, run_dirs[name] / "transfer")
-                print(f"{name}: probe mean_class_recall="
-                      f"{result.aggregate['mean']:.4f}")
-    finally:
-        nk.set_checked(prev_checked)
+            finals[name] = ckpt
+        del ckpt  # not held while the next regime trains
+
+    if "transfer" in config:
+        results = transfer.evaluate_probe(list(finals.values()), manifest,
+                                          bundle.images, [probe], labelmap)
+        for name, result in zip(finals, results):
+            transfer.save_probe_result(result, run_dirs[name] / "transfer")
+            print(f"{name}: probe mean_class_recall="
+                  f"{result.aggregate['mean']:.4f}")
     return EXIT_OK
 
 
@@ -370,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="overrides output.directory")
     p.add_argument("--dry-run", action="store_true",
                    help="validate and print the shape chain, then stop")
-    p.add_argument("--unchecked", action="store_true",
-                   help="disable NaN/Inf faulting for long runs")
     p.set_defaults(func=cmd_train)
 
     # probe and sweep read the same data and probe settings
@@ -445,6 +441,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # SIGTERM ends a run as Ctrl-C does; main installs no handler, so an
+    # in-process caller keeps its own
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     sys.exit(main())
 
 

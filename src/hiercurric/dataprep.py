@@ -365,15 +365,27 @@ class RawFileStore:
         return nk.load_tensor(self.root / sample.source).astype(np.float64)
 
 
+def _load_image(store, sample: Sample) -> np.ndarray:
+    """A sample's image, checked to be a finite, non-empty CxHxW tensor."""
+    image = store.load(sample)
+    if image.ndim != 3 or not image.size:
+        raise ValidationError(f"image {sample.sample_id!r} has shape {image.shape}, "
+                              f"not a non-empty CxHxW tensor")
+    if not np.isfinite(image).all():
+        raise ValidationError(f"image {sample.sample_id!r} holds NaN or Inf")
+    return image
+
+
 def load_batch(store, samples) -> np.ndarray:
     """The samples' images in one ``(N, C, H, W)`` array, filled as they
-    load; each image must have the first one's shape, and takes its dtype."""
+    load; each image is checked as it loads, must have the first one's
+    shape, and takes its dtype."""
     if not samples:
         raise ValidationError("no samples to load: the manifest is empty")
-    first = store.load(samples[0])
+    first = _load_image(store, samples[0])
     batch = np.empty((len(samples), *first.shape), first.dtype)
     for i, sample in enumerate(samples):
-        image = store.load(sample) if i else first
+        image = _load_image(store, sample) if i else first
         if image.shape != first.shape:
             raise ValidationError(
                 f"image {sample.sample_id!r} has shape {image.shape}, but "

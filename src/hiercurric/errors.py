@@ -20,4 +20,4 @@ class ZeroVarianceError(ValueError):
 
 
 class NumericFault(ArithmeticError):
-    """NaN or Inf produced by a kernel while checked mode is active."""
+    """NaN or Inf in a kernel output or a loss."""

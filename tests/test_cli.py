@@ -372,12 +372,14 @@ class TestTrainCmd:
         assert code == EXIT_VALIDATION
         assert match in capsys.readouterr().err
 
-    def test_unchecked_run_restores_checked_mode(self, tmp_path):
+    def test_unchecked_flag_exits_2(self, tmp_path, capsys):
+        """The NaN/Inf scan has no off switch."""
         config_path, _ = train_config(tmp_path, iters=2)
-        assert nk.checked_enabled()
-        assert cli.main(["train", "--config", str(config_path),
-                         "--unchecked"]) == EXIT_OK
-        assert nk.checked_enabled()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(config_path), "--unchecked"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments: --unchecked" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "none.json")]) \
@@ -1197,6 +1199,16 @@ class TestSweepCmd:
         assert not out.exists()
 
 
+def _poison(data_dir, index, value):
+    """Set one pixel of the manifest's ``index``-th tensor to ``value``;
+    returns its sample."""
+    sample = dp.load_manifest(data_dir / "manifest.csv").samples[index]
+    image = nk.load_tensor(data_dir / sample.source)
+    image[0, 2, 3] = value
+    nk.save_tensor(image, data_dir / sample.source)
+    return sample
+
+
 class TestImageLoads:
     def test_each_command_loads_each_image_once(self, probe_fixtures, tmp_path,
                                                 monkeypatch):
@@ -1303,8 +1315,67 @@ class TestImageLoads:
         out = tmp_path / "run"
         code = cli.main(["train", "--config", str(config), "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert (f"error: images of shape {got} do not fit model input_shape "
-                f"{tuple(input_shape)}") in capsys.readouterr().err
+        # an image that is not CxHxW is rejected as it loads
+        assert (f"has shape {got}, not a non-empty CxHxW tensor" if images == "2-D"
+                else f"error: images of shape {got} do not fit model input_shape "
+                     f"{tuple(input_shape)}") in capsys.readouterr().err
+        assert not (out / "MANIFEST.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_dedup_of_a_non_finite_image_exits_2(self, probe_fixtures, tmp_path,
+                                                  capsys, bad):
+        data_dir, _, _ = probe_fixtures
+        sample = _poison(data_dir, 6, bad)
+        out = tmp_path / "dedup"
+        code = cli.main(["dedup", "--manifest-a", str(data_dir / "manifest.csv"),
+                         "--images-a", str(data_dir), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"error: image {sample.sample_id!r} holds NaN or Inf"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_dedup_of_zero_size_images_exits_2(self, probe_fixtures, tmp_path,
+                                               capsys):
+        data_dir, _, _ = probe_fixtures
+        samples = dp.load_manifest(data_dir / "manifest.csv").samples
+        for sample in samples:
+            nk.save_tensor(np.zeros((3, 0, 16), np.float32), data_dir / sample.source)
+        out = tmp_path / "dedup"
+        code = cli.main(["dedup", "--manifest-a", str(data_dir / "manifest.csv"),
+                         "--images-a", str(data_dir), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"error: image {samples[0].sample_id!r} has shape (3, 0, 16), not "
+                f"a non-empty CxHxW tensor") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_of_a_nan_image_exits_2(self, probe_fixtures, tmp_path, capsys):
+        data_dir, ckpt_path, _ = probe_fixtures
+        sample = _poison(data_dir, 9, np.nan)
+        out = tmp_path / "probe"
+        code = cli.main(["probe", "--checkpoint", str(ckpt_path),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "33", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"error: image {sample.sample_id!r} holds NaN or Inf"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_train_on_a_nan_image_exits_2_and_writes_no_manifest(
+            self, probe_fixtures, tmp_path, capsys):
+        data_dir, _, _ = probe_fixtures
+        (train, _), = dp.random_class_splits(
+            dp.load_manifest(data_dir / "manifest.csv"), 4, 2, 1, seed=6)
+        sample = train.samples[0]
+        nk.save_tensor(np.full((1, 8, 8), np.nan, np.float32), data_dir / sample.source)
+        config = file_backed_config(data_dir, tmp_path, regime={
+            "kind": "Reference", "phase_b": phase()})
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"error: image {sample.sample_id!r} holds NaN or Inf"
+                in capsys.readouterr().err)
         assert not (out / "MANIFEST.json").exists()
 
     @pytest.mark.parametrize("command,layer,message", [
@@ -1527,10 +1598,13 @@ class TestKilledRun:
 
 class TestInterruptedRun:
     @pytest.mark.parametrize("matrix", [False, True], ids=["single", "matrix"])
-    def test_sigint_exits_130_and_leaves_loadable_files(self, tmp_path, matrix):
-        """SIGINT a ``train`` subprocess once its first checkpoint is on
-        disk: it prints ``interrupted`` and no traceback, exits 130, and
-        leaves no ``.tmp`` file and only checkpoints that load."""
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_exits_130_and_leaves_loadable_files(self, tmp_path, signum,
+                                                        matrix):
+        """SIGINT or SIGTERM a ``train`` subprocess once its first checkpoint
+        is on disk: it prints ``interrupted`` and no traceback, exits 130,
+        and leaves no ``.tmp`` file and only checkpoints that load."""
         long = {"kind": "FacilitatedReplicatedHead",
                 "phase_a": phase(iters=500, seed=8, eval_every=100,
                                  checkpoint_every=20),
@@ -1551,7 +1625,7 @@ class TestInterruptedRun:
         try:
             while not any(run.rglob("*.ckpt")) and proc.poll() is None:
                 time.sleep(0.001)
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             err = proc.communicate(timeout=60)[1]
         finally:
             proc.kill()

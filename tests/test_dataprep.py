@@ -539,6 +539,21 @@ class TestManifestIO:
         with pytest.raises(ValidationError, match="'s1' has shape .*'s0' has"):
             dp.load_batch(Store(), samples)
 
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((2, 2)), r"has shape \(2, 2\), not a non-empty CxHxW"),
+        (np.ones((1, 0, 2)), r"has shape \(1, 0, 2\), not a non-empty CxHxW"),
+        (np.full((1, 2, 2), np.nan), "holds NaN or Inf"),
+        (np.full((1, 2, 2), -np.inf), "holds NaN or Inf"),
+    ], ids=["2-D", "zero-size", "nan", "inf"])
+    def test_load_batch_rejects_a_bad_image_naming_it(self, bad, message, position):
+        images = {f"s{i}": np.ones((1, 2, 2)) for i in range(3)}
+        images[f"s{position}"] = bad
+        samples = [dp.Sample(k, k, "leaf") for k in images]
+        store = dp.InMemoryStore(images)
+        with pytest.raises(ValidationError, match=f"image 's{position}' {message}"):
+            dp.load_batch(store, samples)
+
     def test_save_dataset_reruns_byte_identical(self, tmp_path):
         spec = dp.SynthSpec(2, 2, noise_scale=0.05, samples_per_sub=2, seed=9)
         outs = []

@@ -57,7 +57,7 @@ def naive_conv2d_backward(dout, x, kernels, stride, pad, groups=1):
 
 def naive_maxpool(x, window, stride):
     """(out, argmax) by loops: the argmax is the lowest flat offset holding
-    the window's max, or its first NaN; out is the value at that offset."""
+    the window's max; out is the value at that offset."""
     n, c, h, w = x.shape
     out_h = (h - window) // stride + 1
     out_w = (w - window) // stride + 1
@@ -71,20 +71,11 @@ def naive_maxpool(x, window, stride):
                               xo * stride:xo * stride + window].ravel()
                     best = 0
                     for k in range(1, patch.size):
-                        if math.isnan(patch[best]):
-                            break
-                        if math.isnan(patch[k]) or patch[k] > patch[best]:
+                        if patch[k] > patch[best]:
                             best = k
                     out[ni, ci, y, xo] = patch[best]
                     argmax[ni, ci, y, xo] = best
     return out, argmax
-
-
-@pytest.fixture
-def unchecked():
-    prev = nk.set_checked(False)
-    yield
-    nk.set_checked(prev)
 
 
 class TestConvForward:
@@ -651,15 +642,23 @@ class TestMaxPool:
         (-1.0, 0.0, 1.0),                                # many ties
         (0.0, -0.0, np.inf, -np.inf, 1.0, -1.0),
         (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0),
-    ], ids=["signed-zeros", "ties", "infinities", "nans"])
+        (0.0, -0.0, -np.inf, 1.0, -1.0),                 # finite maxima
+    ], ids=["signed-zeros", "ties", "infinities", "nans", "neg-infinities"])
     @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
     @pytest.mark.parametrize("layout", ["nchw", "k-major"])
-    def test_bytes_and_argmax_match_naive(self, unchecked, values, window,
-                                          stride, layout):
+    def test_bytes_and_argmax_match_naive(self, values, window, stride, layout):
+        """Finite pooled outputs match the naive loops byte for byte; a
+        window whose max is NaN or infinite faults."""
         rng = np.random.default_rng([window, stride, len(values)])
         x = rng.choice(np.array(values), size=(2, 3, 9, 8))
         if layout == "k-major":  # a conv output: (K, N, H, W) memory, seen as NCHW
             x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+        if not np.isfinite(windows.max(axis=(4, 5))).all():  # max propagates NaN
+            with pytest.raises(NumericFault):
+                nk.maxpool_forward(x, window, stride)
+            return
         out, cache = nk.maxpool_forward(x, window, stride)
         ref_out, ref_argmax = naive_maxpool(x, window, stride)
         assert out.tobytes() == ref_out.tobytes()
@@ -869,13 +868,42 @@ class TestCheckedMode:
         with pytest.raises(NumericFault):
             nk.relu_forward(x)
 
-    def test_unchecked_lets_nan_through(self):
-        prev = nk.set_checked(False)
-        try:
-            out, _ = nk.relu_forward(np.array([[np.nan]]))
-            assert np.isnan(out).any()
-        finally:
-            nk.set_checked(prev)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", [
+        "conv2d_forward", "conv2d_backward", "maxpool_forward", "pool_backward",
+        "relu_forward", "relu_backward", "fc_forward", "fc_backward",
+        "dropout_forward", "dropout_backward", "softmax_xent"])
+    def test_every_kernel_faults_on_a_non_finite_output(self, kernel, bad):
+        """One bad input value reaches each kernel's output, and no setting
+        lets it through."""
+        assert nk.checked_enabled() and not hasattr(nk, "set_checked")
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 2, 4, 4))
+        fc_x = x.reshape(2, -1)
+        weight, kernels = rng.standard_normal((3, 32)), rng.standard_normal((2, 2, 3, 3))
+        poisoned = x.copy()
+        poisoned[0, 0, 1, 1] = bad
+        fc_poisoned, logits = poisoned.reshape(2, -1), np.zeros((2, 3))
+        logits[0, 1] = bad
+        calls = {
+            "conv2d_forward": lambda: nk.conv2d_forward(poisoned, kernels, np.zeros(2)),
+            "conv2d_backward": lambda: nk.conv2d_backward(
+                poisoned[:, :, :2, :2], nk.conv2d_forward(x, kernels, np.zeros(2))[1]),
+            "maxpool_forward": lambda: nk.maxpool_forward(poisoned, 2, 2),
+            "pool_backward": lambda: nk.pool_backward(
+                poisoned[:, :, :2, :2], nk.maxpool_forward(x, 2, 2)[1]),
+            "relu_forward": lambda: nk.relu_forward(poisoned),
+            "relu_backward": lambda: nk.relu_backward(poisoned, np.ones_like(x)),
+            "fc_forward": lambda: nk.fc_forward(fc_poisoned, weight, np.zeros(3)),
+            "fc_backward": lambda: nk.fc_backward(
+                logits, nk.fc_forward(fc_x, weight, np.zeros(3))[1]),
+            "dropout_forward": lambda: nk.dropout_forward(poisoned, 0.5, "train", rng),
+            "dropout_backward": lambda: nk.dropout_backward(
+                poisoned, rng.random(x.shape) >= 0.5, 0.5),
+            "softmax_xent": lambda: nk.softmax_xent(logits, [0, 1]),
+        }
+        with pytest.raises(NumericFault), np.errstate(all="ignore"):
+            calls[kernel]()
 
 
 class TestTensorIO:
