@@ -281,7 +281,9 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
     so the two may differ in image shape. Returns (matches, filtered_set_a):
     matches are (id_a, id_b, score) sorted by descending score then ids;
     filtered_set_a drops every matched a-sample. Pairs sharing a sample_id
-    are skipped (self-comparison). Constant images are skipped with a warning.
+    are skipped (self-comparison). Constant images are skipped with a warning;
+    an image that is not a finite, non-empty CxHxW tensor raises
+    ValidationError naming its set and sample, before any scoring.
 
     Scores are computed one ``OVERLAP_TILE`` x ``OVERLAP_TILE`` tile at a
     time, each one GEMM of two zero-padded tiles of unit rows, so a pair's
@@ -296,6 +298,10 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
         if len(images) != len(manifest):
             raise ValidationError(f"set {name}: {len(images)} images for "
                                   f"{len(manifest)} manifest samples")
+        if images.ndim != 4 or not images.size or not np.isfinite(images).all():
+            # name the first image that fails (an empty set has none)
+            for sample, image in zip(manifest.samples, images):
+                _check_image(image, f"set {name}: image {sample.sample_id!r}")
 
     same = images_b is images_a
     mat_a, varies_a = _unit_rows(set_a, images_a)
@@ -365,15 +371,20 @@ class RawFileStore:
         return nk.load_tensor(self.root / sample.source).astype(np.float64)
 
 
-def _load_image(store, sample: Sample) -> np.ndarray:
-    """A sample's image, checked to be a finite, non-empty CxHxW tensor."""
-    image = store.load(sample)
+def _check_image(image: np.ndarray, what: str) -> np.ndarray:
+    """``image``, checked to be a finite, non-empty CxHxW tensor; an error
+    names it ``what``."""
     if image.ndim != 3 or not image.size:
-        raise ValidationError(f"image {sample.sample_id!r} has shape {image.shape}, "
+        raise ValidationError(f"{what} has shape {image.shape}, "
                               f"not a non-empty CxHxW tensor")
     if not np.isfinite(image).all():
-        raise ValidationError(f"image {sample.sample_id!r} holds NaN or Inf")
+        raise ValidationError(f"{what} holds NaN or Inf")
     return image
+
+
+def _load_image(store, sample: Sample) -> np.ndarray:
+    """A sample's image, checked by :func:`_check_image`."""
+    return _check_image(store.load(sample), f"image {sample.sample_id!r}")
 
 
 def load_batch(store, samples) -> np.ndarray:

@@ -359,8 +359,10 @@ def backward(params: dict[str, nk.ParamEntry], caches, dlogits) -> dict:
     """Backpropagate through cached layers; returns every parameter's
     gradient by entry name, in that parameter's dtype.
 
-    Nothing reads the gradient with respect to the network's input, so the
-    first layer is asked not to compute it (a conv layer then skips its
+    Consumes ``caches``: as each layer's backward returns, its entry becomes
+    ``(layer, None)``, so the step holds only the caches its remaining layers
+    read. Nothing reads the gradient with respect to the network's input, so
+    the first layer is asked not to compute it (a conv layer then skips its
     input-gradient GEMM and col2im).
     """
     grad, grads = dlogits, {}
@@ -370,6 +372,8 @@ def backward(params: dict[str, nk.ParamEntry], caches, dlogits) -> dict:
             grad, layer_grads = layer.backward(grad, cache, need_dx=i > 0)
         except NumericFault as exc:
             raise NumericFault(f"layer {layer.name!r} backward: {exc}") from exc
+        caches[i] = (layer, None)
+        del cache
         for name, g in layer_grads.items():
             grads[name] = g.astype(params[name].weight.dtype, copy=False)
     return grads

@@ -397,13 +397,16 @@ def pool_backward(dout, cache: PoolCache):
 
 
 def relu_forward(x):
+    """Returns ``max(x, 0)`` and, as its cache, the bool mask ``out > 0``
+    (equal to ``x > 0`` for finite ``x``), a byte per value in place of the
+    input."""
     out = np.maximum(x, 0.0)
     _guard(out)
-    return out, x
+    return out, out > 0
 
 
 def relu_backward(dout, cache):
-    dx = dout * (cache > 0)
+    dx = dout * cache
     _guard(dx)
     return dx
 

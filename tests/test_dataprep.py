@@ -434,6 +434,38 @@ class TestFindOverlaps:
         with pytest.raises(ValidationError, match=f"set {side}: 19 images for 20"):
             dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_image_rejected_naming_set_and_sample(self, side, bad):
+        man_a, man_b, images_a, images_b = noise_sets(11)
+        (images_a if side == "a" else images_b)[3, 0, 5, 5] = bad
+        with pytest.raises(ValidationError,
+                           match=rf"^set {side}: image '{side}003' holds NaN or Inf$"):
+            dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
+
+    def test_self_dedup_of_a_nan_duplicate_pair_raises(self, caplog):
+        """Unchecked, the pair scored NaN and silently matched nothing."""
+        images = np.random.default_rng(16).random((4, 1, 8, 8))
+        images[0, 0, 2, 2] = np.nan
+        images[3] = images[0]
+        manifest = dp.DatasetManifest(tuple(
+            dp.Sample(f"s{i}", f"s{i}", "leaf") for i in range(4)))
+        with caplog.at_level("WARNING"), pytest.raises(
+                ValidationError, match=r"^set a: image 's0' holds NaN or Inf$"):
+            dp.find_overlaps(manifest, manifest, 0.99, images, images)
+        assert not caplog.records  # raised before any scoring
+
+    @pytest.mark.parametrize("shape", [(4, 0, 8, 8), (4, 1, 0, 8), (4, 1, 8, 0)],
+                             ids=["channels", "height", "width"])
+    def test_zero_size_images_rejected(self, shape):
+        manifest = dp.DatasetManifest(tuple(
+            dp.Sample(f"s{i}", f"s{i}", "leaf") for i in range(4)))
+        man_b, _, images_b, _ = noise_sets(12, n_a=4)
+        with pytest.raises(ValidationError,
+                           match=rf"^set b: image 's0' has shape \({shape[1]}, "
+                                 rf"{shape[2]}, {shape[3]}\), not a non-empty CxHxW"):
+            dp.find_overlaps(man_b, manifest, 0.99, images_b, np.zeros(shape))
+
 
 def planted_pool(seed):
     """120 filler noise images, then 40 images x_k and their noisy copies

@@ -199,10 +199,14 @@ def test_composed_desk_network_gradients():
     _, dlogits = nk.softmax_xent(logits, labels)
     grads = md.backward(ckpt.params, caches, dlogits)
 
-    # relu margin guard: no preactivation within reach of an eps-perturbation
-    for layer, cache in caches:
+    # relu margin guard: no preactivation within reach of an eps-perturbation;
+    # backward consumed the caches, so the preactivations come from a
+    # layer-by-layer forward of the same point
+    act = batch
+    for layer in spec.layers:
         if isinstance(layer, md.Relu):
-            assert np.abs(cache).min() > 2 * EPS
+            assert np.abs(act).min() > 2 * EPS
+        act, _ = layer.forward(ckpt.params, act, "eval", None)
 
     # parameter tensors only; input gradients are covered per layer, where
     # pool-flip exposure of a single perturbed pixel can be controlled

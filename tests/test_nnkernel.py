@@ -833,6 +833,19 @@ class TestLrSchedule:
             nk.lr_schedule(self.CFG, -1)
 
 
+class TestRelu:
+    def test_mask_backward_equals_the_input_test_bytewise(self):
+        """The cached mask ``out > 0`` gives the bytes ``dout * (x > 0)``
+        gives, on signed zeros, subnormals and negatives."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 4 * tiny, -1.5, 2.0, -0.0, 0.0, 3e-300])
+        dout = np.array([-0.0, 0.0, -0.0, -0.0, 1.0, -2.0, -0.0, -3.0, 5.0, 0.0])
+        out, cache = nk.relu_forward(x)
+        assert cache.dtype == bool
+        assert nk.relu_backward(dout, cache).tobytes() == (dout * (x > 0)).tobytes()
+        np.testing.assert_array_equal(cache, x > 0)
+
+
 class TestDropout:
     def test_eval_is_identity(self):
         x = np.random.default_rng(0).random((4, 7))
