@@ -288,9 +288,12 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
     Scores are computed one ``OVERLAP_TILE`` x ``OVERLAP_TILE`` tile at a
     time, each one GEMM of two zero-padded tiles of unit rows, so a pair's
     score depends only on its two images, and memory holds each side's unit
-    rows and one tile of scores. A pair whose comparison forms are equal
-    scores exactly 1.0; its forms are made again from its two images to
-    check that.
+    rows and one tile of scores. A self-comparison (``images_b is
+    images_a``) runs only the tiles on and above the diagonal and takes
+    each pair below from its mirror's score (tile (I, J) and tile (J, I)
+    transposed held the same bytes wherever tested). A pair whose
+    comparison forms are equal scores exactly 1.0; its forms are made again
+    from its two images to check that.
     """
     if not 0 < threshold <= 1:
         raise ValidationError("threshold must be in (0, 1]")
@@ -313,8 +316,22 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
     # bit-identical pairs cannot be lost at threshold 1.0
     band = threshold - 1e-9
     matches = []
+
+    def keep(i, j, score):
+        id_a, id_b = set_a.samples[i].sample_id, set_b.samples[j].sample_id
+        if id_a == id_b:
+            return
+        # equal forms give equal unit rows, whose dot is within rounding of
+        # 1, so only such a score can need the check
+        if score >= 1.0 - 1e-9 and np.array_equal(
+                _comparison_forms(images_a[i:i + 1]),
+                _comparison_forms(images_b[j:j + 1])):
+            score = 1.0
+        if score >= threshold:
+            matches.append((id_a, id_b, score))
+
     for a0 in range(0, len(mat_a), tile):
-        for b0 in range(0, len(mat_b), tile):
+        for b0 in range(a0 if same else 0, len(mat_b), tile):
             rows_b = mat_b[b0:b0 + tile]
             if same and a0 == b0:
                 # a copy: numpy sends A @ A.T on one buffer to syrk, whose
@@ -328,19 +345,9 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
             if not candidates.any():  # most tiles; far cheaper than nonzero
                 continue
             for i, j in zip(*np.nonzero(candidates)):
-                score = float(scores[i, j])
-                i, j = a0 + i, b0 + j
-                id_a, id_b = set_a.samples[i].sample_id, set_b.samples[j].sample_id
-                if id_a == id_b:
-                    continue
-                # equal forms give equal unit rows, whose dot is within
-                # rounding of 1, so only such a score can need the check
-                if score >= 1.0 - 1e-9 and np.array_equal(
-                        _comparison_forms(images_a[i:i + 1]),
-                        _comparison_forms(images_b[j:j + 1])):
-                    score = 1.0
-                if score >= threshold:
-                    matches.append((id_a, id_b, score))
+                keep(a0 + i, b0 + j, float(scores[i, j]))
+                if same and b0 > a0:  # the mirror tile's pair
+                    keep(b0 + j, a0 + i, float(scores[i, j]))
     matches.sort(key=lambda m: (-m[2], m[0], m[1]))
     matched_a = {m[0] for m in matches}
     filtered = set_a.subset(s.sample_id for s in set_a.samples

@@ -33,8 +33,10 @@ class Layer:
     defines its output-shape rule, its weight shape, and a ``forward`` and a
     ``backward`` that each make exactly one call into :mod:`nnkernel`.
     ``backward`` returns the input gradient and the layer's parameter
-    gradients by entry name; with ``need_dx`` false a layer may skip the
-    input gradient, and what it returns in its place is unused.
+    gradients by entry name, or a call that returns them with one more
+    nnkernel call, made after the last layer's backward (see
+    :func:`backward`); with ``need_dx`` false a layer may skip the input
+    gradient, and what it returns in its place is unused.
     """
 
     def _error(self, message: str) -> ValidationError:
@@ -169,7 +171,11 @@ class Fc(Layer):
         return nk.fc_forward(x, *self._weights(params))
 
     def backward(self, grad, cache, need_dx):
-        return self._grads(*nk.fc_backward(grad, cache))
+        """The input gradient now; the parameter gradients as a call that
+        holds ``grad`` and the flattened input, not the cache."""
+        dx = nk.fc_backward(grad, cache, need_dx, need_dw=False)[0]
+        rest = nk.FcCache(cache.x_flat, cache.x_shape, cache.weight)
+        return dx, lambda: self._grads(*nk.fc_backward(grad, rest, False))[1]
 
 
 _LAYERS = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Dropout, Fc)}
@@ -337,11 +343,16 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
 # ---------------------------------------------------------------------------
 # forward / backward over a spec
 
-def _layer_forward(layer: Layer, params: dict[str, nk.ParamEntry], x, mode: str, rng):
+def _in_layer(layer: Layer, direction: str, call, *args):
+    """``call(*args)``, a NumericFault from it renamed after the layer."""
     try:
-        return layer.forward(params, x, mode, rng)
+        return call(*args)
     except NumericFault as exc:
-        raise NumericFault(f"layer {layer.name!r} forward: {exc}") from exc
+        raise NumericFault(f"layer {layer.name!r} {direction}: {exc}") from exc
+
+
+def _layer_forward(layer: Layer, params: dict[str, nk.ParamEntry], x, mode: str, rng):
+    return _in_layer(layer, "forward", layer.forward, params, x, mode, rng)
 
 
 def forward(spec: ModelSpec, params: dict[str, nk.ParamEntry], x, mode: str = "eval",
@@ -362,18 +373,28 @@ def backward(params: dict[str, nk.ParamEntry], caches, dlogits) -> dict:
     Consumes ``caches``: as each layer's backward returns, its entry becomes
     ``(layer, None)``, so the step holds only the caches its remaining layers
     read. Nothing reads the gradient with respect to the network's input, so
-    the first layer is asked not to compute it (a conv layer then skips its
-    input-gradient GEMM and col2im).
+    the first layer is asked not to compute it (a conv or fc layer then
+    skips its input-gradient GEMM).
+
+    Each layer's backward runs once, in reverse order. An fc layer returns
+    its input gradient at its turn, when its cache dies too, but its weight
+    and bias gradients are made only after the first layer's backward, from
+    its flattened input and upstream gradient (1 MiB on desk), so fc1's
+    8 MiB weight gradient is not alive during any conv layer's backward. A
+    fault there names the layer's backward too.
     """
-    grad, grads = dlogits, {}
+    grad, pending = dlogits, []
     for i in range(len(caches) - 1, -1, -1):
         layer, cache = caches[i]
-        try:
-            grad, layer_grads = layer.backward(grad, cache, need_dx=i > 0)
-        except NumericFault as exc:
-            raise NumericFault(f"layer {layer.name!r} backward: {exc}") from exc
+        grad, layer_grads = _in_layer(layer, "backward", layer.backward,
+                                      grad, cache, i > 0)
         caches[i] = (layer, None)
         del cache
+        pending.append((layer, layer_grads))
+    grads = {}
+    for layer, layer_grads in pending:
+        if callable(layer_grads):
+            layer_grads = _in_layer(layer, "backward", layer_grads)
         for name, g in layer_grads.items():
             grads[name] = g.astype(params[name].weight.dtype, copy=False)
     return grads

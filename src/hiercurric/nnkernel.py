@@ -128,29 +128,33 @@ class ConvCache:
     groups: int
 
 
-# A conv builds its im2col matrix in spans of at most this many bytes, each
-# of whole samples (forward) or whole channels of one group (kernel
-# gradient), one at least. A layer whose whole matrix fits takes one span.
-# A span's width can change a GEMM's last bits: at 8 MiB desk conv2's
-# kernel gradient runs in 4-5-channel spans, which differ from the one-GEMM
-# product under a two-thread OpenBLAS; its 8-channel spans at 16 MiB do not
+# A conv builds its im2col matrix in spans of whole samples (forward) or
+# whole channels of one group (kernel gradient), one at least. An eval
+# forward's one chain and the kernel gradient each fit this many bytes; a
+# training forward's two chains (batch halves) share it, half each. A layer
+# whose whole matrix fits takes one span. A kernel-gradient span's width
+# can change a GEMM's last bits: at 8 MiB desk conv2's kernel gradient runs
+# in 4-5-channel spans, which differ from the one-GEMM product under a
+# two-thread OpenBLAS; its 8-channel spans at 16 MiB do not
 IM2COL_BYTES = 16 << 20
 
 
-def _spans(lo, hi, unit_bytes):
+def _spans(lo, hi, unit_bytes, budget=None):
     """[lo, hi) cut into the fewest runs of whole units of ``unit_bytes``
-    that each fit IM2COL_BYTES (one unit at least), as even as integer cuts
-    make them, so no run is a small remainder."""
-    parts = -(-(hi - lo) // max(1, IM2COL_BYTES // unit_bytes))
+    that each fit ``budget`` bytes (IM2COL_BYTES when None; one unit at
+    least), as even as integer cuts make them, so no run is a small
+    remainder."""
+    budget = IM2COL_BYTES if budget is None else budget
+    parts = -(-(hi - lo) // max(1, budget // unit_bytes))
     if parts <= 1:
         return ((lo, hi),)
     cuts = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
     return tuple(zip(cuts, cuts[1:]))
 
 
-def _span_bytes(lo, hi, unit_bytes):
-    """Bytes of the largest of ``_spans(lo, hi, unit_bytes)``."""
-    return max(b - a for a, b in _spans(lo, hi, unit_bytes)) * unit_bytes
+def _span_bytes(lo, hi, unit_bytes, budget=None):
+    """Bytes of the largest of ``_spans(lo, hi, unit_bytes, budget)``."""
+    return max(b - a for a, b in _spans(lo, hi, unit_bytes, budget)) * unit_bytes
 
 
 def _im2col(x, kh, kw, stride, cols):
@@ -163,14 +167,14 @@ def _im2col(x, kh, kw, stride, cols):
     np.copyto(cols.reshape(win.shape), win)
 
 
-def _conv_gemm(kmat, xp, kh, kw, stride, buf, out, lo, hi):
-    """Samples [lo, hi) of a forward, one span of whole samples at a time:
-    the span's im2col columns into ``buf``, then its GEMM into the span's
-    columns of ``out``. It writes only the caller's buffers, so on the
-    worker thread it allocates nothing large."""
+def _conv_gemm(kmat, xp, kh, kw, stride, buf, out, budget, lo, hi):
+    """Samples [lo, hi) of a forward, one span of whole samples within
+    ``budget`` bytes at a time: the span's im2col columns into ``buf``, then
+    its GEMM into the span's columns of ``out``. It writes only the caller's
+    buffers, so on the worker thread it allocates nothing large."""
     groups, _, rows = kmat.shape
     per = out.shape[2] // len(xp)
-    for a, b in _spans(lo, hi, groups * rows * per * buf.itemsize):
+    for a, b in _spans(lo, hi, groups * rows * per * buf.itemsize, budget):
         cols = buf[:groups * rows * (b - a) * per].reshape(groups, rows, -1)
         _im2col(xp[a:b], kh, kw, stride, cols)
         np.matmul(kmat, cols, out=out[:, :, a * per:b * per])
@@ -183,14 +187,15 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
     Returns (output, cache). Output spatial dims follow
     floor((H + 2*pad - kh) / stride) + 1; padding is zero-fill. Each group
     is a GEMM of its kernels against the im2col matrix (Caffe's scheme),
-    built and multiplied in spans of whole samples of at most IM2COL_BYTES,
-    each into its own columns of the one output buffer.
+    built and multiplied in spans of whole samples, each into its own
+    columns of the one output buffer.
 
-    An eval forward is one chain of spans over the batch. A training
-    forward of n >= 2 samples is two, one per batch half [0, n//2) and
-    [n//2, n), each with a span buffer of its own; from the main thread the
-    worker runs the second half. The split is the same on every thread,
-    and a span is an N-split of the same GEMM, so the bytes are too.
+    An eval forward is one chain of spans over the batch, each span within
+    IM2COL_BYTES. A training forward of n >= 2 samples is two, one per
+    batch half [0, n//2) and [n//2, n), each with a span buffer of its own
+    within half of IM2COL_BYTES; from the main thread the worker runs the
+    second half. The split is the same on every thread, and a span is an
+    N-split of the same GEMM, so the bytes are too.
     """
     n, c, h, w = x.shape
     k, cg, kh, kw = kernels.shape
@@ -213,12 +218,14 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
     kmat = kernels.reshape(groups, k // groups, -1)
     sample_bytes = c * kh * kw * out_h * out_w * xp.itemsize
     chains = [(0, n // 2), (n // 2, n)] if train and n >= 2 else [(0, n)]
-    sizes = [_span_bytes(lo, hi, sample_bytes) // xp.itemsize for lo, hi in chains]
+    budget = IM2COL_BYTES // len(chains)  # the chains share one budget
+    sizes = [_span_bytes(lo, hi, sample_bytes, budget) // xp.itemsize
+             for lo, hi in chains]
     buf = np.empty(sum(sizes), xp.dtype)  # one allocation, a part per chain
     out = np.empty((groups, k // groups, n * out_h * out_w),
                    np.result_type(kmat, xp))
     gemms = [functools.partial(_conv_gemm, kmat, xp, kh, kw, stride,
-                               buf[start:start + size], out, lo, hi)
+                               buf[start:start + size], out, budget, lo, hi)
              for (lo, hi), start, size in zip(chains, (0, sizes[0]), sizes)]
     if len(gemms) == 2:
         _two_chains(*gemms)
@@ -340,7 +347,9 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
 
 @dataclass
 class PoolCache:
-    argmax: np.ndarray  # flat index into each window, lowest index on ties
+    # flat index into each window, lowest index on ties, in the narrowest
+    # unsigned dtype that holds window*window - 1 (uint8 up to 16x16)
+    argmax: np.ndarray
     x_shape: tuple
     window: int
     stride: int
@@ -367,7 +376,7 @@ def maxpool_forward(x, window: int, stride: int):
     for view in views[1:]:
         np.maximum(view, out, out=out)
     miss = views[0] != out  # no offset up to this one holds the max
-    argmax = miss.astype(np.intp)
+    argmax = miss.astype(np.min_scalar_type(window * window - 1))
     for view in views[1:-1]:
         miss &= view != out
         argmax += miss
@@ -384,8 +393,9 @@ def pool_backward(dout, cache: PoolCache):
         raise ValidationError(
             f"upstream gradient shape {dout.shape} != pooled shape {cache.argmax.shape}")
     # offset k of a window sits k + (k // window) * (w - window) elements past
-    # its corner; integer % has no fast path, so the column is never formed
-    idx = cache.argmax // window
+    # its corner; integer % has no fast path, so the column is never formed.
+    # The first pass widens the narrow argmax to the index dtype
+    idx = np.floor_divide(cache.argmax, window, dtype=np.intp)
     idx *= w - window
     idx += cache.argmax
     idx += np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
@@ -429,10 +439,20 @@ def fc_forward(x, weight, bias):
     return out, FcCache(xf, x.shape, weight)
 
 
-def fc_backward(dout, cache: FcCache):
-    dw = dout.T @ cache.x_flat
-    db = dout.sum(axis=0)
-    dx = (dout @ cache.weight).reshape(cache.x_shape)
+def fc_backward(dout, cache: FcCache, need_dx: bool = True,
+                need_dw: bool = True):
+    """Gradients for fc_forward: returns (dx, dw, db). With ``need_dx``
+    false dx is not computed and is an empty (0, ...) array, and with
+    ``need_dw`` false so are dw and db, each in dout's dtype."""
+    if need_dw:
+        dw, db = dout.T @ cache.x_flat, dout.sum(axis=0)
+    else:
+        dw = np.empty((0, cache.weight.shape[1]), dout.dtype)
+        db = np.empty(0, dout.dtype)
+    if need_dx:
+        dx = (dout @ cache.weight).reshape(cache.x_shape)
+    else:
+        dx = np.empty((0,) + tuple(cache.x_shape[1:]), dout.dtype)
     _guard(dx, dw, db)
     return dx, dw, db
 

@@ -575,10 +575,12 @@ class TestConvSpans:
     def test_forward_temporaries_bounded_at_desk_conv2(self, train):
         args = forward_case(*CONV_CASES["desk-conv2"])
         (n, c, h, w), (k, cg, kh, kw), pad = args[0].shape, args[1].shape, args[4]
-        span = max(nk.IM2COL_BYTES, c * kh * kw * h * w * 8)
+        chains = 2 if train else 1
+        # a training forward's two chains share one budget
+        span = max(nk.IM2COL_BYTES // chains, c * kh * kw * h * w * 8)
+        assert chains * span == nk.IM2COL_BYTES
         # kept: the padded input and the output
         kept = (c * (h + 2 * pad) * (w + 2 * pad) + k * h * w) * n * 8
-        chains = 2 if train else 1
         assert chains * span + kept < c * kh * kw * n * h * w * 8
         peak = traced_peak(lambda: nk.conv2d_forward(*args, train=train))
         assert peak <= chains * span + kept + (1 << 20)
@@ -696,6 +698,31 @@ class TestMaxPool:
                 dout[ni, ci, y, xo])
         assert nk.pool_backward(dout, cache).tobytes() == ref.tobytes()
 
+    def test_wide_window_keeps_a_uint16_argmax(self):
+        """A 17x17 window has 289 offsets, past uint8: the argmax is uint16,
+        and the output, argmax and backward match the naive loops byte for
+        byte, with maxima at offsets past 255."""
+        rng = np.random.default_rng(17)
+        x = rng.integers(0, 40, size=(2, 2, 21, 20)).astype(float)
+        x[0, 0, 16, 16] = x[1, 1, 20, 19] = 99.0  # offset 288 of a window
+        out, cache = nk.maxpool_forward(x, 17, 2)
+        ref_out, ref_argmax = naive_maxpool(x, 17, 2)
+        assert cache.argmax.dtype == np.uint16
+        assert out.tobytes() == ref_out.tobytes()
+        np.testing.assert_array_equal(cache.argmax, ref_argmax)
+        assert (ref_argmax > 255).any()
+        dout = rng.standard_normal(out.shape)
+        ref = np.zeros_like(x)
+        for ni, ci, y, xo in np.ndindex(out.shape):
+            k = ref_argmax[ni, ci, y, xo]
+            ref[ni, ci, y * 2 + k // 17, xo * 2 + k % 17] += dout[ni, ci, y, xo]
+        assert nk.pool_backward(dout, cache).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("window", [1, 2, 16])
+    def test_windows_up_to_16x16_keep_a_uint8_argmax(self, window):
+        x = np.random.default_rng(window).standard_normal((1, 2, 17, 17))
+        assert nk.maxpool_forward(x, window, 1)[1].argmax.dtype == np.uint8
+
     def test_backward_accumulates_overlaps(self):
         # window 2 stride 1 on a plane whose max repeats across windows
         x = np.array([[0.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 0.0]])
@@ -720,6 +747,25 @@ class TestFc:
         out, cache = nk.fc_forward(x, w, np.zeros(2))
         dx, dw, db = nk.fc_backward(np.zeros_like(out), cache)
         assert not dx.any() and not dw.any() and not db.any()
+
+    @pytest.mark.parametrize("need_dx, need_dw", [(False, True), (True, False),
+                                                  (False, False)])
+    def test_skipped_gradients_are_empty(self, need_dx, need_dw):
+        """An array the caller does not ask for comes back empty, in dout's
+        dtype; the others are the bytes of the full call."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 3, 2, 2))
+        out, cache = nk.fc_forward(x, rng.standard_normal((6, 12)), np.zeros(6))
+        dout = rng.standard_normal(out.shape)
+        full = nk.fc_backward(dout, cache)
+        got = nk.fc_backward(dout, cache, need_dx, need_dw)
+        empty = [(0, 3, 2, 2), (0, 12), (0,)]
+        for g, f, shape, need in zip(got, full, empty, (need_dx, need_dw, need_dw)):
+            assert g.dtype == dout.dtype
+            if need:
+                assert g.tobytes() == f.tobytes()
+            else:
+                assert g.shape == shape
 
     def test_flattens_nchw_input(self):
         x = np.arange(24, dtype=float).reshape(2, 3, 2, 2)
