@@ -36,8 +36,8 @@ group0 = [j for j, leaf in enumerate(lm.sub_names)
 print(f"sibling logits at handoff (group 0): {logits[0, group0]}")
 
 # phase B: 12-way subordinate task, first two conv layers at 1/10 rate
-sub_ckpt = md.set_layer_lr_mults(sub_ckpt, 2, 0.1)
-cfg_b = bm.train_config(400, seed=32, level="sub")
+cfg_b = bm.train_config(400, seed=32, level="sub", lowered_prefix=2,
+                        lowered_mult=0.1)
 final, report_b = cu.train_phase(sub_ckpt, cfg_b, bundle.train, bundle.val,
                                  lm, bundle.images, bundle.rows)
 print(f"phase B (subordinate, {cfg_b.max_iterations} iters): "

@@ -72,7 +72,9 @@ def build_phase(section: dict, task_level: str) -> cu.TrainConfig:
 def build_regime(section: dict, graph, labelmap, path: str = "regime") -> cu.Regime:
     """The regime of a checked section at key ``path``, its pretrain
     categories checked against the graph; ``pretrain_sample`` draws them
-    from the graph's leaves that carry no basic mark."""
+    from the graph's leaves that carry no basic mark. ``labelmap`` is not
+    read; it is kept only for perfbench/test_perfbench.py's three-argument
+    call, until that harness changes."""
     categories = section.get("pretrain_categories", ())
     if "pretrain_sample" in section:
         sample = section["pretrain_sample"]

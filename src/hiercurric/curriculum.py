@@ -162,9 +162,11 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
 
     Each batch and each evaluation read ``images`` through ``rows`` (sample
     id -> row), so no split is copied. The input checkpoint is not mutated.
-    Batches come from a full seeded shuffle per epoch with the last partial
-    batch kept; the learning-rate schedule restarts at iteration 0 for the
-    phase.
+    Every entry's ``lr_mult`` comes from ``cfg``, whatever the input held:
+    the first ``cfg.lowered_prefix`` conv layers learn at
+    ``cfg.lowered_mult`` and every other entry at 1.0. Batches come from a
+    full seeded shuffle per epoch with the last partial batch kept; the
+    learning-rate schedule restarts at iteration 0 for the phase.
     """
     train_labels = np.array(labelmap.indices(train.leaf_ids(), cfg.task_level))
     val_labels = np.array(labelmap.indices(val.leaf_ids(), cfg.task_level))
@@ -174,8 +176,15 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     for arr, which in ((train_labels, "train"), (val_labels, "val")):
         if arr.min() < 0 or arr.max() >= n_out:
             raise ValidationError(f"{which} labels exceed head width {n_out}")
+    conv_names = ckpt.spec.conv_names()
+    if cfg.lowered_prefix > len(conv_names):
+        raise ValidationError(f"lowered_prefix {cfg.lowered_prefix} exceeds "
+                              f"{len(conv_names)} conv layers")
 
     work = ckpt.copy()
+    lowered = set(conv_names[:cfg.lowered_prefix])
+    for name, e in work.params.items():
+        e.lr_mult = cfg.lowered_mult if name.rsplit(".", 1)[0] in lowered else 1.0
     train_rows, val_rows = (np.array([rows[s.sample_id] for s in split.samples])
                             for split in (train, val))
     rng = np.random.default_rng(cfg.seed)
@@ -279,9 +288,9 @@ def run_regime(regime: Regime, bundle: DataBundle,
                out_dir=None) -> tuple[md.Checkpoint, RunReport]:
     """Execute one full training recipe and merge the phase reports.
 
-    The regime's entry in RECIPES decides what phase A trains on, how the
-    head passes into phase B (kept, replicated or drawn at phase_b.seed)
-    and whether phase B lowers the learning rate of its first conv layers.
+    The regime's entry in RECIPES decides what phase A trains on and how the
+    head passes into phase B (kept, replicated or drawn at phase_b.seed).
+    Each phase's train_phase sets its own lr_mults from its config.
     Without a phase A, phase B starts from a fresh phase_b.seed model.
     """
     recipe = RECIPES[regime.kind]
@@ -298,9 +307,6 @@ def run_regime(regime: Regime, bundle: DataBundle,
         if recipe.head != "keep":
             ckpt = md.replace_head(ckpt, lm.n_sub, recipe.head, lm,
                                    seed=regime.phase_b.seed)
-        if recipe.lowers:
-            ckpt = md.set_layer_lr_mults(ckpt, regime.phase_b.lowered_prefix,
-                                         regime.phase_b.lowered_mult)
 
     final, rep_b = train_phase(ckpt, regime.phase_b, bundle.train, bundle.val,
                                lm, bundle.images, bundle.rows,

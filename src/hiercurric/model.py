@@ -486,19 +486,6 @@ def replace_head(ckpt: Checkpoint, n_new_outputs: int, init: str,
                       phase_tag=_advance_phase(ckpt.phase_tag))
 
 
-def set_layer_lr_mults(ckpt: Checkpoint, prefix_count: int, mult: float) -> Checkpoint:
-    """First ``prefix_count`` conv layers learn at ``mult``; all else at 1.0."""
-    conv_names = ckpt.spec.conv_names()
-    if prefix_count > len(conv_names):
-        raise ValidationError(
-            f"prefix_count {prefix_count} exceeds {len(conv_names)} conv layers")
-    lowered = set(conv_names[:prefix_count])
-    out = ckpt.copy()
-    for name, e in out.params.items():
-        e.lr_mult = mult if name.rsplit(".", 1)[0] in lowered else 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # checkpoint files
 

@@ -330,6 +330,27 @@ class TestTrainCmd:
                         p.unlink()
         assert grabs[0] == grabs[1]
 
+    def test_checkpoints_record_each_phase_lr_mults(self, tmp_path):
+        """A lowering facilitated run writes phase B checkpoints with conv1
+        and conv2 at lowered_mult and every other entry at 1.0; every phase A
+        entry is at 1.0."""
+        config_path, _ = train_config(tmp_path, regime={
+            "kind": "FacilitatedReplicatedHead",
+            "phase_a": phase(seed=8, checkpoint_every=3),
+            "phase_b": phase(checkpoint_every=3, lowered_prefix=2,
+                             lowered_mult=0.1)})
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_OK
+        for phase_dir, lowered in (("phase_a", ()), ("phase_b", ("conv1", "conv2"))):
+            paths = sorted((tmp_path / "run" / phase_dir).glob("*.ckpt"))
+            assert len(paths) == 2, phase_dir
+            for path in paths:
+                buf = path.read_bytes()
+                (length,) = struct.unpack_from("<Q", buf, 8)
+                mults = {e["name"]: e["lr_mult"]
+                         for e in json.loads(buf[16:16 + length])["entries"]}
+                assert mults == {name: 0.1 if name.split(".")[0] in lowered
+                                 else 1.0 for name in mults}, path
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         config_path, config = train_config(tmp_path)
         config["surprise"] = 1

@@ -189,6 +189,49 @@ class TestTrainPhase:
                        bundle.labelmap, bundle.images, bundle.rows)
         assert md.checkpoint_to_bytes(ckpt) == before
 
+    def test_lowered_mult_zero_freezes_conv_prefix(self, bundle_pair):
+        _, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=3,
+                              init="scaled")
+        final, _ = cu.train_phase(
+            ckpt, tiny_cfg(iters=3, lowered_prefix=2, lowered_mult=0.0),
+            bundle.train, bundle.val, bundle.labelmap, bundle.images,
+            bundle.rows)
+        for name in ("conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias"):
+            assert (final.params[name].weight.tobytes()
+                    == ckpt.params[name].weight.tobytes()), name
+        assert not np.array_equal(final.params["fc1.weight"].weight,
+                                  ckpt.params["fc1.weight"].weight)
+
+    @pytest.mark.parametrize("prefix,mult", [(1, 0.1), (2, 0.1), (0, 1.0)])
+    def test_returned_lr_mults_come_from_cfg(self, bundle_pair, prefix, mult):
+        """Each entry's lr_mult is set from cfg; a stale input value is not kept."""
+        _, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=3,
+                              init="scaled")
+        for name in ("conv2.weight", "fc1.weight"):
+            ckpt.params[name].lr_mult = 0.5
+        final, _ = cu.train_phase(
+            ckpt, tiny_cfg(lowered_prefix=prefix, lowered_mult=mult),
+            bundle.train, bundle.val, bundle.labelmap, bundle.images,
+            bundle.rows)
+        lowered = ckpt.spec.conv_names()[:prefix]
+        assert {n: e.lr_mult for n, e in final.params.items()} == {
+            n: mult if n.split(".")[0] in lowered else 1.0 for n in ckpt.params}
+
+    def test_lowered_prefix_beyond_convs_rejected_before_any_step(
+            self, bundle_pair, monkeypatch):
+        _, bundle = bundle_pair
+        ckpt = md.build_model(bundle.model_spec.with_outputs(12), seed=3)
+        steps = []
+        monkeypatch.setattr(cu, "_step", lambda *args: steps.append(args))
+        with pytest.raises(ValidationError,
+                           match="lowered_prefix 3 exceeds 2 conv layers"):
+            cu.train_phase(ckpt, tiny_cfg(lowered_prefix=3, lowered_mult=0.1),
+                           bundle.train, bundle.val, bundle.labelmap,
+                           bundle.images, bundle.rows)
+        assert steps == []
+
     def test_loss_curve_smoothed_decreasing(self, bundle_pair):
         # Moving-average oracle over the first 200 iterations: block means
         # over 20-iteration windows must trend down on separable data.

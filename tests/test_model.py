@@ -201,47 +201,6 @@ class TestReplaceHead:
             md.replace_head(ckpt, tiny_labelmap.n_sub, "replicate", tiny_labelmap)
 
 
-class TestLrMults:
-    def test_prefix_three_lowered(self):
-        ckpt = md.build_model(md.desk_spec(4), seed=0)
-        out = md.set_layer_lr_mults(ckpt, 3, 0.1)
-        for name in ("conv1", "conv2", "conv3"):
-            assert out.params[f"{name}.weight"].lr_mult == 0.1
-            assert out.params[f"{name}.bias"].lr_mult == 0.1
-        for name in ("fc1", "fc2"):
-            assert out.params[f"{name}.weight"].lr_mult == 1.0
-
-    def test_prefix_zero_all_ones(self):
-        ckpt = md.build_model(md.desk_spec(4), seed=0)
-        ckpt.params["conv1.weight"].lr_mult = 0.5
-        out = md.set_layer_lr_mults(ckpt, 0, 0.1)
-        assert all(out.params[n].lr_mult == 1.0 for n in out.params)
-
-    def test_mult_zero_freezes_weights_over_steps(self):
-        ckpt = md.build_model(md.desk_spec(4, input_shape=(3, 8, 8)), seed=0)
-        ckpt = md.set_layer_lr_mults(ckpt, 3, 0.0)
-        before = {n: ckpt.params[n].weight.copy() for n in ckpt.params}
-        cfg = nk.SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0,
-                           lr_gamma=1.0, lr_step=10, batch_size=2)
-        rng = np.random.default_rng(0)
-        batch = rng.random((2, 3, 8, 8))
-        labels = np.array([0, 1])
-        for it in range(3):
-            logits, caches = md.forward(ckpt.spec, ckpt.params, batch, "train", rng)
-            _, dlogits = nk.softmax_xent(logits, labels)
-            nk.sgd_step(ckpt.params, md.backward(ckpt.params, caches, dlogits),
-                        cfg, it)
-        for name in ("conv1", "conv2", "conv3"):
-            np.testing.assert_array_equal(
-                ckpt.params[f"{name}.weight"].weight, before[f"{name}.weight"])
-        assert not np.array_equal(ckpt.params["fc1.weight"].weight, before["fc1.weight"])
-
-    def test_prefix_beyond_convs_rejected(self):
-        ckpt = md.build_model(md.desk_spec(4), seed=0)
-        with pytest.raises(ValidationError, match="prefix"):
-            md.set_layer_lr_mults(ckpt, 4, 0.1)
-
-
 class TestForwardEval:
     def test_zero_weight_model_gives_bias_logits(self):
         ckpt = md.build_model(md.desk_spec(3, input_shape=(1, 8, 8)), seed=0)
@@ -618,7 +577,9 @@ EDIT_SPEC = md.ModelSpec((1, 4, 4), (
 
 class TestCheckpointManifestChecks:
     def _buf(self):
-        ckpt = md.set_layer_lr_mults(md.build_model(EDIT_SPEC, seed=1), 1, 0.5)
+        ckpt = md.build_model(EDIT_SPEC, seed=1)
+        for name in ("conv1.weight", "conv1.bias"):
+            ckpt.params[name].lr_mult = 0.5
         return md.checkpoint_to_bytes(ckpt)
 
     @staticmethod
@@ -748,7 +709,9 @@ class TestCheckpointIO:
             assert not e.momentum.any(), name
 
     def test_lr_mults_survive_round_trip(self, small_ckpt, tmp_path):
-        ckpt = md.set_layer_lr_mults(small_ckpt, 2, 0.1)
+        ckpt = small_ckpt
+        for name in ("conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias"):
+            ckpt.params[name].lr_mult = 0.1
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(ckpt, path)
         loaded = md.load_checkpoint(path)
