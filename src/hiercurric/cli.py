@@ -259,12 +259,12 @@ def _missing_out():
                           "output.directory in the config")
 
 
-def _probe_inputs(args, checkpoints):
+def _probe_inputs(args, specs):
     """Manifest, its images loaded once, label map (None if not given) and
     one probe spec per ``--n-train`` value, shared by probe and sweep.
-    ``--layer`` is checked against every checkpoint before any image loads."""
-    for ckpt in checkpoints:
-        transfer.feature_layer(ckpt.spec, args.layer)
+    ``--layer`` is checked against every checkpoint's spec before any load."""
+    for spec in specs:
+        transfer.feature_layer(spec, args.layer)
     labelmap = (taxonomy.labelmap_from_csv(args.labelmap)
                 if args.labelmap else None)
     specs = [transfer.ProbeSpec(
@@ -280,7 +280,7 @@ def cmd_probe(args) -> int:
     if len(set(args.n_train)) < len(args.n_train):
         raise ValidationError(f"--n-train values repeat: {args.n_train}")
     ckpt = md.load_checkpoint(args.checkpoint)
-    manifest, images, labelmap, specs = _probe_inputs(args, [ckpt])
+    manifest, images, labelmap, specs = _probe_inputs(args, [ckpt.spec])
     out = resolve_out(args.out)
     rows = []
     for result in transfer.evaluate_probe([ckpt], manifest, images, specs, labelmap):
@@ -298,13 +298,16 @@ def cmd_probe(args) -> int:
 def cmd_sweep(args) -> int:
     if len(args.n_train) > 1:
         raise ValidationError("sweep takes one --n-train")
-    loaded = [md.load_checkpoint(p) for p in args.checkpoints]
-    loaded.sort(key=lambda c: c.iteration)
-    manifest, images, labelmap, (spec,) = _probe_inputs(args, loaded)
-    report = cu.checkpoint_sweep(loaded, manifest, images, spec, labelmap)
+    # manifests serve the sort and --layer; weights load one checkpoint at a time
+    found = [(*md.load_checkpoint_manifest(p), p) for p in args.checkpoints]
+    found.sort(key=lambda f: f[1])  # by iteration
+    manifest, images, labelmap, (spec,) = _probe_inputs(
+        args, [model_spec for model_spec, _, _ in found])
+    report = cu.checkpoint_sweep(map(md.load_checkpoint, [p for _, _, p in found]),
+                                 manifest, images, spec, labelmap)
     out = resolve_out(args.out)
     cu.save_run_report(report, out)
-    print(f"swept {len(loaded)} checkpoints -> {out / 'curves.csv'}")
+    print(f"swept {len(found)} checkpoints -> {out / 'curves.csv'}")
     return EXIT_OK
 
 

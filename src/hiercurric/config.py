@@ -126,19 +126,20 @@ def _check_regime(value, path):
                 "give pretrain_categories or pretrain_sample, not both")
         if given and cu.RECIPES[value["kind"]].phase_a != "subset":
             raise ValidationError(f"{value['kind']} takes no {given[0]}")
+    if cu.RECIPES[value["kind"]].lowers:  # other kinds' Regime rejects lowering
+        _check_lowering(value["phase_b"], f"{path}.phase_b")
+    with strict.at(path):
         _regime(value, value.get("pretrain_categories", given))
 
 
-def _check_lowering(phase: dict, path: str, n_convs: int) -> None:
-    """Phase B's lowering keys lower at least one of the model's convs."""
-    prefix = phase.get("lowered_prefix", 0)
+def _check_lowering(phase: dict, path: str) -> None:
+    """Phase B's lowering keys, if given, lower something; checked before
+    the Regime is built, whose own check cannot name the key given."""
     given = [k for k in ("lowered_prefix", "lowered_mult") if k in phase]
-    if given and (prefix == 0 or phase.get("lowered_mult", 1.0) == 1.0):
+    if given and (phase.get("lowered_prefix", 0) == 0
+                  or phase.get("lowered_mult", 1.0) == 1.0):
         raise ValidationError(f"{path}.{given[0]}: lowers nothing; lowering "
                               f"needs lowered_prefix >= 1 and lowered_mult < 1")
-    if prefix > n_convs:
-        raise ValidationError(f"{path}.lowered_prefix: {prefix} exceeds the "
-                              f"model's {n_convs} conv layers")
 
 
 # the keys of each section that has no dataclass, and their kinds; any key
@@ -205,10 +206,13 @@ def validate_config(config: dict) -> dict:
             raise ValidationError(f"regime names must be unique ignoring case "
                                   f"and not MANIFEST.json: regimes[{i}].name")
     regimes = config.get("regimes") or [config["regime"]]
+    n_convs = len(spec.conv_names())
     for i, regime in enumerate(regimes):
         path = f"regimes[{i}]" if "regimes" in config else "regime"
-        _check_lowering(regime["phase_b"], f"{path}.phase_b",
-                        len(spec.conv_names()))
+        prefix = regime["phase_b"].get("lowered_prefix", 0)
+        if prefix > n_convs:
+            raise ValidationError(f"{path}.phase_b.lowered_prefix: {prefix} "
+                                  f"exceeds the model's {n_convs} conv layers")
     if "cap" in data and all(
             cu.RECIPES[r["kind"]].phase_a not in ("basic", "subset")
             for r in regimes):

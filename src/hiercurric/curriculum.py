@@ -97,6 +97,10 @@ class Regime:
             raise ValidationError(
                 f"{self.kind} lowers no conv layers: phase B takes no "
                 f"lowered_prefix or lowered_mult")
+        if _lowers(self.phase_b) and (self.phase_b.lowered_prefix < 1
+                                      or self.phase_b.lowered_mult >= 1):
+            raise ValidationError("phase B lowering lowers nothing: it needs "
+                                  "lowered_prefix >= 1 and lowered_mult < 1")
         if recipe.phase_a == "subset" and not self.pretrain_categories:
             raise ValidationError(f"{self.kind} needs pretrain categories")
         if recipe.phase_a != "subset" and self.pretrain_categories:
@@ -157,11 +161,12 @@ def _step(work, sgd, batch, labels, rng, iteration: int) -> float:
 def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
                 train: dp.DatasetManifest, val: dp.DatasetManifest,
                 labelmap: LabelMap, images: np.ndarray, rows: dict[str, int],
-                out_dir=None) -> tuple[md.Checkpoint, RunReport]:
+                out_dir=None, *, _in_place=False) -> tuple[md.Checkpoint, RunReport]:
     """Seeded mini-batch SGD at cfg.task_level; returns final state + curves.
 
     Each batch and each evaluation read ``images`` through ``rows`` (sample
-    id -> row), so no split is copied. The input checkpoint is not mutated.
+    id -> row), so no split is copied. The input checkpoint is not mutated
+    (``run_regime`` trains the checkpoints it makes in place: ``_in_place``).
     Every entry's ``lr_mult`` comes from ``cfg``, whatever the input held:
     the first ``cfg.lowered_prefix`` conv layers learn at
     ``cfg.lowered_mult`` and every other entry at 1.0. Batches come from a
@@ -181,7 +186,7 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
         raise ValidationError(f"lowered_prefix {cfg.lowered_prefix} exceeds "
                               f"{len(conv_names)} conv layers")
 
-    work = ckpt.copy()
+    work = ckpt if _in_place else ckpt.copy()
     lowered = set(conv_names[:cfg.lowered_prefix])
     for name, e in work.params.items():
         e.lr_mult = cfg.lowered_mult if name.rsplit(".", 1)[0] in lowered else 1.0
@@ -281,7 +286,7 @@ def _train_phase_a(regime: Regime, bundle: DataBundle,
         train, width, tag = bundle.train, lm.n_sub, "subordinate"
     start = _fresh_model(bundle, width, regime.phase_a.seed, tag)
     return train_phase(start, regime.phase_a, train, val, lm, bundle.images,
-                       bundle.rows, out_dir)
+                       bundle.rows, out_dir, _in_place=True)
 
 
 def run_regime(regime: Regime, bundle: DataBundle,
@@ -310,7 +315,7 @@ def run_regime(regime: Regime, bundle: DataBundle,
 
     final, rep_b = train_phase(ckpt, regime.phase_b, bundle.train, bundle.val,
                                lm, bundle.images, bundle.rows,
-                               out_path and out_path / "phase_b")
+                               out_path and out_path / "phase_b", _in_place=True)
     _merge(report, "phase_b", rep_b)
     return final, report
 
@@ -318,16 +323,21 @@ def run_regime(regime: Regime, bundle: DataBundle,
 def checkpoint_sweep(checkpoints, manifest: dp.DatasetManifest,
                      images: np.ndarray, probe,
                      labelmap: LabelMap | None = None) -> RunReport:
-    """Probe a run's loaded checkpoints, all in one stacked probe, on the
-    manifest's ``images`` array; series keyed by each checkpoint's iteration."""
-    if not checkpoints:
-        raise ValidationError("no checkpoints given")
-    iterations = [c.iteration for c in checkpoints]
-    if any(b <= a for a, b in zip(iterations, iterations[1:])):
-        raise ValidationError(f"checkpoint iterations must ascend, got {iterations}")
-    results = transfer.evaluate_probe(checkpoints, manifest, images, [probe], labelmap)
-    report = RunReport(curves=[(c.iteration, "transfer", "mean_class_recall",
-                                r.aggregate["mean"]) for c, r in zip(checkpoints, results)])
+    """Probe a run's checkpoints, all in one stacked probe, on the manifest's
+    ``images`` array; series keyed by each checkpoint's iteration, which
+    must ascend. ``checkpoints`` is consumed as by :func:`transfer.evaluate_probe`."""
+    iterations = []
+
+    def ascending(ckpt):  # checked as each checkpoint arrives
+        iterations.append(ckpt.iteration)
+        if len(iterations) > 1 and iterations[-1] <= iterations[-2]:
+            raise ValidationError(f"checkpoint iterations must ascend, got {iterations}")
+        return ckpt
+
+    results = transfer.evaluate_probe(map(ascending, checkpoints), manifest,
+                                      images, [probe], labelmap)
+    report = RunReport(curves=[(it, "transfer", "mean_class_recall",
+                                r.aggregate["mean"]) for it, r in zip(iterations, results)])
     report.final["last_mean_class_recall"] = report.curves[-1][3]
     return report
 

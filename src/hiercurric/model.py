@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -522,11 +523,9 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     return b"".join(parts + [struct.pack("<I", crc)])
 
 
-def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
-    """Inverse of checkpoint_to_bytes; rejects truncated, corrupt or
-    trailing bytes with ValidationError, and so a manifest whose entries
-    are not the spec's ``<layer>.weight``, ``<layer>.bias`` in layer order,
-    a tensor whose shape is not the spec's, or a CRC32 that does not match."""
+def _read_manifest(buf: bytes) -> tuple[dict, ModelSpec, dict, int]:
+    """Manifest, spec, entry shapes and first tensor offset of a checkpoint's
+    first bytes (its header and manifest)."""
     if buf[:4] != _CKPT_MAGIC:
         raise ValidationError("bad checkpoint magic")
     if len(buf) < 16:
@@ -547,8 +546,16 @@ def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
     if names != list(shapes):
         raise ValidationError(f"checkpoint entries {names} do not match the "
                               f"spec's {list(shapes)}")
+    return manifest, spec, shapes, 16 + length
+
+
+def checkpoint_from_bytes(buf: bytes) -> Checkpoint:
+    """Inverse of checkpoint_to_bytes; rejects truncated, corrupt or
+    trailing bytes with ValidationError, and so a manifest whose entries
+    are not the spec's ``<layer>.weight``, ``<layer>.bias`` in layer order,
+    a tensor whose shape is not the spec's, or a CRC32 that does not match."""
+    manifest, spec, shapes, offset = _read_manifest(buf)
     params = {}
-    offset = 16 + length
     for entry in manifest["entries"]:
         name = entry["name"]
         weight, used = nk.tensor_from_bytes(buf, offset)
@@ -576,6 +583,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         return checkpoint_from_bytes(fh.read())
+
+
+def load_checkpoint_manifest(path) -> tuple[ModelSpec, int]:
+    """Spec and iteration of a checkpoint file, read and checked as by
+    :func:`load_checkpoint` but without its tensors (nor so its CRC32)."""
+    with open(path, "rb") as fh:
+        buf = fh.read(16)  # header; the manifest read is capped at the file size
+        buf += fh.read(min(int.from_bytes(buf[8:], "little"),
+                           os.fstat(fh.fileno()).st_size))
+    manifest, spec, _, _ = _read_manifest(buf)
+    return spec, manifest["iteration"]
 
 
 def body_hash(ckpt: Checkpoint) -> str:

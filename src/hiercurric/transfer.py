@@ -159,16 +159,17 @@ def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
                    probes, labelmap: LabelMap | None = None) -> list[ProbeResult]:
     """Random-split probe protocol on frozen backbone features: one result
     per probe spec and checkpoint, spec-major. ``images`` is the
-    ``(N, C, H, W)`` array of ``manifest.samples``, in order; each
-    checkpoint's features, at the specs' shared layer, are computed once.
-    Per spec, one stacked probe trains a head per checkpoint and split on
+    ``(N, C, H, W)`` array of ``manifest.samples``, in order. ``ckpts`` is
+    consumed once, each checkpoint dropped after its features (at the specs'
+    shared layer) are extracted and its backbone checked unchanged, so a
+    lazy iterable holds one checkpoint's weights at a time. Per spec, one
+    stacked probe trains a head per checkpoint and split on
     n_train_per_class features per class, scored by mean class recall on up
     to max_test_per_class held-out samples. Classes come from the label
     map's subordinate index, or from sorted leaf ids (external datasets).
     """
     if len({probe.layer for probe in probes}) != 1:
         raise ValidationError("evaluate_probe needs probe specs sharing one layer")
-    backbones_before = [md.body_hash(ckpt) for ckpt in ckpts]
     labels, n_classes = _class_labels(manifest, labelmap)
     if len(images) != len(manifest):
         raise ValidationError(f"{len(images)} images for {len(manifest)} manifest samples")
@@ -187,7 +188,15 @@ def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
     # only the rows some split reads are extracted, renumbered in order
     used = np.unique(np.concatenate([idx for split in every_split for idx in split]))
     labels = labels[used]
-    features = [extract_features(ckpt, images, probes[0].layer, used) for ckpt in ckpts]
+    features = []
+    for ckpt in ckpts:
+        backbone = md.body_hash(ckpt)
+        features.append(extract_features(ckpt, images, probes[0].layer, used))
+        if md.body_hash(ckpt) != backbone:
+            raise AssertionError("probe evaluation mutated the backbone")
+        del ckpt  # not held while the next one loads
+    if not features:
+        raise ValidationError("no checkpoints given")
     results = []
     for probe, spec_splits in zip(probes, splits):
         spec_splits = [[np.searchsorted(used, idx) for idx in split]
@@ -210,8 +219,6 @@ def evaluate_probe(ckpts, manifest: dp.DatasetManifest, images: np.ndarray,
                 per_split=tuple(per_split),
                 aggregate={"mean": float(means.mean()), "std": float(means.std())},
                 n_train_per_class=probe.n_train_per_class))
-    if [md.body_hash(ckpt) for ckpt in ckpts] != backbones_before:
-        raise AssertionError("probe evaluation mutated the backbone")
     return results
 
 

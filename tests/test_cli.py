@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -1218,6 +1219,100 @@ class TestSweepCmd:
         assert (f"error: unsupported checkpoint version {version}"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+    @staticmethod
+    def _series(tmp_path, model_spec, n=4):
+        """``n`` untrained checkpoints at iterations 5, 10, ...; their paths."""
+        paths = []
+        for i in range(n):
+            ckpt = md.build_model(model_spec, seed=60 + i, init="scaled")
+            ckpt.iteration = 5 * (i + 1)
+            paths.append(tmp_path / f"c{ckpt.iteration}.ckpt")
+            md.save_checkpoint(ckpt, paths[-1])
+        return paths
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda buf: buf[:len(buf) // 2] + bytes([buf[len(buf) // 2] ^ 1])
+         + buf[len(buf) // 2 + 1:], "error: checkpoint CRC32 mismatch"),
+        (lambda buf: buf[:len(buf) // 2], "error: truncated tensor payload"),
+    ], ids=["corrupt", "truncated"])
+    def test_bad_third_of_four_checkpoints_exits_2_writing_nothing(
+            self, probe_fixtures, tmp_path, monkeypatch, capsys, damage, message):
+        """The third checkpoint's header and manifest are intact, so the sweep
+        sorts, checks and loads the images, and extracts the first two
+        checkpoints' features before the third's full load fails."""
+        data_dir, _, model_spec = probe_fixtures
+        paths = self._series(tmp_path, model_spec)
+        paths[2].write_bytes(damage(paths[2].read_bytes()))
+        extract, calls = transfer.extract_features, []
+        monkeypatch.setattr(transfer, "extract_features",
+                            lambda *a, **kw: calls.append(1) or extract(*a, **kw))
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--checkpoints", *map(str, paths),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "44", "--iters", "10", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not out.exists()
+
+    def test_bad_layer_on_any_checkpoint_exits_2_before_any_load(
+            self, probe_fixtures, tmp_path, monkeypatch, capsys):
+        """Only the third of four checkpoints lacks the --layer: the sweep
+        exits 2 before any image or checkpoint weights load."""
+        data_dir, _, model_spec = probe_fixtures
+        paths = self._series(tmp_path, model_spec)
+        renamed = md.ModelSpec(model_spec.input_shape, tuple(
+            dataclasses.replace(layer, name="dropout1") if layer.name == "drop1"
+            else layer for layer in model_spec.layers))
+        odd = md.build_model(renamed, seed=70, init="scaled")
+        odd.iteration = 15
+        md.save_checkpoint(odd, paths[2])
+        loads, load = [], dp.RawFileStore.load
+        monkeypatch.setattr(dp.RawFileStore, "load",
+                            lambda store, sample: loads.append(sample) or load(store, sample))
+        full_loads, load_checkpoint = [], md.load_checkpoint
+        monkeypatch.setattr(md, "load_checkpoint",
+                            lambda path: full_loads.append(path) or load_checkpoint(path))
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--checkpoints", *map(str, paths),
+                         "--manifest", str(data_dir / "manifest.csv"),
+                         "--images", str(data_dir), "--n-train", "2",
+                         "--seed", "44", "--layer", "drop1", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "error: no layer named 'drop1'" in capsys.readouterr().err
+        assert loads == [] and full_loads == []
+        assert not out.exists()
+
+    def test_four_desk_checkpoints_peak_within_one_checkpoint_of_one(self, tmp_path):
+        """A sweep holds one checkpoint's weights at a time: under
+        tracemalloc, a sweep of four desk checkpoints peaks less than one
+        checkpoint's weights (8.7 MiB) above a sweep of the first alone."""
+        data_dir = tmp_path / "data"
+        assert cli.main(synth_args(data_dir, seed=31, image="3x32x32")) == EXIT_OK
+        paths = [str(p) for p in self._series(tmp_path, md.desk_spec(4))]
+        weights = sum(e.weight.nbytes for e in md.load_checkpoint(paths[0]).params.values())
+
+        def sweep(n):
+            return cli.main(["sweep", "--checkpoints", *paths[:n],
+                             "--manifest", str(data_dir / "manifest.csv"),
+                             "--images", str(data_dir), "--n-train", "2",
+                             "--max-test", "4", "--splits", "2", "--seed", "44",
+                             "--iters", "10", "--out", str(tmp_path / f"sweep{n}")])
+
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (1, 4):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert sweep(n) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < weights
 
 
 def _poison(data_dir, index, value):

@@ -80,8 +80,13 @@ class TestRegimeValidation:
          "only on phase B"),
         ("FacilitatedReplicatedHead", dict(level="basic"), {}, ("b0",),
          "takes no pretrain categories"),
+        ("FacilitatedReplicatedHead", dict(level="basic"),
+         dict(lowered_prefix=0, lowered_mult=0.1), (), "lowers nothing"),
+        ("FacilitatedReplicatedHead", dict(level="basic"),
+         dict(lowered_prefix=2, lowered_mult=1.0), (), "lowers nothing"),
     ], ids=["reference-phase-b", "extended-phase-b", "phase-a",
-            "pretrain-on-facilitated"])
+            "pretrain-on-facilitated", "lowering-prefix-zero",
+            "lowering-mult-one"])
     def test_no_effect_settings_rejected(self, kind, phase_a, phase_b,
                                          categories, match):
         with pytest.raises(ValidationError, match=match):
@@ -277,6 +282,41 @@ class TestTrainPhase:
 
 
 class TestRunRegime:
+    @pytest.mark.parametrize("kind", ["Reference", "ReferenceExtended",
+                                      "FacilitatedReplicatedHead"])
+    def test_each_phase_trains_the_checkpoint_made_for_it(self, bundle_pair,
+                                                          monkeypatch, kind):
+        """run_regime makes every checkpoint a phase starts from (a fresh
+        model, or replace_head's result) and trains it in place: the final
+        checkpoint is the last one made, and replace_head reads phase A's
+        fresh model itself."""
+        _, bundle = bundle_pair
+        build_model, replace_head = md.build_model, md.replace_head
+        made, heads_from = [], []
+
+        def spy_build(*args, **kwargs):
+            made.append(build_model(*args, **kwargs))
+            return made[-1]
+
+        def spy_replace(ckpt, *args, **kwargs):
+            heads_from.append(ckpt)
+            made.append(replace_head(ckpt, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(md, "build_model", spy_build)
+        monkeypatch.setattr(md, "replace_head", spy_replace)
+        phase_a = None
+        if kind != "Reference":
+            phase_a = tiny_cfg(iters=2, seed=1,
+                               level="sub" if kind == "ReferenceExtended" else "basic")
+        regime = cu.Regime(kind=kind, phase_a=phase_a,
+                           phase_b=tiny_cfg(iters=2, seed=2))
+        final, _ = cu.run_regime(regime, bundle)
+        assert final is made[-1]
+        assert final.iteration == 2
+        assert all(a is b for a, b in zip(heads_from, made))
+        assert len(heads_from) == (kind == "FacilitatedReplicatedHead")
+
     def test_reference_equals_single_phase(self, bundle_pair):
         _, bundle = bundle_pair
         regime = cu.Regime(kind="Reference", phase_b=tiny_cfg(iters=5, seed=7))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tracemalloc
 import weakref
@@ -683,6 +684,25 @@ class TestCheckpointManifestChecks:
 
 
 class TestCheckpointIO:
+    def test_manifest_read_needs_only_header_and_manifest(self, small_ckpt,
+                                                          tmp_path):
+        """load_checkpoint_manifest reads a file cut right after its manifest;
+        a file cut inside its header or manifest, or whose manifest length
+        runs past its end, gets the full load's error."""
+        small_ckpt.iteration = 77
+        buf = md.checkpoint_to_bytes(small_ckpt)
+        end = 16 + struct.unpack_from("<Q", buf, 8)[0]
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(buf[:end])
+        assert md.load_checkpoint_manifest(path) == (small_ckpt.spec, 77)
+        for cut in (b"", buf[:3], buf[:10], buf[:end - 1],
+                    buf[:8] + struct.pack("<Q", 1 << 62) + buf[16:]):
+            path.write_bytes(cut)
+            with pytest.raises(ValidationError) as got:
+                md.load_checkpoint_manifest(path)
+            with pytest.raises(ValidationError, match=re.escape(str(got.value))):
+                md.checkpoint_from_bytes(cut)
+
     def test_round_trip_byte_identical(self, small_ckpt, tmp_path):
         small_ckpt.iteration = 123
         path = tmp_path / "model.ckpt"
