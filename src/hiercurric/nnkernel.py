@@ -135,7 +135,10 @@ class ConvCache:
 # whose whole matrix fits takes one span. A kernel-gradient span's width
 # can change a GEMM's last bits: at 8 MiB desk conv2's kernel gradient runs
 # in 4-5-channel spans, which differ from the one-GEMM product under a
-# two-thread OpenBLAS; its 8-channel spans at 16 MiB do not
+# two-thread OpenBLAS; its 8-channel spans at 16 MiB do not. A first
+# layer (no input gradient) that spans takes one channel a span where that
+# kept the bytes on one and two OpenBLAS threads: 2-25 taps, 17-32 kernels
+# a group (desk conv1: 1 + 1 + 1, not 1 + 2)
 IM2COL_BYTES = 16 << 20
 
 
@@ -199,6 +202,8 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0,
     """
     n, c, h, w = x.shape
     k, cg, kh, kw = kernels.shape
+    if n == 0:
+        raise ValidationError("conv2d_forward: empty batch (0 samples)")
     if c != cg * groups or k % groups != 0:
         raise ValidationError(
             f"channel mismatch: input {x.shape} vs kernels {kernels.shape} "
@@ -264,17 +269,17 @@ def _two_chains(mine, theirs):
     return result
 
 
-def _conv_dw(dout_mat, xp, kh, kw, stride, buf, dw):
+def _conv_dw(dout_mat, xp, kh, kw, stride, buf, dw, budget):
     """Kernel gradient dout_mat @ im2col(xp)^T into ``dw``, one span of
-    whole channels of one group at a time: the span's im2col rows into
-    ``buf``, then its GEMM into the span's columns of ``dw``. It writes
-    only the caller's buffers, so on the worker thread it allocates
-    nothing large."""
+    whole channels of one group within ``budget`` bytes at a time: the
+    span's im2col rows into ``buf``, then its GEMM into the span's columns
+    of ``dw``. It writes only the caller's buffers, so on the worker thread
+    it allocates nothing large."""
     groups, _, rows = dw.shape
     taps, cg = kh * kw, rows // (kh * kw)
     width = dout_mat.shape[2]
     for g in range(groups):
-        for a, b in _spans(0, cg, taps * width * buf.itemsize):
+        for a, b in _spans(0, cg, taps * width * buf.itemsize, budget):
             cols = buf[:(b - a) * taps * width].reshape(-1, width)
             _im2col(xp[:, g * cg + a:g * cg + b], kh, kw, stride, cols)
             np.matmul(dout_mat[g], cols.T, out=dw[g, :, a * taps:b * taps])
@@ -316,6 +321,10 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
     are the same either way. The kernel gradient builds the im2col matrix
     in spans of whole channels of at most IM2COL_BYTES, into one buffer the
     caller allocates, and multiplies each span into its own columns of dw.
+    Without ``need_dx`` (the first layer) a kernel gradient of several
+    spans takes one channel a span in the shapes IM2COL_BYTES names. Other
+    layers keep theirs: desk conv2's 4-5-channel spans change bytes on two
+    BLAS threads, and its one-channel spans take 1.34-1.44x the time.
     """
     xp, kernels, stride, groups = cache.xp, cache.kernels, cache.stride, cache.groups
     n, c, h, w = cache.x_shape
@@ -326,14 +335,19 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
         raise ValidationError(
             f"upstream gradient shape {dout.shape} does not match forward "
             f"output (n={n}, k={k}, spatial={(out_h, out_w)})")
-
+    if n == 0:
+        raise ValidationError("conv2d_backward: empty batch (0 samples)")
     db = dout.sum(axis=(0, 2, 3))
     dout_mat = dout.transpose(1, 0, 2, 3).reshape(groups, k // groups, -1)
     channel_bytes = kh * kw * n * out_h * out_w * xp.itemsize
-    buf = np.empty(_span_bytes(0, cg, channel_bytes) // xp.itemsize, xp.dtype)
+    one_channel = (not need_dx and 1 < kh * kw <= 25 and 16 < k // groups <= 32
+                   and len(_spans(0, cg, channel_bytes)) > 1)
+    budget = channel_bytes if one_channel else IM2COL_BYTES
+    buf = np.empty(_span_bytes(0, cg, channel_bytes, budget) // xp.itemsize, xp.dtype)
     dw = np.empty((groups, k // groups, cg * kh * kw),
                   np.result_type(dout_mat, xp))
-    dw_chain = functools.partial(_conv_dw, dout_mat, xp, kh, kw, stride, buf, dw)
+    dw_chain = functools.partial(_conv_dw, dout_mat, xp, kh, kw, stride, buf, dw,
+                                 budget)
     if need_dx:
         dx = _two_chains(
             functools.partial(_conv_dx, dout_mat, cache, dout.dtype), dw_chain)
@@ -504,6 +518,8 @@ def softmax_xent(logits, labels):
     """Mean cross-entropy over the batch plus its logits gradient."""
     labels = np.asarray(labels)
     n, k = logits.shape
+    if n == 0:
+        raise ValidationError("softmax_xent: empty batch (0 samples)")
     if labels.shape != (n,):
         raise ValidationError(f"labels shape {labels.shape} != ({n},)")
     if labels.min() < 0 or labels.max() >= k:

@@ -144,6 +144,12 @@ class TestConvForward:
             nk.conv2d_forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)),
                               np.zeros(1))
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_empty_batch_rejected(self, train):
+        with pytest.raises(ValidationError, match="empty batch"):
+            nk.conv2d_forward(np.zeros((0, 3, 8, 8)), np.zeros((4, 3, 3, 3)),
+                              np.zeros(4), pad=1, train=train)
+
 
 class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self):
@@ -159,6 +165,13 @@ class TestConvBackward:
         out, cache = nk.conv2d_forward(x, np.zeros((1, 1, 3, 3)), np.zeros(1))
         with pytest.raises(ValidationError):
             nk.conv2d_backward(np.zeros((1, 1, 4, 4)), cache)
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_empty_batch_rejected(self, need_dx):
+        cache = nk.ConvCache(np.zeros((0, 3, 8, 8)), np.zeros((4, 3, 3, 3)),
+                             (0, 3, 8, 8), 1, 0, 1)
+        with pytest.raises(ValidationError, match="empty batch"):
+            nk.conv2d_backward(np.zeros((0, 4, 6, 6)), cache, need_dx)
 
     @pytest.mark.parametrize("x_shape,k_shape,stride,pad,groups", [
         # overlapping strided windows, as AlexNet conv1 (11x11, stride 4)
@@ -597,6 +610,62 @@ class TestConvSpans:
         assert span + kept < c * kh * kw * n * h * w * 8
         assert traced_peak(lambda: nk.conv2d_backward(dout, cache)) <= span + kept + (1 << 20)
 
+    @staticmethod
+    def dw_gemm_widths(monkeypatch, dout, cache):
+        """Column counts of the kernel-gradient GEMMs of a first-layer
+        backward (``need_dx`` false), its only matmuls."""
+        real, widths = np.matmul, []
+
+        def recording(a, b, out=None):
+            widths.append(out.shape[-1])
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        got = nk.conv2d_backward(dout, cache, need_dx=False)
+        monkeypatch.undo()
+        return widths, got
+
+    def test_first_layer_takes_one_channel_spans_at_desk_conv1(
+            self, monkeypatch):
+        dout, cache = conv_case(*CONV_CASES["desk-conv1"])
+        n, c, h, w = cache.x_shape
+        k, cg, kh, kw = cache.kernels.shape
+        channel = kh * kw * n * h * w * 8
+        # the budget alone cuts the 3 channels 1 + 2
+        assert len(nk._spans(0, cg, channel)) == 2
+        widths, got = self.dw_gemm_widths(monkeypatch, dout, cache)
+        assert widths == [kh * kw] * cg
+        TestConvBackwardBytes.assert_same_bytes(
+            got, column_conv2d_backward(dout, cache, False))
+        # kept: dout's GEMM copy and the kernel gradient
+        kept = (k * n * h * w + k * cg * kh * kw) * 8
+        peak = traced_peak(lambda: nk.conv2d_backward(dout, cache, need_dx=False))
+        assert peak <= channel + kept + (1 << 20)
+
+    def test_first_layer_of_one_span_keeps_one_gemm(self, monkeypatch):
+        """benchmark-conv1's kernel gradient fits the budget, so it stays
+        one GEMM over all its channels: one-channel spans change its bytes
+        even on one BLAS thread."""
+        dout, cache = conv_case(*CONV_CASES["benchmark-conv1"])
+        k, cg, kh, kw = cache.kernels.shape
+        widths, got = self.dw_gemm_widths(monkeypatch, dout, cache)
+        assert widths == [cg * kh * kw]
+        TestConvBackwardBytes.assert_same_bytes(
+            got, column_conv2d_backward(dout, cache, False))
+
+    @pytest.mark.parametrize("x_shape,k_shape,stride,pad", [
+        ((16, 3, 32, 32), (32, 3, 11, 11), 1, 0),  # 121 taps
+        ((32, 3, 32, 32), (48, 3, 5, 5), 1, 2),    # 48 kernels
+    ])
+    def test_first_layer_outside_the_checked_shapes_keeps_budget_spans(
+            self, monkeypatch, x_shape, k_shape, stride, pad):
+        """One-channel spans changed these shapes' bytes on one or two
+        OpenBLAS threads, so they keep the budget's 1 + 2 cut."""
+        dout, cache = conv_case(x_shape, k_shape, stride, pad, 1)
+        k, cg, kh, kw = k_shape
+        widths, _ = self.dw_gemm_widths(monkeypatch, dout, cache)
+        assert widths == [kh * kw, 2 * kh * kw]
+
     def test_the_worker_allocates_no_span_buffer(self, monkeypatch):
         real, large = np.empty, []
 
@@ -804,6 +873,10 @@ class TestSoftmaxXent:
     def test_out_of_range_label(self):
         with pytest.raises(ValidationError, match="range"):
             nk.softmax_xent(np.zeros((2, 3)), np.array([0, 3]))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValidationError, match="empty batch"):
+            nk.softmax_xent(np.zeros((0, 3)), np.zeros(0, np.int64))
 
 
 def _single_param(w0, g):
