@@ -230,23 +230,23 @@ def cmd_train(args) -> int:
 
     run_dirs = {name: out if "regime" in config else out / name for name in regimes}
     # regimes run in turn on the main thread, so each step's conv work has the
-    # conv worker's second core (nnkernel._two_chains); a final checkpoint is
-    # kept only for the transfer probe
+    # conv worker's second core (nnkernel._two_chains); the transfer probe
+    # reloads each final checkpoint's weights from its file, one at a time
     finals = {}
     for name, regime in regimes.items():
-        ckpt, report = cu.run_regime(regime, bundle, out_dir=run_dirs[name])
+        # the trained model is dropped here, not held while the next regime trains
+        report = cu.run_regime(regime, bundle, out_dir=run_dirs[name])[1]
         report.checkpoints = [str(Path(p).relative_to(out))
                               for p in report.checkpoints]
         cu.save_run_report(report, run_dirs[name])
         print(f"{name}: " + " ".join(
             f"{k}={v:.4f}" for k, v in sorted(report.final.items())), flush=True)
         if "transfer" in config:
-            finals[name] = ckpt
-        del ckpt  # not held while the next regime trains
+            finals[name] = out / report.checkpoints[-1]
 
     if "transfer" in config:
-        results = transfer.evaluate_probe(list(finals.values()), manifest,
-                                          bundle.images, [probe], labelmap)
+        results = transfer.evaluate_probe(map(md.load_checkpoint, finals.values()),
+                                          manifest, bundle.images, [probe], labelmap)
         for name, result in zip(finals, results):
             transfer.save_probe_result(result, run_dirs[name] / "transfer")
             print(f"{name}: probe mean_class_recall="

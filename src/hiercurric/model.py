@@ -356,12 +356,29 @@ def _layer_forward(layer: Layer, params: dict[str, nk.ParamEntry], x, mode: str,
     return _in_layer(layer, "forward", layer.forward, params, x, mode, rng)
 
 
+def _executed(layers) -> list:
+    """``layers`` in the order a forward runs them: a MaxPool (window >= 2)
+    that directly follows a Relu runs first, as relu(max(x)) = max(relu(x)),
+    so relu's mask and backward are pool-sized. Bytes are kept: relu never
+    outputs -0.0, and a live window routes to the same offset either way. A
+    dead window's input gradient turns from the -0.0 relu's mask may make to
+    bincount's +0.0, which a conv absorbs: its GEMM accumulators and dxp
+    start at +0.0 and never hold -0.0, and no bias gradient sums -0.0 alone,
+    as every plane has a position no window of 2 or more routes to."""
+    order = list(layers)
+    for i, (a, b) in enumerate(zip(layers, layers[1:])):
+        if a.kind == "relu" and b.kind == "maxpool" and b.window > 1:
+            order[i:i + 2] = b, a
+    return order
+
+
 def forward(spec: ModelSpec, params: dict[str, nk.ParamEntry], x, mode: str = "eval",
             rng: np.random.Generator | None = None):
-    """Run the layer chain; returns (logits, caches) for :func:`backward`."""
+    """Run the layer chain in :func:`_executed` order; returns (logits,
+    caches) for :func:`backward`, the caches in that order."""
     act = x
     caches = []
-    for layer in spec.layers:
+    for layer in _executed(spec.layers):
         act, cache = _layer_forward(layer, params, act, mode, rng)
         caches.append((layer, cache))
     return act, caches
@@ -415,7 +432,8 @@ def forward_eval(ckpt: Checkpoint, images, layer: str | None = None,
     Each EVAL_BATCH-image batch is gathered on its own, so no selection is
     copied. Dropout runs in eval mode and no generator is consumed. Each
     layer's cache is dropped as soon as it is made and the layers after
-    ``layer`` do not run, so only the running activation stays alive.
+    ``layer`` do not run, so only the running activation stays alive. The
+    rest run in :func:`_executed` order, so a relu ``layer`` still runs last.
     """
     shape = tuple(ckpt.spec.input_shape)
     if tuple(images.shape[1:]) != shape:
@@ -429,7 +447,7 @@ def forward_eval(ckpt: Checkpoint, images, layer: str | None = None,
         part = rows[start:start + EVAL_BATCH]
         act = np.zeros((EVAL_BATCH,) + shape, images.dtype)
         np.take(images, part, axis=0, out=act[:len(part)])
-        for step in ckpt.spec.layers[:stop]:
+        for step in _executed(ckpt.spec.layers[:stop]):
             act = _layer_forward(step, ckpt.params, act, "eval", None)[0]
         outs.append(act[:len(part)])
     return np.concatenate(outs)

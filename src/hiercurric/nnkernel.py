@@ -1,7 +1,7 @@
 """Dense-tensor kernels: layer forward/backward passes, loss, and SGD.
 
-All arrays are numpy ndarrays in row-major NCHW layout, float64 by default
-(float32 storage is accepted; reductions go through BLAS/float64 paths).
+All arrays are numpy ndarrays indexed NCHW, whatever their memory order, float64
+by default (float32 storage is accepted; reductions go through BLAS/float64 paths).
 Every kernel output is scanned for NaN/Inf, which raises NumericFault; no
 setting turns the scan off.
 """
@@ -337,7 +337,9 @@ def conv2d_backward(dout, cache: ConvCache, need_dx: bool = True):
             f"output (n={n}, k={k}, spatial={(out_h, out_w)})")
     if n == 0:
         raise ValidationError("conv2d_backward: empty batch (0 samples)")
-    db = dout.sum(axis=(0, 2, 3))
+    # plane sums folded over samples: NCHW dout.sum(axis=(0, 2, 3))'s bytes,
+    # in any layout, so pool_backward's channel-major dout is never copied
+    db = np.ascontiguousarray(dout.sum(axis=(2, 3))).sum(axis=0)
     dout_mat = dout.transpose(1, 0, 2, 3).reshape(groups, k // groups, -1)
     channel_bytes = kh * kw * n * out_h * out_w * xp.itemsize
     one_channel = (not need_dx and 1 < kh * kw <= 25 and 16 < k // groups <= 32
@@ -399,7 +401,8 @@ def maxpool_forward(x, window: int, stride: int):
 
 
 def pool_backward(dout, cache: PoolCache):
-    """Scatter upstream gradients to each window's argmax position."""
+    """Scatter upstream gradients to each window's argmax position in a
+    (C, N, H, W) buffer, returned as its (N, C, H, W) view."""
     n, c, h, w = cache.x_shape
     window, stride = cache.window, cache.stride
     out_h, out_w = cache.argmax.shape[2:]
@@ -412,10 +415,11 @@ def pool_backward(dout, cache: PoolCache):
     idx = np.floor_divide(cache.argmax, window, dtype=np.intp)
     idx *= w - window
     idx += cache.argmax
-    idx += np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+    idx += np.arange(c * n).reshape(c, n, 1, 1).transpose(1, 0, 2, 3) * (h * w)
     idx += stride * (w * np.arange(out_h)[:, None] + np.arange(out_w))
+    # weights in NCHW order: each target sums its (overlapping) windows as before
     dx = np.bincount(idx.ravel(), weights=dout.ravel(), minlength=n * c * h * w)
-    dx = dx.reshape(n, c, h, w).astype(dout.dtype, copy=False)
+    dx = dx.reshape(c, n, h, w).transpose(1, 0, 2, 3).astype(dout.dtype, copy=False)
     _guard(dx)
     return dx
 
@@ -429,8 +433,15 @@ def relu_forward(x):
     return out, out > 0
 
 
+def _masked(dout, mask, kernel):
+    if dout.shape != mask.shape:
+        raise ValidationError(f"{kernel}: upstream gradient shape {dout.shape} "
+                              f"!= mask shape {mask.shape}")
+    return dout * mask
+
+
 def relu_backward(dout, cache):
-    dx = dout * cache
+    dx = _masked(dout, cache, "relu_backward")
     _guard(dx)
     return dx
 
@@ -494,7 +505,7 @@ def dropout_forward(x, rate: float, mode: str, rng: np.random.Generator | None =
 def dropout_backward(dout, mask, rate: float):
     if mask is None:
         return dout
-    dx = dout * mask / (1.0 - rate)
+    dx = _masked(dout, mask, "dropout_backward") / (1.0 - rate)
     _guard(dx)
     return dx
 

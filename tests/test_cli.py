@@ -541,6 +541,38 @@ class TestTrainCmd:
         assert cli.main(["train", "--config", str(config_path)]) == EXIT_OK
         assert (tmp_path / "probe_run" / "transfer" / "probe.json").exists()
 
+    def test_transfer_probe_gets_final_weights_without_momentum(
+            self, tmp_path, monkeypatch):
+        """Each regime's final checkpoint is kept for the probe as weights
+        and lr multipliers only; its trained momentum is freed."""
+        extra = {"transfer": {"n_train_per_class": 4, "max_test_per_class": 4,
+                              "n_splits": 2, "seed": 41, "iters": 20}}
+        phase = {"iterations": 6, "seed": 7, "eval_every": 3,
+                 "checkpoint_every": 6, "sgd": {"batch_size": 8}}
+        regimes = [{"kind": "Reference", "name": "a", "phase_b": phase},
+                   {"kind": "Reference", "name": "b",
+                    "phase_b": dict(phase, seed=8)}]
+        config_path, _ = train_config(tmp_path, out_name="probe_run",
+                                      regimes=regimes, extra=extra)
+        received, evaluate_probe = [], transfer.evaluate_probe
+
+        def spy(ckpts, *args):
+            ckpts = list(ckpts)
+            received.extend(ckpts)
+            return evaluate_probe(ckpts, *args)
+
+        monkeypatch.setattr(transfer, "evaluate_probe", spy)
+        assert cli.main(["train", "--config", str(config_path)]) == EXIT_OK
+        assert len(received) == 2
+        for name, ckpt in zip("ab", received):
+            saved = md.load_checkpoint(
+                tmp_path / "probe_run" / name / "phase_b" / "ckpt_00000006.ckpt")
+            assert list(ckpt.params) == list(saved.params)
+            for entry, kept in zip(ckpt.params.values(), saved.params.values()):
+                assert entry.weight.tobytes() == kept.weight.tobytes()
+                assert entry.lr_mult == kept.lr_mult
+                assert not entry.momentum.any()
+
     def test_hiercurric_out_env_resolves_relative(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HIERCURRIC_OUT", str(tmp_path / "root"))
         config_path, _ = train_config(tmp_path, out_name="ignored")

@@ -230,6 +230,31 @@ class TestForwardEval:
                                      np.random.default_rng(0))
         np.testing.assert_array_equal(train_logits[:2], md.forward_eval(ckpt, batch))
 
+    @pytest.mark.parametrize("layer, order", [
+        ("relu1", ["conv1", "relu1"]),
+        ("pool1", ["conv1", "pool1", "relu1"]),
+    ])
+    def test_a_slice_that_ends_at_a_relu_keeps_the_spec_order(
+            self, layer, order, monkeypatch):
+        """pool1 runs before relu1 only when the slice holds it, and either
+        slice gives the spec order's bytes."""
+        ckpt = md.build_model(md.desk_spec(4), seed=2, init="scaled")
+        images = np.random.default_rng(3).standard_normal((md.EVAL_BATCH, 3, 32, 32))
+        ran = []
+        for cls in (md.Conv, md.Relu, md.MaxPool):
+            def spy(step, params, x, mode, rng, forward=cls.forward):
+                ran.append(step.name)
+                return forward(step, params, x, mode, rng)
+            monkeypatch.setattr(cls, "forward", spy)
+        got = md.forward_eval(ckpt, images, layer)
+        conv = nk.conv2d_forward(images, ckpt.params["conv1.weight"].weight,
+                                 ckpt.params["conv1.bias"].weight, 1, 2)[0]
+        want = nk.relu_forward(conv)[0]
+        if layer == "pool1":
+            want = nk.maxpool_forward(want, 2, 2)[0]
+        assert ran == order
+        assert got.tobytes() == want.tobytes()
+
     def test_batch_shape_checked(self):
         ckpt = md.build_model(md.desk_spec(4), seed=1)
         with pytest.raises(ValidationError, match="shape"):
@@ -375,6 +400,52 @@ class TestBackward:
         for name in ckpt.params:
             assert got[name].tobytes() == want[name].tobytes(), name
 
+    @pytest.mark.parametrize("make_spec", [bm.model_spec, md.desk_spec],
+                             ids=["benchmark", "desk"])
+    def test_pool_first_keeps_the_spec_order_bytes(self, make_spec):
+        """Each pool runs before the relu it follows, and the logits and
+        every gradient equal a spec-order step's bytes, with dead windows,
+        windows whose max is an exact 0 and signed zeros in the upstream
+        gradient, though the gradients reaching the convs differ in the
+        sign of some zeros."""
+        spec = make_spec(6)
+        ckpt = md.build_model(spec, seed=8, init="scaled")
+        for name in spec.conv_names():
+            bias = ckpt.params[f"{name}.bias"].weight
+            bias[::3], bias[1::3] = -0.5, -0.0  # dead and zero-bias maps
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((8,) + spec.input_shape)
+        x[:, :, :8, :8] = 0.0  # windows whose max is exactly 0
+        runs = {}
+        for order in ("executed", "spec"):
+            step_rng = np.random.default_rng(10)
+            if order == "executed":
+                logits, caches = md.forward(spec, ckpt.params, x, "train", step_rng)
+            else:
+                act, caches = x, []
+                for layer in spec.layers:
+                    act, cache = layer.forward(ckpt.params, act, "train", step_rng)
+                    caches.append((layer, cache))
+                logits = act
+            _, dlogits = nk.softmax_xent(logits, np.arange(8) % 6)
+            dlogits[0], dlogits[1], dlogits[2, ::2] = 0.0, -0.0, -0.0
+            grad, at_conv = dlogits, {}
+            for layer, cache in reversed(list(caches)):
+                if layer.kind == "conv":
+                    at_conv[layer.name] = grad
+                grad = layer.backward(grad, cache, True)[0]
+            runs[order] = (logits, md.backward(ckpt.params, caches, dlogits),
+                           at_conv)
+        (logits, grads, at_conv), (ref_logits, ref_grads, ref_at_conv) = (
+            runs["executed"], runs["spec"])
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert sorted(grads) == sorted(ref_grads) == sorted(ckpt.params)
+        for name in ckpt.params:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        assert all(np.array_equal(at_conv[n], ref_at_conv[n]) for n in at_conv)
+        assert any(np.signbit(ref_at_conv[n]).sum() > np.signbit(at_conv[n]).sum()
+                   for n in at_conv)
+
     def test_each_cache_is_freed_before_the_layer_below_runs(self, monkeypatch):
         """backward consumes the caches: layer i's cache is dead when layer
         i-1's backward starts, and each entry is left as (layer, None)."""
@@ -499,6 +570,31 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak <= 36 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_desk_step_traced_peak_with_pool_before_relu(self):
+        """relu runs after the pool it precedes in the spec, so its output
+        and mask are pool-sized, and pool_backward hands each conv a
+        channel-major gradient that conv2d_backward reshapes without a
+        copy: one desk step at batch 32 peaks at most 30 MiB in tracemalloc
+        (33.3 MiB with relu on full-size conv outputs and an NCHW
+        gradient)."""
+        ckpt = md.build_model(md.desk_spec(12), seed=1, init="scaled")
+        cfg = nk.SgdConfig(base_lr=0.005, momentum=0.9, weight_decay=0.0005,
+                           lr_gamma=1.0, lr_step=100, batch_size=32)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((32, 3, 32, 32))
+        labels = rng.integers(0, 12, 32)
+
+        tracemalloc.start()
+        try:
+            logits, caches = md.forward(ckpt.spec, ckpt.params, x, "train", rng)
+            _, dlogits = nk.softmax_xent(logits, labels)
+            nk.sgd_step(ckpt.params, md.backward(ckpt.params, caches, dlogits),
+                        cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("first", [md.Relu("relu0"), md.Fc("fc0", 6)],
                              ids=["relu", "fc"])

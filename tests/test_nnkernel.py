@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import sys
 import threading
@@ -800,6 +801,76 @@ class TestMaxPool:
         assert dx[0, 0, 1, 1] == 4.0
 
 
+class TestPoolBeforeRelu:
+    """relu(maxpool(x)) = maxpool(relu(x)), so a forward may pool first."""
+
+    @pytest.mark.parametrize("values", [
+        (0.0, -0.0),                                     # signed zeros tie
+        (-1.0, 0.0, 1.0),                                # ties around zero
+        (-2.0, -1.0, -0.0),                              # all-negative windows
+        (-3.0, -0.0, 0.0, 0.5, 2.0),
+    ], ids=["signed-zeros", "ties", "all-negative", "mixed"])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_swap_keeps_the_bytes(self, values, window, stride, dtype):
+        rng = np.random.default_rng([window, stride, len(values)])
+        x = rng.choice(np.array(values, dtype), size=(3, 4, 9, 8))
+        x[0, 0] = -1.0  # a plane of dead windows
+        pool_first = nk.relu_forward(nk.maxpool_forward(x, window, stride)[0])[0]
+        relu_first = nk.maxpool_forward(nk.relu_forward(x)[0], window, stride)[0]
+        assert pool_first.dtype == relu_first.dtype == dtype
+        assert pool_first.tobytes() == relu_first.tobytes()
+
+
+class TestChannelMajorPoolGradient:
+    """pool_backward hands conv2d_backward a channel-major gradient, whose
+    (K, N*H*W) form is a view."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2)])
+    def test_pool_backward_returns_a_channel_major_array(self, window, stride,
+                                                         dtype):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 4, 9, 8)).astype(dtype)
+        out, cache = nk.maxpool_forward(x, window, stride)
+        dx = nk.pool_backward(rng.standard_normal(out.shape).astype(dtype), cache)
+        assert dx.shape == x.shape and dx.dtype == dtype
+        assert dx.transpose(1, 0, 2, 3).flags.c_contiguous
+
+    def test_desk_conv2_backward_peaks_lower_on_it(self):
+        """Fed pool2's channel-major gradient, desk conv2's backward copies
+        no (K, N*H*W) matrix, 4 MiB at batch 32, and gives the NCHW bytes."""
+        x_shape, k_shape, stride, pad, groups = CONV_CASES["desk-conv2"]
+        rng = np.random.default_rng(6)
+        out, cache = nk.conv2d_forward(
+            rng.standard_normal(x_shape), rng.standard_normal(k_shape) * 0.1,
+            np.zeros(k_shape[0]), stride, pad, groups, train=True)
+        pooled, pool_cache = nk.maxpool_forward(out, 2, 2)
+        channel_major = nk.pool_backward(rng.standard_normal(pooled.shape),
+                                         pool_cache)
+        nchw = np.ascontiguousarray(channel_major)
+        assert not channel_major.flags.c_contiguous and nchw.flags.c_contiguous
+        peaks = [traced_peak(lambda: nk.conv2d_backward(dout, cache))
+                 for dout in (nchw, channel_major)]
+        assert peaks[0] - peaks[1] >= 3.5 * 2**20, [p / 2**20 for p in peaks]
+        for a, b in zip(nk.conv2d_backward(nchw, cache),
+                        nk.conv2d_backward(channel_major, cache)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", list(CONV_CASES))
+    def test_bias_gradient_fold_equals_the_nchw_sum(self, case):
+        """conv2d_backward's bias gradient, per-sample plane sums folded
+        over the samples, rests on numpy summing an NCHW dout over (0, 2, 3)
+        in that order; it gives those bytes in either layout."""
+        dout, cache = conv_case(*CONV_CASES[case])
+        ref = dout.sum(axis=(0, 2, 3)).tobytes()
+        channel_major = np.ascontiguousarray(
+            dout.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        for d in (dout, channel_major):
+            assert np.ascontiguousarray(d.sum(axis=(2, 3))).sum(axis=0).tobytes() == ref
+            assert nk.conv2d_backward(d, cache)[2].tobytes() == ref
+
+
 class TestFc:
     def test_scalar_chain_rule(self):
         x = np.array([[3.0]])
@@ -965,6 +1036,14 @@ class TestRelu:
         np.testing.assert_array_equal(cache, x > 0)
 
 
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 3), (4, 2, 4, 4)])
+    def test_backward_rejects_a_gradient_of_another_shape(self, shape):
+        _, mask = nk.relu_forward(np.ones((4, 2, 3, 3)))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{shape} != mask shape (4, 2, 3, 3)")):
+            nk.relu_backward(np.ones(shape), mask)
+
+
 class TestDropout:
     def test_eval_is_identity(self):
         x = np.random.default_rng(0).random((4, 7))
@@ -992,6 +1071,15 @@ class TestDropout:
         out, mask = nk.dropout_forward(x, 0.5, "train", rng)
         dx = nk.dropout_backward(np.ones((3, 3)), mask, 0.5)
         np.testing.assert_array_equal(dx, out)
+
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 3), (4, 2, 4, 4)])
+    def test_backward_rejects_a_gradient_of_another_shape(self, shape):
+        _, mask = nk.dropout_forward(np.ones((4, 2, 3, 3)), 0.5, "train",
+                                     np.random.default_rng(13))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{shape} != mask shape (4, 2, 3, 3)")):
+            nk.dropout_backward(np.ones(shape), mask, 0.5)
 
 
 class TestCheckedMode:
