@@ -20,7 +20,7 @@ lm = bundle.labelmap
 # phase A: 4-way basic classification
 cfg_a = bm.train_config(400, seed=31, level="basic")
 start = md.build_model(bundle.model_spec.with_outputs(lm.n_basic), seed=31,
-                       phase_tag="basic", init="scaled")
+                       init="scaled")
 basic_ckpt, report_a = cu.train_phase(start, cfg_a, bundle.train, bundle.val,
                                       lm, bundle.images, bundle.rows)
 print(f"phase A (basic, {cfg_a.max_iterations} iters): "

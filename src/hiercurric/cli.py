@@ -101,6 +101,11 @@ def cmd_prepare(args) -> int:
     labelmap = taxonomy.labelmap_from_csv(args.labelmap)
     capped = dp.cap_per_category(manifest, labelmap, args.level, args.cap,
                                  args.seed)
+    # cut before anything is written or printed, so a failed cut leaves nothing
+    split_seed = args.seed if args.split_seed is None else args.split_seed
+    splits = dp.random_class_splits(capped, args.train_per_class,
+                                    args.max_test_per_class, args.splits,
+                                    split_seed) if args.splits else []
     out = resolve_out(args.out)
     dp.save_manifest(capped, out / "capped_manifest.csv")
 
@@ -112,14 +117,9 @@ def cmd_prepare(args) -> int:
         print(f"{category}: {retained}")
     print(f"total retained: {len(capped)} of {len(manifest)}")
 
-    if args.splits:
-        splits = dp.random_class_splits(capped, args.train_per_class,
-                                        args.max_test_per_class, args.splits,
-                                        args.seed if args.split_seed is None
-                                        else args.split_seed)
-        for i, (train, test) in enumerate(splits):
-            dp.save_manifest(train, out / f"train_{i}.csv")
-            dp.save_manifest(test, out / f"test_{i}.csv")
+    for i, (train, test) in enumerate(splits):
+        dp.save_manifest(train, out / f"train_{i}.csv")
+        dp.save_manifest(test, out / f"test_{i}.csv")
     return EXIT_OK
 
 

@@ -169,9 +169,10 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     (``run_regime`` trains the checkpoints it makes in place: ``_in_place``).
     Every entry's ``lr_mult`` comes from ``cfg``, whatever the input held:
     the first ``cfg.lowered_prefix`` conv layers learn at
-    ``cfg.lowered_mult`` and every other entry at 1.0. Batches come from a
-    full seeded shuffle per epoch with the last partial batch kept; the
-    learning-rate schedule restarts at iteration 0 for the phase.
+    ``cfg.lowered_mult`` and every other entry at 1.0; so does the
+    ``phase_tag``, ``"basic"`` or ``"subordinate"`` by ``cfg.task_level``.
+    Batches come from a full seeded shuffle per epoch with the last partial
+    batch kept; the learning-rate schedule restarts at iteration 0 for the phase.
     """
     train_labels = np.array(labelmap.indices(train.leaf_ids(), cfg.task_level))
     val_labels = np.array(labelmap.indices(val.leaf_ids(), cfg.task_level))
@@ -190,6 +191,7 @@ def train_phase(ckpt: md.Checkpoint, cfg: TrainConfig,
     lowered = set(conv_names[:cfg.lowered_prefix])
     for name, e in work.params.items():
         e.lr_mult = cfg.lowered_mult if name.rsplit(".", 1)[0] in lowered else 1.0
+    work.phase_tag = "basic" if cfg.task_level == "basic" else "subordinate"
     train_rows, val_rows = (np.array([rows[s.sample_id] for s in split.samples])
                             for split in (train, val))
     rng = np.random.default_rng(cfg.seed)
@@ -267,10 +269,9 @@ def _merge(report: RunReport, phase: str, sub: RunReport) -> None:
     report.checkpoints.extend(sub.checkpoints)
 
 
-def _fresh_model(bundle: DataBundle, n_outputs: int, seed: int,
-                 phase_tag: str) -> md.Checkpoint:
+def _fresh_model(bundle: DataBundle, n_outputs: int, seed: int) -> md.Checkpoint:
     return md.build_model(bundle.model_spec.with_outputs(n_outputs), seed=seed,
-                          phase_tag=phase_tag, init=bundle.init)
+                          init=bundle.init)
 
 
 def _train_phase_a(regime: Regime, bundle: DataBundle,
@@ -281,10 +282,10 @@ def _train_phase_a(regime: Regime, bundle: DataBundle,
     if task == "subset":
         lm, (train, val) = _subset_task(
             bundle.graph, regime.pretrain_categories, (train, val))
-    width, tag = lm.n_basic, "basic"
+    width = lm.n_basic
     if task == "sub":  # the phase-B task, on the uncapped training set
-        train, width, tag = bundle.train, lm.n_sub, "subordinate"
-    start = _fresh_model(bundle, width, regime.phase_a.seed, tag)
+        train, width = bundle.train, lm.n_sub
+    start = _fresh_model(bundle, width, regime.phase_a.seed)
     return train_phase(start, regime.phase_a, train, val, lm, bundle.images,
                        bundle.rows, out_dir, _in_place=True)
 
@@ -295,7 +296,7 @@ def run_regime(regime: Regime, bundle: DataBundle,
 
     The regime's entry in RECIPES decides what phase A trains on and how the
     head passes into phase B (kept, replicated or drawn at phase_b.seed).
-    Each phase's train_phase sets its own lr_mults from its config.
+    Each phase's train_phase sets its own lr_mults and phase tag from its config.
     Without a phase A, phase B starts from a fresh phase_b.seed model.
     """
     recipe = RECIPES[regime.kind]
@@ -304,7 +305,7 @@ def run_regime(regime: Regime, bundle: DataBundle,
     report = RunReport(regime={"kind": regime.kind})
 
     if recipe.phase_a is None:
-        ckpt = _fresh_model(bundle, lm.n_sub, regime.phase_b.seed, "subordinate")
+        ckpt = _fresh_model(bundle, lm.n_sub, regime.phase_b.seed)
     else:
         ckpt, rep_a = _train_phase_a(regime, bundle,
                                      out_path and out_path / "phase_a")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import files
 from . import nnkernel as nk
-from .errors import ParseError, ValidationError, ZeroVarianceError
+from .errors import ParseError, ValidationError
 from .taxonomy import LabelMap, SynsetGraph, build_graph
 
 log = logging.getLogger(__name__)
@@ -199,7 +199,7 @@ def random_class_splits(manifest: DatasetManifest, n_train_per_class: int,
 
 
 # ---------------------------------------------------------------------------
-# normalized correlation and overlap search
+# overlap search
 
 COMPARISON_RESOLUTION = 32
 DEFAULT_OVERLAP_THRESHOLD = 0.99
@@ -239,22 +239,6 @@ def _standardize(rows: np.ndarray, out: np.ndarray | None = None):
     return centred, np.sqrt([row @ row for row in centred])
 
 
-def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of two equal-shape images, in [-1, 1].
-
-    A constant input raises ZeroVarianceError rather than returning NaN.
-    Bit-identical inputs score exactly 1.0.
-    """
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    (av, bv), (na, nb) = _standardize(np.stack([a.ravel(), b.ravel()]))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVarianceError("constant image has no correlation")
-    if np.array_equal(a, b):
-        return 1.0
-    return float(np.clip((av @ bv) / (na * nb), -1.0, 1.0))
-
-
 def _unit_rows(manifest: DatasetManifest, images: np.ndarray):
     """The images' standardized unit comparison rows in a buffer zero-padded
     to whole tiles, and which rows vary (never a padding row); a constant
@@ -274,7 +258,8 @@ def _unit_rows(manifest: DatasetManifest, images: np.ndarray):
 
 def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
                   threshold: float, images_a: np.ndarray, images_b: np.ndarray):
-    """All cross-set pairs whose correlation reaches ``threshold``.
+    """All cross-set pairs whose score, the Pearson correlation of their
+    comparison forms, reaches ``threshold``.
 
     ``images_a`` and ``images_b`` are ``(N, C, H, W)`` arrays of each set's
     samples, in order, compared in their channel means resampled to 32x32,
@@ -358,6 +343,7 @@ def find_overlaps(set_a: DatasetManifest, set_b: DatasetManifest,
 # ---------------------------------------------------------------------------
 # image stores and file formats
 
+# kept while perfbench/breakdown.py patches both stores' load to count reads
 class InMemoryStore:
     """Images held as a plain dict, keyed by sample_id."""
 

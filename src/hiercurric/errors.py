@@ -15,9 +15,5 @@ class ParseError(ValidationError):
         self.line = line
 
 
-class ZeroVarianceError(ValueError):
-    """A constant image was given where correlation needs nonzero variance."""
-
-
 class NumericFault(ArithmeticError):
     """NaN or Inf in a kernel output or a loss."""

@@ -24,6 +24,7 @@ from . import strict
 from .errors import NumericFault, ValidationError
 from .taxonomy import LabelMap
 
+# a manifest's allowed phase_tag values; curriculum.train_phase writes the first two
 PHASE_TAGS = ("basic", "subordinate", "transfer")
 INITS = ("fixed", "scaled")
 
@@ -319,7 +320,7 @@ def parameter_count(spec: ModelSpec) -> int:
 
 
 def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
-                phase_tag: str = "basic", init: str = "fixed") -> Checkpoint:
+                init: str = "fixed") -> Checkpoint:
     """Freshly initialized model: Gaussian weights, zero biases, iteration 0.
 
     ``fixed`` draws every weight at std 0.01 (the reference framework's
@@ -327,8 +328,6 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
     small desk-scale networks need it, since at their fan-ins the fixed std
     leaves the forward signal orders of magnitude too weak to train.
     """
-    if phase_tag not in PHASE_TAGS:
-        raise ValidationError(f"unknown phase tag {phase_tag!r}")
     if init not in INITS:
         raise ValidationError(f"unknown init scheme {init!r}")
     shapes = spec.param_shapes()  # raises on a broken shape chain
@@ -338,7 +337,7 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float64,
         std = nk.INIT_STD if init == "fixed" else np.sqrt(2.0 / np.prod(shape[1:]))
         params[f"{name}.weight"] = nk.ParamEntry(nk.default_init(shape, rng, dtype, std))
         params[f"{name}.bias"] = nk.ParamEntry(np.zeros(shape[0], dtype=dtype))
-    return Checkpoint(spec=spec, params=params, iteration=0, phase_tag=phase_tag)
+    return Checkpoint(spec=spec, params=params, iteration=0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +455,6 @@ def forward_eval(ckpt: Checkpoint, images, layer: str | None = None,
 # ---------------------------------------------------------------------------
 # head surgery
 
-def _advance_phase(tag: str) -> str:
-    i = PHASE_TAGS.index(tag)
-    return PHASE_TAGS[min(i + 1, len(PHASE_TAGS) - 1)]
-
-
 def replace_head(ckpt: Checkpoint, n_new_outputs: int, init: str,
                  labelmap: LabelMap | None = None,
                  seed: int | None = None) -> Checkpoint:
@@ -470,6 +464,7 @@ def replace_head(ckpt: Checkpoint, n_new_outputs: int, init: str,
     basic category's trained output unit; ``random`` draws a fresh head.
     Momentum buffers of the new head start at zero; the body keeps its
     momentum so continued training picks up where the old phase stopped.
+    The phase tag is kept: the phase that trains the result sets it.
     """
     if init not in ("replicate", "random"):
         raise ValidationError(f"unknown head init {init!r}")
@@ -502,7 +497,7 @@ def replace_head(ckpt: Checkpoint, n_new_outputs: int, init: str,
     params[f"{head.name}.weight"] = nk.ParamEntry(new_w)
     params[f"{head.name}.bias"] = nk.ParamEntry(new_b)
     return Checkpoint(spec=new_spec, params=params, iteration=0,
-                      phase_tag=_advance_phase(ckpt.phase_tag))
+                      phase_tag=ckpt.phase_tag)
 
 
 # ---------------------------------------------------------------------------

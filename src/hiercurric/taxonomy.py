@@ -179,6 +179,7 @@ def first_marks(graph: SynsetGraph, marks, nodes) -> dict[str, str | None]:
     return {n: n if n in marks else above.get(n) for n in nodes}
 
 
+# kept for perfbench/test_perfbench.py, which checks a planted taxonomy with it
 def first_marked_ancestor(graph: SynsetGraph, node: str, marks) -> str | None:
     """One node's first marked ancestor-or-self (see :func:`first_marks`)."""
     return first_marks(graph, marks, [node])[node]

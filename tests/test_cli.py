@@ -224,6 +224,29 @@ class TestPrepareCmd:
         assert ((out / "capped_manifest.csv").read_bytes()
                 == (rerun / "capped_manifest.csv").read_bytes())
 
+    def test_uncuttable_splits_write_and_print_nothing(self, tmp_path, animal_file,
+                                                       capsys):
+        """The splits are cut before the capped manifest and the counts are
+        written or printed, so a failed cut leaves no output directory."""
+        graph = taxonomy.validate_basic_marks(
+            taxonomy.parse_synset_file(animal_file), {"dog", "fish", "car"})
+        taxonomy.labelmap_to_csv(taxonomy.allocate_descendants(graph),
+                                 tmp_path / "lm.csv")
+        leaves = ["poodle", "beagle", "fish", "suv"]
+        dp.save_manifest(dp.DatasetManifest(tuple(
+            dp.Sample(f"s{i:03d}", f"t/{i}.tnsr", leaves[i % 4]) for i in range(40))),
+            tmp_path / "m.csv")
+        out = tmp_path / "prep"
+        code = cli.main(["prepare", "--manifest", str(tmp_path / "m.csv"),
+                         "--labelmap", str(tmp_path / "lm.csv"), "--level", "sub",
+                         "--cap", "20", "--seed", "1", "--splits", "2",
+                         "--train-per-class", "25", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "has 10 samples, needs at least 26" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_non_integer_sub_index_exits_2(self, tmp_path, capsys):
         (tmp_path / "lm.csv").write_text(
             "leaf_id,sub_index,basic_index,basic_id\npoodle,0.5,0,dog\n")

@@ -224,6 +224,24 @@ class TestTrainPhase:
         assert {n: e.lr_mult for n, e in final.params.items()} == {
             n: mult if n.split(".")[0] in lowered else 1.0 for n in ckpt.params}
 
+    @pytest.mark.parametrize("level,tag", [("basic", "basic"), ("sub", "subordinate")])
+    @pytest.mark.parametrize("held", md.PHASE_TAGS)
+    def test_phase_tag_comes_from_task_level(self, bundle_pair, tmp_path,
+                                             level, tag, held):
+        """The returned and the saved phase_tag name cfg.task_level's phase;
+        the input's tag is not kept."""
+        _, bundle = bundle_pair
+        lm = bundle.labelmap
+        ckpt = md.build_model(bundle.model_spec.with_outputs(
+            lm.n_basic if level == "basic" else lm.n_sub), seed=3, init="scaled")
+        ckpt.phase_tag = held
+        final, report = cu.train_phase(
+            ckpt, tiny_cfg(level=level, checkpoint_every=1), bundle.train,
+            bundle.val, lm, bundle.images, bundle.rows, tmp_path)
+        assert final.phase_tag == tag
+        assert md.load_checkpoint(report.checkpoints[0]).phase_tag == tag
+        assert ckpt.phase_tag == held
+
     def test_lowered_prefix_beyond_convs_rejected_before_any_step(
             self, bundle_pair, monkeypatch):
         _, bundle = bundle_pair
@@ -317,12 +335,32 @@ class TestRunRegime:
         assert all(a is b for a, b in zip(heads_from, made))
         assert len(heads_from) == (kind == "FacilitatedReplicatedHead")
 
+    @pytest.mark.parametrize("kind", cu.REGIME_KINDS)
+    def test_checkpoint_files_name_their_phase(self, bundle_pair, tmp_path, kind):
+        """Phase A's files carry its task level's tag (ReferenceExtended's
+        phase A trains the subordinate task); phase B's are subordinate."""
+        _, bundle = bundle_pair
+        recipe = cu.RECIPES[kind]
+        regime = cu.Regime(
+            kind=kind, phase_b=tiny_cfg(iters=1, seed=2, checkpoint_every=1),
+            phase_a=recipe.phase_a and tiny_cfg(iters=1, seed=1, checkpoint_every=1,
+                                                level=recipe.phase_a_level),
+            pretrain_categories=tuple(sorted(bundle.graph.leaf_set)[:4])
+            if recipe.phase_a == "subset" else ())
+        _, report = cu.run_regime(regime, bundle, tmp_path)
+        tags = {ref.split("/")[-2]: md.load_checkpoint(ref).phase_tag
+                for ref in report.checkpoints}
+        want = {"phase_b": "subordinate"}
+        if recipe.phase_a:
+            want["phase_a"] = "subordinate" if kind == "ReferenceExtended" else "basic"
+        assert tags == want
+
     def test_reference_equals_single_phase(self, bundle_pair):
         _, bundle = bundle_pair
         regime = cu.Regime(kind="Reference", phase_b=tiny_cfg(iters=5, seed=7))
         ckpt_r, report_r = cu.run_regime(regime, bundle)
         start = md.build_model(bundle.model_spec.with_outputs(12), seed=7,
-                               phase_tag="subordinate", init="scaled")
+                               init="scaled")
         ckpt_p, report_p = cu.train_phase(start, tiny_cfg(iters=5, seed=7),
                                           bundle.train, bundle.val,
                                           bundle.labelmap, bundle.images,
@@ -355,7 +393,7 @@ class TestRunRegime:
                            phase_b=tiny_cfg(iters=1, seed=12, lr=0.0))
         final, _ = cu.run_regime(regime, bundle)
         start = md.build_model(bundle.model_spec.with_outputs(
-            bundle.labelmap.n_basic), seed=11, phase_tag="basic", init="scaled")
+            bundle.labelmap.n_basic), seed=11, init="scaled")
         phase_a_final, _ = cu.train_phase(start, cfg_a, bundle.train, bundle.val,
                                           bundle.labelmap, bundle.images,
                                           bundle.rows)
@@ -374,7 +412,7 @@ class TestRunRegime:
                              lowered_mult=0.0))
         final, _ = cu.run_regime(regime, bundle)
         start = md.build_model(bundle.model_spec.with_outputs(
-            bundle.labelmap.n_basic), seed=21, phase_tag="basic", init="scaled")
+            bundle.labelmap.n_basic), seed=21, init="scaled")
         phase_a_final, _ = cu.train_phase(start, cfg_a, bundle.train, bundle.val,
                                           bundle.labelmap, bundle.images,
                                           bundle.rows)

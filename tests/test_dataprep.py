@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hiercurric import dataprep as dp
 from hiercurric import taxonomy
-from hiercurric.errors import ParseError, ValidationError, ZeroVarianceError
+from hiercurric.errors import ParseError, ValidationError
 
 
 def make_manifest(counts: dict[str, int]) -> dp.DatasetManifest:
@@ -173,49 +173,6 @@ class TestSplits:
         manifest = make_manifest({"tiny": 5, "big": 50})
         with pytest.raises(ValidationError, match="tiny"):
             dp.random_class_splits(manifest, 5, 10, 1, seed=0)
-
-
-class TestNcc:
-    def test_identical_is_exactly_one(self):
-        img = np.random.default_rng(0).random((3, 8, 8))
-        assert dp.normalized_correlation(img, img.copy()) == 1.0
-
-    def test_negation_is_minus_one(self):
-        img = np.random.default_rng(1).random((1, 8, 8))
-        assert dp.normalized_correlation(img, 1.0 - img) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_constant_image_raises(self):
-        img = np.full((1, 4, 4), 0.7)
-        other = np.random.default_rng(2).random((1, 4, 4))
-        with pytest.raises(ZeroVarianceError):
-            dp.normalized_correlation(img, other)
-        with pytest.raises(ZeroVarianceError):
-            dp.normalized_correlation(other, img)
-
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.random((2, 6, 6))
-        b = rng.random((2, 6, 6))
-        assert abs(dp.normalized_correlation(a, b)
-                   - dp.normalized_correlation(b, a)) <= 1e-12
-
-    @given(st.floats(min_value=0.05, max_value=20.0),
-           st.floats(min_value=-5.0, max_value=5.0),
-           st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_affine_invariance(self, alpha, beta, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.random((1, 8, 8))
-        b = rng.random((1, 8, 8))
-        base = dp.normalized_correlation(a, b)
-        scaled = dp.normalized_correlation(a, alpha * b + beta)
-        assert abs(base - scaled) <= 1e-9
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
-            dp.normalized_correlation(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)))
 
 
 def reference_forms(images):
@@ -465,6 +422,55 @@ class TestFindOverlaps:
                            match=rf"^set b: image 's0' has shape \({shape[1]}, "
                                  rf"{shape[2]}, {shape[3]}\), not a non-empty CxHxW"):
             dp.find_overlaps(man_b, manifest, 0.99, images_b, np.zeros(shape))
+
+
+def pair_score(a, b):
+    """find_overlaps' score of image ``a`` against image ``b``, or None when
+    the pair is not reported at threshold 0.5."""
+    man_a, man_b = (dp.DatasetManifest((dp.Sample(i, i, "leaf"),)) for i in "ab")
+    matches, _ = dp.find_overlaps(man_a, man_b, 0.5, a[None], b[None])
+    return matches[0][2] if matches else None
+
+
+class TestOverlapScore:
+    """Properties of the one score find_overlaps reports: the Pearson
+    correlation of two comparison forms."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_symmetric_when_the_sets_swap(self, seed):
+        man_a, man_b, images_a, _ = noise_sets(seed, n_a=12, n_b=12, size=(2, 6, 6))
+        rng = np.random.default_rng([seed, 1])
+        # noise from none to swamping, so scores spread across (-1, 1)
+        scales = np.linspace(0.0, 2.0, 12)[:, None, None, None]
+        images_b = images_a[rng.permutation(12)] + scales * rng.random((12, 2, 6, 6))
+        forward, _ = dp.find_overlaps(man_a, man_b, 0.5, images_a, images_b)
+        swapped, _ = dp.find_overlaps(man_b, man_a, 0.5, images_b, images_a)
+        assert forward  # the zero-noise copy at least
+        want = {(id_a, id_b): score for id_a, id_b, score in forward}
+        got = {(id_a, id_b): score for id_b, id_a, score in swapped}
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-12 for k in want)
+
+    @given(st.floats(min_value=0.05, max_value=20.0),
+           st.floats(min_value=-5.0, max_value=5.0),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_affine_invariance(self, alpha, beta, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((1, 8, 8))
+        b = a + 0.3 * rng.random((1, 8, 8))  # reported at threshold 0.5
+        base = pair_score(a, b)
+        scaled = pair_score(a, alpha * b + beta)
+        assert base is not None and scaled is not None
+        assert abs(base - scaled) <= 1e-9
+
+    def test_negated_copy_not_matched(self):
+        man_a, man_b, images_a, images_b = noise_sets(18, size=(3, 8, 8))
+        images_b[5] = 1.0 - images_a[7]
+        images_b[6] = images_a[7].copy()
+        matches, _ = dp.find_overlaps(man_a, man_b, 0.99, images_a, images_b)
+        assert matches == [("a007", "b006", 1.0)]
 
 
 def planted_pool(seed):

@@ -181,10 +181,14 @@ class TestReplaceHead:
         assert not new.params["fc2.weight"].momentum.any()
         assert not new.params["fc2.bias"].momentum.any()
 
-    def test_phase_tag_advances(self, small_ckpt, tiny_labelmap):
-        new = md.replace_head(small_ckpt, tiny_labelmap.n_sub, "replicate",
-                              tiny_labelmap)
-        assert new.phase_tag == "subordinate"
+    @pytest.mark.parametrize("tag", md.PHASE_TAGS)
+    @pytest.mark.parametrize("init", ["replicate", "random"])
+    def test_phase_tag_kept(self, small_ckpt, tiny_labelmap, tag, init):
+        """The phase that trains the new head sets its tag, not replace_head."""
+        small_ckpt.phase_tag = tag
+        new = md.replace_head(small_ckpt, tiny_labelmap.n_sub, init,
+                              tiny_labelmap, seed=3)
+        assert new.phase_tag == tag
 
     def test_random_mode_reproducible(self, small_ckpt):
         a = md.replace_head(small_ckpt, 10, "random", seed=77)
@@ -808,6 +812,16 @@ class TestCheckpointIO:
         assert md.checkpoint_to_bytes(loaded) == first
         assert loaded.iteration == 123
         assert loaded.phase_tag == small_ckpt.phase_tag
+
+    @pytest.mark.parametrize("tag", md.PHASE_TAGS)
+    def test_every_phase_tag_loads(self, small_ckpt, tmp_path, tag):
+        """Each allowed tag round-trips, "transfer" included, which no phase
+        writes any more."""
+        small_ckpt.phase_tag = tag
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(small_ckpt, path)
+        assert b'"phase_tag":"%s"' % tag.encode() in path.read_bytes()
+        assert md.load_checkpoint(path).phase_tag == tag
 
     def test_file_holds_each_weight_once_and_no_momentum(self, small_ckpt):
         """Header, manifest, one tensor per entry and the CRC32 trailer;
